@@ -9,11 +9,8 @@ from depscope.analysis import (
     match_vulnerabilities,
 )
 from depscope.ingest import (
-    TreeDocument,
-    TreeFormat,
     load_release_history,
     load_vuln_kb,
-    parse_tree,
     parse_tree_json,
     parse_tree_text,
     render_release_history,
@@ -26,8 +23,8 @@ from depscope.lifecycle import (
     instance_status,
     last_release_interval,
     library_status,
-    lifecycle_status,
     release_intervals,
+    render_status,
 )
 from depscope.model import (
     DependencyNode,
@@ -36,7 +33,6 @@ from depscope.model import (
     Gav,
     InstanceStatus,
     LibraryStatus,
-    LifecycleStatus,
     Release,
     ReleaseHistory,
     Responsibility,
@@ -44,7 +40,6 @@ from depscope.model import (
     VulnerabilityRecord,
     VulnerablePath,
     parse_gav,
-    render_gav,
     same_project,
 )
 from depscope.report import (
@@ -52,7 +47,6 @@ from depscope.report import (
     CensusRow,
     ScanResult,
     aggregate,
-    census,
     parse_aggregate_json,
     parse_scan_results_json,
     render,

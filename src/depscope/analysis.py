@@ -4,7 +4,7 @@ extraction, project grouping and responsibility attribution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from depscope.model import (
     DependencyNode,
@@ -37,12 +37,18 @@ def filter_non_deployed(tree: DependencyTree) -> DependencyTree:
     serve it, so the whole subtree goes. The root is never removed. Sibling
     order is preserved; the operation is idempotent.
     """
-
-    def rebuild(node: DependencyNode) -> DependencyNode:
-        kept = tuple(rebuild(c) for c in node.children if c.scope.deployed)
-        return DependencyNode(node.gav, node.scope, kept)
-
-    return DependencyTree(rebuild(tree.root), tree.analysis_time)
+    kept = []  # deployed nodes, each before its descendants
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        kept.append(node)
+        stack.extend(child for child in node.children if child.scope.deployed)
+    # rebuilt bottom-up with an explicit order: no tree depth exhausts the stack
+    rebuilt: dict[int, DependencyNode] = {}
+    for node in reversed(kept):
+        children = tuple(rebuilt.pop(id(c)) for c in node.children if c.scope.deployed)
+        rebuilt[id(node)] = DependencyNode(node.gav, node.scope, children)
+    return DependencyTree(rebuilt[id(tree.root)], tree.analysis_time)
 
 
 def match_vulnerabilities(
@@ -62,13 +68,16 @@ def match_vulnerabilities(
     return AnnotatedTree(tree, {g: frozenset(ids) for g, ids in vulnerable.items()})
 
 
-def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
-    """One path per (vulnerable node, vulnerability id) pair, ungrouped.
+def extract_vulnerable_paths(
+    annotated: AnnotatedTree, via_halted: AbstractSet[Gav] = frozenset()
+) -> list[VulnerablePath]:
+    """One finished path per (vulnerable node, vulnerability id) pair.
 
-    The raw path runs from the vulnerable instance up to the root inclusive.
-    Paths are ordered by the depth-first position of the vulnerable node,
-    then by vulnerability id. ``grouped_path`` is left equal to the raw path
-    and the responsibility reflects the raw chain; grouping refines both.
+    The raw path runs from the vulnerable instance up to the root inclusive;
+    the grouped path and the responsibility come from :func:`group_path` and
+    :func:`classify_responsibility`. A path is flagged ``via_halted`` when its
+    vulnerable instance is in ``via_halted``. Paths are ordered by the
+    depth-first position of the vulnerable node, then by vulnerability id.
     """
     root = annotated.tree.root.gav
     chains = annotated.tree.ancestor_chains()
@@ -78,15 +87,11 @@ def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
         if not ids:
             continue
         raw = chains[node.gav]
+        grouped = tuple(group_path(raw))
+        responsibility = classify_responsibility(grouped, root)
         for vuln_id in sorted(ids):
             paths.append(
-                VulnerablePath(
-                    raw_path=raw,
-                    grouped_path=raw,
-                    vuln_id=vuln_id,
-                    responsibility=classify_responsibility(raw, root),
-                    via_halted=False,
-                )
+                VulnerablePath(raw, grouped, vuln_id, responsibility, node.gav in via_halted)
             )
     return paths
 

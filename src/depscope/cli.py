@@ -20,13 +20,8 @@ from datetime import date
 from pathlib import Path
 
 from depscope.errors import DepscopeError, InputFileError
-from depscope.ingest import TreeFormat, load_release_history, load_vuln_kb, parse_tree
-from depscope.lifecycle import (
-    SmoothingConfig,
-    expected_release_date,
-    last_release_interval,
-    library_status,
-)
+from depscope.ingest import load_release_history, load_vuln_kb, parse_tree_json, parse_tree_text
+from depscope.lifecycle import SmoothingConfig, render_status
 from depscope.model import DependencyTree
 from depscope.report import aggregate, parse_scan_results_json, render, scan
 from depscope.simulate import SimulationConfig, SimulationPool, render_simulation, simulate
@@ -70,20 +65,28 @@ def _read(path: Path) -> str:
 
 
 def _load_tree(path: Path) -> DependencyTree:
-    fmt = TreeFormat.BOM_JSON if path.suffix == ".json" else TreeFormat.MVN_TEXT
+    parse = parse_tree_json if path.suffix == ".json" else parse_tree_text
     try:
-        return parse_tree(_read(path), fmt).tree
+        return parse(_read(path))
     except DepscopeError as exc:
         raise InputFileError(path, exc) from exc
 
 
 def _load_trees(path: Path) -> list[DependencyTree]:
-    if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".json"))
-        if not files:
-            raise DepscopeError(f"no .txt or .json tree files in {path}")
-        return [_load_tree(p) for p in files]
-    return [_load_tree(path)]
+    if not path.is_dir():
+        return [_load_tree(path)]
+    files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".json"))
+    if not files:
+        raise DepscopeError(f"no .txt or .json tree files in {path}")
+    trees, file_of = [], {}
+    for file in files:
+        tree = _load_tree(file)
+        root = tree.root.gav
+        if root in file_of:
+            raise DepscopeError(f"tree {root} is in both {file_of[root]} and {file}")
+        file_of[root] = file
+        trees.append(tree)
+    return trees
 
 
 def _load_histories(path: Path):
@@ -157,46 +160,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_status(args) -> int:
     histories = _load_histories(args.history)
-    cfg = _smoothing(args)
     time = args.time or date.today()
-    rows = []
-    for ga in sorted(histories):
-        history = histories[ga]
-        rows.append(
-            {
-                "library": str(ga),
-                "releases": len(history.releases),
-                "last_release": history.last_release.released.isoformat(),
-                "interval_days": round(last_release_interval(history, cfg), 3),
-                "expected_release": expected_release_date(history, cfg).isoformat(),
-                "status": library_status(history, time, cfg).value,
-            }
-        )
-    if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps({"time": time.isoformat(), "libraries": rows},
-                                    indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        import csv
-        import io
-
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["library", "releases", "last_release", "interval_days",
-                         "expected_release", "status"])
-        for row in rows:
-            writer.writerow([row["library"], row["releases"], row["last_release"],
-                             row["interval_days"], row["expected_release"], row["status"]])
-        sys.stdout.write(out.getvalue())
-    else:
-        sys.stdout.write(f"status at {time.isoformat()}\n")
-        for row in rows:
-            sys.stdout.write(
-                f"  {row['library']}: {row['status']} "
-                f"(releases {row['releases']}, last {row['last_release']}, "
-                f"expected next {row['expected_release']})\n"
-            )
+    sys.stdout.write(render_status(histories, time, _smoothing(args), args.format))
     return 0
 
 

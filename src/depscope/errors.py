@@ -9,7 +9,7 @@ class DepscopeError(Exception):
 
 class MalformedCoordinate(DepscopeError):
     def __init__(self, text: str):
-        super().__init__(f"malformed coordinate {text!r} (expected g:a:v or g:a:packaging:v:scope)")
+        super().__init__(f"malformed coordinate {text!r} (expected g:a:v)")
         self.text = text
 
 

@@ -1,4 +1,4 @@
-"""Parsers for the three external inputs.
+"""Parsers for the three external inputs, and the one output encoding.
 
 * dependency trees, either as the text dump of a resolved-tree listing or as
   the BoM JSON interchange format,
@@ -6,6 +6,8 @@
 * the vulnerability knowledge base as JSON.
 
 All parsers are pure functions from document text to model values.
+:func:`csv_text` and :func:`json_text` fix the encoding of every CSV and JSON
+output the package renders.
 """
 
 from __future__ import annotations
@@ -14,15 +16,14 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from datetime import date
-from enum import Enum
 
 from depscope.errors import (
     DuplicateGa,
     DuplicateVersion,
     EmptyAffectedSet,
     EmptyInput,
+    MalformedCoordinate,
     MalformedRow,
     MalformedTreeLine,
     SchemaViolation,
@@ -36,26 +37,22 @@ from depscope.model import (
     ReleaseHistory,
     Scope,
     VulnerabilityRecord,
+    parse_gav,
 )
 
 
-class TreeFormat(str, Enum):
-    MVN_TEXT = "mvn_text"
-    BOM_JSON = "bom_json"
+def csv_text(header, rows) -> str:
+    """A header row and data rows as CSV with LF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
-@dataclass(frozen=True)
-class TreeDocument:
-    source_format: TreeFormat
-    tree: DependencyTree
-
-
-def parse_tree(doc: str, source_format: TreeFormat | str) -> TreeDocument:
-    """Parse a tree document in either supported encoding."""
-    fmt = TreeFormat(source_format)
-    if fmt is TreeFormat.BOM_JSON:
-        return TreeDocument(fmt, parse_tree_json(doc))
-    return TreeDocument(fmt, parse_tree_text(doc))
+def json_text(data) -> str:
+    """Indented, sorted-key JSON ending in a newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 # --- tree text ---------------------------------------------------------------
@@ -63,19 +60,17 @@ def parse_tree(doc: str, source_format: TreeFormat | str) -> TreeDocument:
 _INFO_PREFIX = "[INFO] "
 _INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
 _BRANCH_UNITS = ("+- ", "\\- ")
-_SCOPE_BY_VALUE = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
+# scope names both tree formats accept; the text form maps any other to UNKNOWN
+_SCOPES = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
 
 
 class _NodeBuilder:
-    __slots__ = ("gav", "scope", "children")
+    __slots__ = ("gav", "scope", "children", "node")
 
     def __init__(self, gav: Gav, scope: Scope):
         self.gav = gav
         self.scope = scope
         self.children: list[_NodeBuilder] = []
-
-    def freeze(self) -> DependencyNode:
-        return DependencyNode(self.gav, self.scope, tuple(c.freeze() for c in self.children))
 
 
 def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scope]:
@@ -89,7 +84,7 @@ def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scop
     if is_root and len(segments) == 4:
         return Gav(segments[0], segments[1], segments[3]), Scope.COMPILE
     if not is_root and len(segments) == 5:
-        scope = _SCOPE_BY_VALUE.get(segments[4], Scope.UNKNOWN)
+        scope = _SCOPES.get(segments[4], Scope.UNKNOWN)
         return Gav(segments[0], segments[1], segments[3]), scope
     raise MalformedTreeLine(line_no, f"wrong segment count in {text!r}")
 
@@ -105,7 +100,7 @@ def parse_tree_text(text: str) -> DependencyTree:
     one level up. A leading ``[INFO] `` per line is stripped, so both raw
     dumps and log captures parse.
     """
-    root: _NodeBuilder | None = None
+    in_order = []  # every node in file order: each parent before its children
     seen: set[Ga] = set()
     # stack of (depth, builder) for ancestor resolution
     stack: list[tuple[int, _NodeBuilder]] = []
@@ -129,11 +124,12 @@ def parse_tree_text(text: str) -> DependencyTree:
         if units and units[-1] not in _BRANCH_UNITS:
             raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
 
-        if root is None:
+        if not in_order:
             if depth != 0:
                 raise MalformedTreeLine(line_no, "first content line must be the unindented root")
             gav, scope = _parse_coordinate(coordinate, line_no, is_root=True)
             root = _NodeBuilder(gav, scope)
+            in_order.append(root)
             seen.add(gav.ga)
             stack = [(0, root)]
             continue
@@ -150,16 +146,19 @@ def parse_tree_text(text: str) -> DependencyTree:
         node = _NodeBuilder(gav, scope)
         stack[-1][1].children.append(node)
         stack.append((depth, node))
+        in_order.append(node)
         seen.add(gav.ga)
 
-    if root is None:
+    if not in_order:
         raise EmptyInput()
-    return DependencyTree(root.freeze())
+    # freezing in reverse file order builds every subtree before its parent,
+    # without recursion, so no tree depth exhausts the stack
+    for item in reversed(in_order):
+        item.node = DependencyNode(item.gav, item.scope, tuple(c.node for c in item.children))
+    return DependencyTree(in_order[0].node)
 
 
 # --- tree JSON ---------------------------------------------------------------
-
-_JSON_SCOPES = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
 
 
 def _require_keys(obj: dict, allowed: set[str], required: set[str], pointer: str) -> None:
@@ -175,18 +174,12 @@ def _parse_json_node(obj, pointer: str, seen: set[Ga]) -> DependencyNode:
     if not isinstance(obj, dict):
         raise SchemaViolation(pointer, "node must be an object")
     _require_keys(obj, {"gav", "scope", "children"}, {"gav", "scope", "children"}, pointer)
-    gav_text = obj["gav"]
-    if not isinstance(gav_text, str):
-        raise SchemaViolation(f"{pointer}/gav", "must be a string")
-    segments = gav_text.split(":")
-    if len(segments) != 3 or any(not s for s in segments):
-        raise SchemaViolation(f"{pointer}/gav", f"not a g:a:v coordinate: {gav_text!r}")
-    gav = Gav(segments[0], segments[1], segments[2])
+    gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
     if gav.ga in seen:
         raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
     seen.add(gav.ga)
     scope_text = obj["scope"]
-    if scope_text not in _JSON_SCOPES:
+    if not isinstance(scope_text, str) or scope_text not in _SCOPES:
         raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
     children_obj = obj["children"]
     if not isinstance(children_obj, list):
@@ -195,13 +188,24 @@ def _parse_json_node(obj, pointer: str, seen: set[Ga]) -> DependencyNode:
         _parse_json_node(child, f"{pointer}/children/{i}", seen)
         for i, child in enumerate(children_obj)
     )
-    return DependencyNode(gav, _JSON_SCOPES[scope_text], children)
+    return DependencyNode(gav, _SCOPES[scope_text], children)
+
+
+def parse_gav_at(value, pointer: str) -> Gav:
+    """:func:`parse_gav` for a JSON value; failures name ``pointer``."""
+    if isinstance(value, str):
+        try:
+            return parse_gav(value)
+        except MalformedCoordinate:
+            pass
+    raise SchemaViolation(pointer, f"not a g:a:v coordinate: {value!r}")
 
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
 
 
-def _parse_iso_date(text, pointer: str) -> date:
+def parse_date_at(text, pointer: str) -> date:
+    """A strict ``YYYY-MM-DD`` date; failures name ``pointer``."""
     if not isinstance(text, str) or not _ISO_DATE.match(text):
         raise SchemaViolation(pointer, f"not a YYYY-MM-DD date: {text!r}")
     try:
@@ -221,7 +225,7 @@ def parse_tree_json(doc: str) -> DependencyTree:
     _require_keys(data, {"analysis_time", "root"}, {"root"}, "")
     analysis_time = None
     if "analysis_time" in data:
-        analysis_time = _parse_iso_date(data["analysis_time"], "/analysis_time")
+        analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
     root = _parse_json_node(data["root"], "/root", set())
     if root.scope is not Scope.COMPILE:
         raise SchemaViolation("/root/scope", "root scope must be compile")
@@ -241,7 +245,7 @@ def render_tree_json(tree: DependencyTree) -> str:
     data: dict = {"root": _node_to_dict(tree.root)}
     if tree.analysis_time is not None:
         data["analysis_time"] = tree.analysis_time.isoformat()
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json_text(data)
 
 
 # --- release histories -------------------------------------------------------
@@ -273,13 +277,14 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
         group, artifact, version, date_text = row
         if not group or not artifact or not version:
             raise MalformedRow(line_no, "empty field")
-        if not _ISO_DATE.match(date_text):
-            raise MalformedRow(line_no, f"bad date {date_text!r}")
         try:
-            released = date.fromisoformat(date_text)
-        except ValueError:
+            released = parse_date_at(date_text, "")
+        except SchemaViolation:
             raise MalformedRow(line_no, f"bad date {date_text!r}") from None
-        ga = Ga(group, artifact)
+        try:
+            ga = Ga(group, artifact)
+        except ValueError as exc:  # a ':' inside group_id or artifact_id
+            raise MalformedRow(line_no, str(exc)) from None
         if (ga, version) in seen:
             raise DuplicateVersion(ga, version)
         seen.add((ga, version))
@@ -293,13 +298,14 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
 
 def render_release_history(histories: dict[Ga, ReleaseHistory]) -> str:
     """Inverse of :func:`load_release_history`, libraries in sorted order."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_HISTORY_HEADER)
-    for ga in sorted(histories):
-        for release in histories[ga].releases:
-            writer.writerow([ga.group_id, ga.artifact_id, release.version, release.released.isoformat()])
-    return out.getvalue()
+    return csv_text(
+        _HISTORY_HEADER,
+        (
+            [ga.group_id, ga.artifact_id, release.version, release.released.isoformat()]
+            for ga in sorted(histories)
+            for release in histories[ga].releases
+        ),
+    )
 
 
 # --- vulnerability knowledge base --------------------------------------------
@@ -308,6 +314,12 @@ def render_release_history(histories: dict[Ga, ReleaseHistory]) -> str:
 def _require_nonempty_str(value, pointer: str) -> str:
     if not isinstance(value, str) or not value:
         raise SchemaViolation(pointer, "must be a non-empty string")
+    return value
+
+
+def _require_segment(value, pointer: str) -> str:
+    if ":" in _require_nonempty_str(value, pointer):
+        raise SchemaViolation(pointer, "must not contain ':'")
     return value
 
 
@@ -343,15 +355,15 @@ def load_vuln_kb(doc: str) -> list[VulnerabilityRecord]:
             if not isinstance(lib, dict):
                 raise SchemaViolation(lib_pointer, "entry must be an object")
             _require_keys(lib, {"group", "artifact", "versions"}, {"group", "artifact", "versions"}, lib_pointer)
-            group = _require_nonempty_str(lib["group"], f"{lib_pointer}/group")
-            artifact = _require_nonempty_str(lib["artifact"], f"{lib_pointer}/artifact")
+            group = _require_segment(lib["group"], f"{lib_pointer}/group")
+            artifact = _require_segment(lib["artifact"], f"{lib_pointer}/artifact")
             versions = lib["versions"]
             if not isinstance(versions, list):
                 raise SchemaViolation(f"{lib_pointer}/versions", "must be an array")
             if not versions:
                 raise EmptyAffectedSet(vuln_id)
             for k, version in enumerate(versions):
-                _require_nonempty_str(version, f"{lib_pointer}/versions/{k}")
+                _require_segment(version, f"{lib_pointer}/versions/{k}")
                 affected.add(Gav(group, artifact, version))
         records.append(VulnerabilityRecord(vuln_id, frozenset(affected)))
     return records

@@ -17,16 +17,9 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping
 
-from depscope.analysis import AnnotatedTree
 from depscope.errors import MissingHistory, UnknownVersion
-from depscope.model import (
-    Ga,
-    Gav,
-    InstanceStatus,
-    LibraryStatus,
-    LifecycleStatus,
-    ReleaseHistory,
-)
+from depscope.ingest import csv_text, json_text
+from depscope.model import DependencyTree, Ga, Gav, InstanceStatus, LibraryStatus, ReleaseHistory
 
 
 @dataclass(frozen=True)
@@ -92,18 +85,8 @@ def instance_status(gav: Gav, history: ReleaseHistory, time: date) -> InstanceSt
     return InstanceStatus.UP_TO_DATE
 
 
-def lifecycle_status(
-    gav: Gav, history: ReleaseHistory, time: date, cfg: SmoothingConfig
-) -> LifecycleStatus:
-    return LifecycleStatus(
-        library_status=library_status(history, time, cfg),
-        instance_status=instance_status(gav, history, time),
-        expected_release_date=expected_release_date(history, cfg),
-    )
-
-
 def detect_via_halted(
-    annotated: AnnotatedTree,
+    tree: DependencyTree,
     histories: Mapping[Ga, ReleaseHistory],
     time: date,
     cfg: SmoothingConfig,
@@ -119,7 +102,7 @@ def detect_via_halted(
     counts as alive instead of raising :class:`MissingHistory`.
     """
     reached: set[Gav] = set()
-    for child in annotated.tree.root.children:
+    for child in tree.root.children:
         history = histories.get(child.gav.ga)
         if history is None:
             if not lenient:
@@ -132,3 +115,34 @@ def detect_via_halted(
                 reached.add(node.gav)
                 stack.extend(node.children)
     return reached
+
+
+_STATUS_HEADER = ["library", "releases", "last_release", "interval_days", "expected_release", "status"]
+
+
+def render_status(
+    histories: Mapping[Ga, ReleaseHistory], time: date, cfg: SmoothingConfig, format: str = "text"
+) -> str:
+    """The cadence verdict of every library at ``time``, in sorted order."""
+    rows = [
+        [
+            str(ga),
+            len(history.releases),
+            history.last_release.released.isoformat(),
+            round(last_release_interval(history, cfg), 3),
+            expected_release_date(history, cfg).isoformat(),
+            library_status(history, time, cfg).value,
+        ]
+        for ga, history in sorted(histories.items())
+    ]
+    if format == "json":
+        libraries = [dict(zip(_STATUS_HEADER, row)) for row in rows]
+        return json_text({"time": time.isoformat(), "libraries": libraries})
+    if format == "csv":
+        return csv_text(_STATUS_HEADER, rows)
+    if format != "text":
+        raise ValueError(f"unknown format {format!r}")
+    lines = [f"status at {time.isoformat()}"]
+    for library, releases, last, _, expected, status in rows:
+        lines.append(f"  {library}: {status} (releases {releases}, last {last}, expected next {expected})")
+    return "\n".join(lines) + "\n"

@@ -83,26 +83,11 @@ class Gav:
 
 
 def parse_gav(text: str) -> Gav:
-    """Parse ``g:a:v`` or the tree-dump form ``g:a:packaging:v:scope``.
-
-    The five-segment form yields the coordinate projection only; the scope
-    segment is interpreted by the tree parser, not here.
-    """
+    """Parse exactly ``g:a:v``; the inverse of ``str(gav)``."""
     segments = text.split(":")
-    if len(segments) == 3:
-        group, artifact, version = segments
-    elif len(segments) == 5:
-        group, artifact, _, version, _ = segments
-    else:
+    if len(segments) != 3 or not all(segments):
         raise MalformedCoordinate(text)
-    if not group or not artifact or not version:
-        raise MalformedCoordinate(text)
-    return Gav(group, artifact, version)
-
-
-def render_gav(gav: Gav) -> str:
-    """Inverse of :func:`parse_gav` for the three-segment form."""
-    return str(gav)
+    return Gav(*segments)
 
 
 def _group_of(value) -> str:
@@ -171,15 +156,13 @@ class DependencyTree:
 
     def ancestor_chains(self) -> dict[Gav, tuple[Gav, ...]]:
         """For every node, the chain from the node up to the root, inclusive."""
-        chains: dict[Gav, tuple[Gav, ...]] = {}
-
-        def walk(node: DependencyNode, above: tuple[Gav, ...]) -> None:
-            chain = (node.gav,) + above
-            chains[node.gav] = chain
+        chains = {self.root.gav: (self.root.gav,)}
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             for child in node.children:
-                walk(child, chain)
-
-        walk(self.root, ())
+                chains[child.gav] = (child.gav,) + chains[node.gav]
+                stack.append(child)
         return chains
 
 
@@ -273,14 +256,5 @@ class VulnerablePath:
         object.__setattr__(self, "grouped_path", tuple(self.grouped_path))
         if not self.raw_path:
             raise ValueError("raw_path must be non-empty")
-        if self.grouped_path[0] != self.raw_path[0]:
+        if self.grouped_path[:1] != self.raw_path[:1]:
             raise ValueError("grouping must preserve the vulnerable instance")
-
-
-@dataclass(frozen=True)
-class LifecycleStatus:
-    """Release-cadence verdict for one library instance at analysis time."""
-
-    library_status: LibraryStatus
-    instance_status: InstanceStatus
-    expected_release_date: date

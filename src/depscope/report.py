@@ -10,15 +10,12 @@ are kept apart and named explicitly.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Mapping, Sequence
 
 from depscope.analysis import (
-    AnnotatedTree,
     classify_responsibility,
     extract_vulnerable_paths,
     filter_non_deployed,
@@ -26,7 +23,8 @@ from depscope.analysis import (
     match_vulnerabilities,
 )
 from depscope.errors import MissingHistory, SchemaViolation
-from depscope.lifecycle import SmoothingConfig, detect_via_halted, lifecycle_status
+from depscope.ingest import csv_text, json_text, parse_date_at, parse_gav_at
+from depscope.lifecycle import SmoothingConfig, detect_via_halted, instance_status, library_status
 from depscope.model import (
     DependencyTree,
     Ga,
@@ -67,7 +65,6 @@ class CensusRow:
 
     gav: Gav
     depth: int
-    direct: bool
     deployed: bool
     vuln_ids: tuple[str, ...]
     own: bool
@@ -76,6 +73,10 @@ class CensusRow:
     instance_status: InstanceStatus
     via_halted: bool
     unknown_history: bool
+
+    @property
+    def direct(self) -> bool:
+        return self.depth == 1
 
     @property
     def vulnerable(self) -> bool:
@@ -143,59 +144,24 @@ def scan(
 
     Vulnerability matching runs after the deployment filter, so non-deployed
     vulnerable instances never produce paths; ``include_non_deployed``
-    re-runs the matching before the filter, flagging non-deployed instances
-    in the census and extracting their paths as well.
+    matches the unfiltered tree instead, flagging non-deployed instances in
+    the census and extracting their paths as well.
+
+    The census has one row per dependency (every non-root node of the
+    unfiltered tree). In strict mode a library without release history
+    raises :class:`MissingHistory`; with ``lenient`` it is counted as
+    alive/up-to-date and flagged ``unknown_history``.
 
     ``time`` defaults to the tree's own analysis date when present, else
     today.
     """
     cfg = cfg or SmoothingConfig()
-    resolved_time = time or tree.analysis_time or date.today()
-    if include_non_deployed:
-        annotated = match_vulnerabilities(tree, kb)
-    else:
-        annotated = match_vulnerabilities(filter_non_deployed(tree), kb)
-    return census(
-        tree,
-        annotated,
-        histories,
-        resolved_time,
-        cfg,
-        lenient=lenient,
-        include_non_deployed=include_non_deployed,
-    )
-
-
-def census(
-    tree: DependencyTree,
-    annotated: AnnotatedTree,
-    histories: Mapping[Ga, ReleaseHistory],
-    time: date,
-    cfg: SmoothingConfig,
-    *,
-    lenient: bool = False,
-    include_non_deployed: bool = False,
-) -> ScanResult:
-    """Fill every per-dependency flag and finalize the vulnerable paths.
-
-    ``tree`` is the unfiltered tree; ``annotated`` carries the vulnerability
-    matching for whichever tree the report mode dictates. In strict mode a
-    library without release history raises :class:`MissingHistory`; with
-    ``lenient`` it is counted as alive/up-to-date and flagged
-    ``unknown_history``.
-    """
-    root_gav = tree.root.gav
-    if annotated.tree.root.gav != root_gav:
-        raise ValueError("annotated tree does not match the scanned tree")
-
+    time = time or tree.analysis_time or date.today()
+    root = tree.root.gav
     filtered = filter_non_deployed(tree)
-    deployed = {node.gav for node, _ in filtered.nodes()}
-    deployed_vulnerable = {
-        gav: ids for gav, ids in annotated.vulnerable.items() if gav in deployed
-    }
-    via_halted = detect_via_halted(
-        AnnotatedTree(filtered, deployed_vulnerable), histories, time, cfg, lenient=lenient
-    )
+    deployed = filtered.gavs()
+    annotated = match_vulnerabilities(tree if include_non_deployed else filtered, kb)
+    via_halted = detect_via_halted(filtered, histories, time, cfg, lenient=lenient)
     chains = tree.ancestor_chains()
 
     rows = []
@@ -204,50 +170,33 @@ def census(
             continue
         gav = node.gav
         history = histories.get(gav.ga)
-        if history is None:
-            if not lenient:
-                raise MissingHistory(gav.ga)
-            lib_status = LibraryStatus.ALIVE
-            inst_status = InstanceStatus.UP_TO_DATE
-            unknown = True
+        if history is not None:
+            lib_status = library_status(history, time, cfg)
+            inst_status = instance_status(gav, history, time)
+        elif lenient:
+            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
-            status = lifecycle_status(gav, history, time, cfg)
-            lib_status = status.library_status
-            inst_status = status.instance_status
-            unknown = False
+            raise MissingHistory(gav.ga)
         rows.append(
             CensusRow(
                 gav=gav,
                 depth=depth,
-                direct=depth == 1,
                 deployed=gav in deployed,
                 vuln_ids=tuple(sorted(annotated.vulnerable.get(gav, ()))),
-                own=same_project(gav, root_gav),
-                responsibility=classify_responsibility(group_path(chains[gav]), root_gav),
+                own=same_project(gav, root),
+                responsibility=classify_responsibility(group_path(chains[gav]), root),
                 library_status=lib_status,
                 instance_status=inst_status,
                 via_halted=gav in via_halted,
-                unknown_history=unknown,
-            )
-        )
-
-    paths = []
-    for path in extract_vulnerable_paths(annotated):
-        grouped = tuple(group_path(path.raw_path))
-        paths.append(
-            replace(
-                path,
-                grouped_path=grouped,
-                responsibility=classify_responsibility(grouped, root_gav),
-                via_halted=path.raw_path[0] in via_halted,
+                unknown_history=history is None,
             )
         )
 
     return ScanResult(
-        root=root_gav,
+        root=root,
         analysis_time=time,
         include_non_deployed=include_non_deployed,
-        paths=tuple(paths),
+        paths=tuple(extract_vulnerable_paths(annotated, via_halted)),
         census=tuple(rows),
     )
 
@@ -443,32 +392,22 @@ _CENSUS_CSV_HEADER = [
 
 
 def _results_csv(results: Sequence[ScanResult]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CENSUS_CSV_HEADER)
-    for result in results:
-        for row in result.census:
-            writer.writerow(
-                [
-                    str(result.root), str(row.gav), row.gav.group_id,
-                    row.gav.artifact_id, row.gav.version, row.depth,
-                    _bool(row.direct), _bool(row.deployed), _bool(row.vulnerable),
-                    ";".join(row.vuln_ids), _bool(row.own),
-                    row.responsibility.value, row.library_status.value,
-                    row.instance_status.value, _bool(row.via_halted),
-                    _bool(row.unknown_history),
-                ]
-            )
-    return out.getvalue()
-
-
-def _aggregate_csv(report: AggregateReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["cell", "count"])
-    for key in CELL_KEYS:
-        writer.writerow([key, report.get(key)])
-    return out.getvalue()
+    return csv_text(
+        _CENSUS_CSV_HEADER,
+        (
+            [
+                str(result.root), str(row.gav), row.gav.group_id,
+                row.gav.artifact_id, row.gav.version, row.depth,
+                _bool(row.direct), _bool(row.deployed), _bool(row.vulnerable),
+                ";".join(row.vuln_ids), _bool(row.own),
+                row.responsibility.value, row.library_status.value,
+                row.instance_status.value, _bool(row.via_halted),
+                _bool(row.unknown_history),
+            ]
+            for result in results
+            for row in result.census
+        ),
+    )
 
 
 def _result_to_dict(result: ScanResult) -> dict:
@@ -517,86 +456,102 @@ def render(obj, format: str = "text") -> str:
         if format == "text":
             return _aggregate_text(obj)
         if format == "csv":
-            return _aggregate_csv(obj)
-        return json.dumps({"cells": dict(obj.cells)}, indent=2, sort_keys=True) + "\n"
+            return csv_text(["cell", "count"], ([key, obj.get(key)] for key in CELL_KEYS))
+        return json_text({"cells": dict(obj.cells)})
     results = [obj] if isinstance(obj, ScanResult) else list(obj)
     if format == "text":
         return "\n".join(_result_text(result) for result in results)
     if format == "csv":
         return _results_csv(results)
     if isinstance(obj, ScanResult):
-        return json.dumps(_result_to_dict(obj), indent=2, sort_keys=True) + "\n"
-    return json.dumps([_result_to_dict(r) for r in results], indent=2, sort_keys=True) + "\n"
+        return json_text(_result_to_dict(obj))
+    return json_text([_result_to_dict(r) for r in results])
 
 
 # --- report JSON round trip -----------------------------------------------------
 
 
-def _parse_gav_field(text, pointer: str) -> Gav:
-    if not isinstance(text, str):
-        raise SchemaViolation(pointer, "must be a string")
-    segments = text.split(":")
-    if len(segments) != 3 or any(not s for s in segments):
-        raise SchemaViolation(pointer, f"not a g:a:v coordinate: {text!r}")
-    return Gav(*segments)
+_RESULT_KEYS = frozenset({"root", "analysis_time", "include_non_deployed", "paths", "census"})
+_PATH_KEYS = frozenset({"raw_path", "grouped_path", "vuln_id", "responsibility", "via_halted"})
+_ROW_KEYS = frozenset(
+    {"gav", "depth", "deployed", "vuln_ids", "own", "responsibility", "library_status",
+     "instance_status", "via_halted", "unknown_history"}
+)
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string", list: "an array"}
 
 
-def _enum_field(enum_cls, value, pointer: str):
+def _object(value, keys: frozenset, pointer: str) -> dict:
+    """``value`` when it is an object holding every key in ``keys``."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(pointer, "must be an object")
+    if not keys <= value.keys():
+        raise SchemaViolation(pointer, f"missing key {min(keys - value.keys())!r}")
+    return value
+
+
+def _typed(obj: dict, key: str, kind: type, pointer: str):
+    """``obj[key]`` when it has exactly the JSON type ``kind``."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise SchemaViolation(f"{pointer}/{key}", f"must be {_TYPE_NAMES[kind]}")
+    return value
+
+
+def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
     try:
-        return enum_cls(value)
+        return enum_cls(obj[key])
     except ValueError:
-        raise SchemaViolation(pointer, f"invalid value {value!r}") from None
+        raise SchemaViolation(f"{pointer}/{key}", f"invalid value {obj[key]!r}") from None
+
+
+def _gavs(obj: dict, key: str, pointer: str) -> tuple[Gav, ...]:
+    field = f"{pointer}/{key}"
+    return tuple(parse_gav_at(text, field) for text in _typed(obj, key, list, pointer))
+
+
+def _path_from_dict(entry, p: str) -> VulnerablePath:
+    _object(entry, _PATH_KEYS, p)
+    try:
+        return VulnerablePath(
+            raw_path=_gavs(entry, "raw_path", p),
+            grouped_path=_gavs(entry, "grouped_path", p),
+            vuln_id=_typed(entry, "vuln_id", str, p),
+            responsibility=_enum_field(Responsibility, entry, "responsibility", p),
+            via_halted=_typed(entry, "via_halted", bool, p),
+        )
+    except ValueError as exc:  # an empty path, or grouping that lost the instance
+        raise SchemaViolation(p, str(exc)) from None
+
+
+def _row_from_dict(entry, p: str) -> CensusRow:
+    _object(entry, _ROW_KEYS, p)
+    vuln_ids = tuple(_typed(entry, "vuln_ids", list, p))
+    if not all(type(vuln_id) is str for vuln_id in vuln_ids):
+        raise SchemaViolation(f"{p}/vuln_ids", "must be an array of strings")
+    return CensusRow(
+        gav=parse_gav_at(entry["gav"], f"{p}/gav"),
+        depth=_typed(entry, "depth", int, p),
+        deployed=_typed(entry, "deployed", bool, p),
+        vuln_ids=vuln_ids,
+        own=_typed(entry, "own", bool, p),
+        responsibility=_enum_field(Responsibility, entry, "responsibility", p),
+        library_status=_enum_field(LibraryStatus, entry, "library_status", p),
+        instance_status=_enum_field(InstanceStatus, entry, "instance_status", p),
+        via_halted=_typed(entry, "via_halted", bool, p),
+        unknown_history=_typed(entry, "unknown_history", bool, p),
+    )
 
 
 def _result_from_dict(data, pointer: str = "") -> ScanResult:
-    if not isinstance(data, dict):
-        raise SchemaViolation(pointer, "scan result must be an object")
-    for key in ("root", "analysis_time", "include_non_deployed", "paths", "census"):
-        if key not in data:
-            raise SchemaViolation(pointer, f"missing key {key!r}")
-    root = _parse_gav_field(data["root"], f"{pointer}/root")
-    try:
-        analysis_time = date.fromisoformat(data["analysis_time"])
-    except (TypeError, ValueError):
-        raise SchemaViolation(f"{pointer}/analysis_time", "not a YYYY-MM-DD date") from None
-    paths = []
-    for i, entry in enumerate(data["paths"]):
-        p = f"{pointer}/paths/{i}"
-        paths.append(
-            VulnerablePath(
-                raw_path=tuple(_parse_gav_field(g, f"{p}/raw_path") for g in entry["raw_path"]),
-                grouped_path=tuple(
-                    _parse_gav_field(g, f"{p}/grouped_path") for g in entry["grouped_path"]
-                ),
-                vuln_id=entry["vuln_id"],
-                responsibility=_enum_field(Responsibility, entry["responsibility"], f"{p}/responsibility"),
-                via_halted=bool(entry["via_halted"]),
-            )
-        )
-    census_rows = []
-    for i, entry in enumerate(data["census"]):
-        p = f"{pointer}/census/{i}"
-        census_rows.append(
-            CensusRow(
-                gav=_parse_gav_field(entry["gav"], f"{p}/gav"),
-                depth=int(entry["depth"]),
-                direct=bool(entry["direct"]),
-                deployed=bool(entry["deployed"]),
-                vuln_ids=tuple(entry["vuln_ids"]),
-                own=bool(entry["own"]),
-                responsibility=_enum_field(Responsibility, entry["responsibility"], f"{p}/responsibility"),
-                library_status=_enum_field(LibraryStatus, entry["library_status"], f"{p}/library_status"),
-                instance_status=_enum_field(InstanceStatus, entry["instance_status"], f"{p}/instance_status"),
-                via_halted=bool(entry["via_halted"]),
-                unknown_history=bool(entry["unknown_history"]),
-            )
-        )
+    _object(data, _RESULT_KEYS, pointer)
+    paths = _typed(data, "paths", list, pointer)
+    census = _typed(data, "census", list, pointer)
     return ScanResult(
-        root=root,
-        analysis_time=analysis_time,
-        include_non_deployed=bool(data["include_non_deployed"]),
-        paths=tuple(paths),
-        census=tuple(census_rows),
+        root=parse_gav_at(data["root"], f"{pointer}/root"),
+        analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
+        include_non_deployed=_typed(data, "include_non_deployed", bool, pointer),
+        paths=tuple(_path_from_dict(e, f"{pointer}/paths/{i}") for i, e in enumerate(paths)),
+        census=tuple(_row_from_dict(e, f"{pointer}/census/{i}") for i, e in enumerate(census)),
     )
 
 

@@ -16,16 +16,14 @@ per instance.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
-import json
 import random
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
 from depscope.errors import EmptyPool, InsufficientLibraries
+from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig
 from depscope.model import (
     DependencyNode,
@@ -211,17 +209,16 @@ def render_simulation(
     outcomes: Sequence[ProjectOutcome], cfg: SimulationConfig, format: str = "csv"
 ) -> str:
     if format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_CSV_HEADER)
-        for o in outcomes:
-            writer.writerow(
+        return csv_text(
+            _CSV_HEADER,
+            (
                 [
                     o.index, str(o.root), o.all_vulnerable, o.deployed_vulnerable,
                     o.controlled_standard, o.controlled_proposed, o.halted_vulnerable,
                 ]
-            )
-        return out.getvalue()
+                for o in outcomes
+            ),
+        )
     if format == "json":
         data = {
             "config": {
@@ -247,5 +244,5 @@ def render_simulation(
                 for o in outcomes
             ],
         }
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
+        return json_text(data)
     raise ValueError(f"unknown format {format!r}")

@@ -228,3 +228,98 @@ def test_usage_error_exits_1(capsys):
         main(["scan", "--tree", "x"])
     assert exc.value.code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_scan_text_chain_deeper_than_recursion_limit(tmp_path, capsys):
+    depth = 1500
+    chain = [f"org.deep:lib{i}:1.0" for i in range(1, depth + 1)]
+    lines = ["com.app:app:1.0"]
+    for i, gav in enumerate(chain):
+        g, a, v = gav.split(":")
+        lines.append("   " * i + f"\\- {g}:{a}:jar:{v}:compile")
+    (tmp_path / "chain.txt").write_text("\n".join(lines) + "\n")
+    (tmp_path / "releases.csv").write_text(
+        "group_id,artifact_id,version,release_date\n"
+        + "".join(f"org.deep,lib{i},1.0,2018-05-01\n" for i in range(1, depth + 1))
+    )
+    (tmp_path / "kb.json").write_text(json.dumps(
+        [{"id": "V-DEEP", "affected": [{"group": "org.deep", "artifact": f"lib{depth}", "versions": ["1.0"]}]}]
+    ))
+    code = main([
+        "scan", "--tree", str(tmp_path / "chain.txt"), "--history", str(tmp_path / "releases.csv"),
+        "--kb", str(tmp_path / "kb.json"), "--time", "2018-06-01", "--format", "json",
+    ])
+    assert code == 2
+    (path,) = json.loads(capsys.readouterr().out)["paths"]
+    assert path["raw_path"] == chain[::-1] + ["com.app:app:1.0"]
+    # one project along the whole chain: grouping leaves the deepest member and the root
+    assert path["grouped_path"] == [chain[-1], "com.app:app:1.0"]
+    assert path["responsibility"] == "direct"
+
+
+def test_scan_rejects_colon_in_kb_field(workspace, capsys):
+    (workspace / "kb.json").write_text(json.dumps(
+        [{"id": "V1", "affected": [{"group": "org:webkit", "artifact": "http-client", "versions": ["2.3"]}]}]
+    ))
+    assert main(_scan_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert "kb.json" in err and "/0/affected/0/group" in err
+
+
+def test_scan_rejects_colon_in_history_field(workspace, capsys):
+    (workspace / "releases.csv").write_text(
+        "group_id,artifact_id,version,release_date\norg.webkit,http:client,2.3,2018-01-01\n"
+    )
+    assert main(_scan_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert "releases.csv" in err and "line 2" in err
+
+
+def test_scan_directory_rejects_duplicate_roots(workspace, capsys):
+    corpus = workspace / "corpus"
+    corpus.mkdir()
+    (corpus / "first.txt").write_text(SAMPLE_TREE_TEXT)
+    (corpus / "second.txt").write_text(SAMPLE_TREE_TEXT)
+    args = _scan_args(workspace)
+    args[args.index("--tree") + 1] = str(corpus)
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "first.txt" in err and "second.txt" in err
+
+
+def _break_path_without_raw_path(data):
+    del data["paths"][0]["raw_path"]
+    return "/paths/0"
+
+
+def _break_paths_not_array(data):
+    data["paths"] = 5
+    return "/paths"
+
+
+def _break_census_entry_not_object(data):
+    data["census"][0] = 1
+    return "/census/0"
+
+
+def _break_empty_raw_path(data):
+    data["paths"][0]["raw_path"] = []
+    return "/paths/0"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _break_path_without_raw_path,
+    _break_paths_not_array,
+    _break_census_entry_not_object,
+    _break_empty_raw_path,
+])
+def test_report_malformed_result_names_file_and_pointer(workspace, capsys, corrupt):
+    main(_scan_args(workspace, "--format", "json"))
+    data = json.loads(capsys.readouterr().out)
+    pointer = corrupt(data)
+    results_dir = workspace / "results"
+    results_dir.mkdir()
+    (results_dir / "broken.json").write_text(json.dumps(data))
+    assert main(["report", "--input", str(results_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "broken.json" in err and f"schema violation at {pointer}:" in err

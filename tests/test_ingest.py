@@ -189,16 +189,6 @@ def test_tree_json_round_trip(sample_tree):
     assert render_tree_json(parse_tree_json(rendered)) == rendered
 
 
-def test_parse_tree_dispatches_on_format(sample_tree):
-    from depscope.ingest import TreeFormat, parse_tree
-
-    text_doc = parse_tree(SAMPLE_TREE_TEXT, "mvn_text")
-    json_doc = parse_tree(SAMPLE_TREE_JSON, TreeFormat.BOM_JSON)
-    assert text_doc.source_format is TreeFormat.MVN_TEXT
-    assert json_doc.source_format is TreeFormat.BOM_JSON
-    assert text_doc.tree == json_doc.tree == sample_tree
-
-
 def test_parse_tree_text_tolerates_trailing_whitespace():
     tree = parse_tree_text("com.acme:m:1.0   \n+- g:a:jar:1:compile  \n")
     assert tree.root.children[0].gav == Gav("g", "a", "1")

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from depscope.analysis import AnnotatedTree, filter_non_deployed
+from depscope.analysis import filter_non_deployed
 from depscope.errors import MissingHistory, UnknownVersion
 from depscope.lifecycle import (
     SmoothingConfig,
@@ -207,8 +207,8 @@ def test_last_visible_release_always_up_to_date(dates, probe):
 
 def test_via_halted_collects_subtree(halted_fixture):
     tree, histories = halted_fixture
-    annotated = AnnotatedTree(filter_non_deployed(tree), {})
-    reached = detect_via_halted(annotated, histories, date(2018, 6, 1), CFG)
+    deployed = filter_non_deployed(tree)
+    reached = detect_via_halted(deployed, histories, date(2018, 6, 1), CFG)
     assert reached == {
         Gav("org.tinyio", "io-buffers", "0.9"),
         Gav("org.tinyio2", "io-extras", "0.2"),
@@ -216,8 +216,8 @@ def test_via_halted_collects_subtree(halted_fixture):
 
 
 def test_via_halted_empty_when_all_alive(sample_tree, sample_histories):
-    annotated = AnnotatedTree(filter_non_deployed(sample_tree), {})
-    assert detect_via_halted(annotated, sample_histories, date(2018, 6, 1), CFG) == set()
+    deployed = filter_non_deployed(sample_tree)
+    assert detect_via_halted(deployed, sample_histories, date(2018, 6, 1), CFG) == set()
 
 
 def test_via_halted_ignores_deep_halted_nodes():
@@ -233,17 +233,17 @@ def test_via_halted_ignores_deep_halted_nodes():
     histories = {gav.ga: alive_history(gav) for gav in tree.gavs()}
     legacy = Ga("org.legacy", "old-parser")
     histories[legacy] = stalled_history(legacy, versions=("1.0", "2.0", "3.0"))
-    annotated = AnnotatedTree(filter_non_deployed(tree), {})
+    deployed = filter_non_deployed(tree)
     # the halted library sits at depth 2; the rule keys on direct dependencies only
-    assert detect_via_halted(annotated, histories, date(2018, 6, 1), CFG) == set()
+    assert detect_via_halted(deployed, histories, date(2018, 6, 1), CFG) == set()
 
 
 def test_via_halted_missing_history_strict_vs_lenient(halted_fixture):
     tree, histories = halted_fixture
     histories = dict(histories)
     del histories[Ga("org.fresh", "web-core")]
-    annotated = AnnotatedTree(filter_non_deployed(tree), {})
+    deployed = filter_non_deployed(tree)
     with pytest.raises(MissingHistory):
-        detect_via_halted(annotated, histories, date(2018, 6, 1), CFG)
-    reached = detect_via_halted(annotated, histories, date(2018, 6, 1), CFG, lenient=True)
+        detect_via_halted(deployed, histories, date(2018, 6, 1), CFG)
+    reached = detect_via_halted(deployed, histories, date(2018, 6, 1), CFG, lenient=True)
     assert Gav("org.tinyio", "io-buffers", "0.9") in reached

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from depscope.errors import DuplicateGa, MalformedCoordinate
+from depscope.ingest import parse_tree_text
 from depscope.model import (
     NON_DEPLOYED_SCOPES,
     DependencyNode,
@@ -12,7 +13,6 @@ from depscope.model import (
     Gav,
     Scope,
     parse_gav,
-    render_gav,
     same_project,
 )
 
@@ -22,8 +22,14 @@ def test_parse_gav_three_segments():
 
 
 def test_parse_gav_five_segment_tree_form():
-    gav = parse_gav("org.apache.httpcomponents:httpclient:jar:4.5.2:compile")
-    assert gav == Gav("org.apache.httpcomponents", "httpclient", "4.5.2")
+    # the tree-dump form is the text-tree parser's, not a coordinate
+    line = "org.apache.httpcomponents:httpclient:jar:4.5.2:compile"
+    tree = parse_tree_text(f"com.acme:m:1.0\n+- {line}\n")
+    child = tree.root.children[0]
+    assert child.gav == Gav("org.apache.httpcomponents", "httpclient", "4.5.2")
+    assert child.scope is Scope.COMPILE
+    with pytest.raises(MalformedCoordinate):
+        parse_gav(line)
 
 
 def test_parse_gav_rejects_wrong_segment_count():
@@ -102,7 +108,7 @@ _segment = st.text(
 @given(group=_segment, artifact=_segment, version=_segment)
 def test_render_parse_round_trip(group, artifact, version):
     gav = Gav(group, artifact, version)
-    assert parse_gav(render_gav(gav)) == gav
+    assert parse_gav(str(gav)) == gav
 
 
 def test_tree_rejects_duplicate_library():

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
-from depscope.errors import MissingHistory
-from depscope.ingest import parse_tree_text
+from depscope.errors import DepscopeError, MissingHistory
+from depscope.ingest import load_vuln_kb, parse_tree_text
 from depscope.model import Ga, Gav, LibraryStatus, Responsibility
 from depscope.report import (
     CELL_KEYS,
@@ -19,6 +21,9 @@ from depscope.report import (
 
 from conftest import (
     ANALYSIS_TIME,
+    SAMPLE_GAVS,
+    SAMPLE_KB_JSON,
+    SAMPLE_TREE_TEXT,
     alive_history,
     random_tree_case,
     stalled_history,
@@ -284,3 +289,60 @@ def test_json_paths_carry_responsibilities(sample_tree, sample_kb, sample_histor
     data = json.loads(render(result, "json"))
     assert [p["responsibility"] for p in data["paths"]] == ["direct", "transitive"]
     assert len(data["paths"]) == 2
+
+
+# --- malformed saved results -----------------------------------------------------------
+
+_WRONG_VALUES = [None, 0, -1, 1.5, True, "", "x", "g:a", [], {}, [1], {"k": 1}]
+
+
+def _locations(node, here=()):
+    """Every position inside a JSON value, as its key path."""
+    yield here
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _locations(child, here + (key,))
+
+
+def _rendered_results() -> str:
+    tree = parse_tree_text(SAMPLE_TREE_TEXT)
+    histories = {gav.ga: alive_history(gav) for gav in SAMPLE_GAVS}
+    kb = load_vuln_kb(SAMPLE_KB_JSON)
+    results = [
+        scan(tree, kb, histories, time=ANALYSIS_TIME, include_non_deployed=mode)
+        for mode in (False, True)
+    ]
+    return render(results, "json")
+
+
+_RENDERED = _rendered_results()
+
+
+@given(data=st.data())
+def test_mutated_scan_result_raises_only_depscope_errors(data):
+    doc = json.loads(_RENDERED)
+    where = data.draw(st.sampled_from(list(_locations(doc))[1:]))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    key = where[-1]
+    mutation = data.draw(st.sampled_from(["drop", "wrong type", "empty"]))
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "wrong type":
+        parent[key] = data.draw(st.sampled_from(_WRONG_VALUES))
+    elif isinstance(parent[key], (list, dict)):
+        parent[key].clear()
+    else:
+        parent[key] = ""
+    try:
+        results = parse_scan_results_json(json.dumps(doc))
+    except DepscopeError:
+        return
+    aggregate(results)
+    render(results, "json")
