@@ -37,6 +37,7 @@ from depscope.model import (
     ReleaseHistory,
     Responsibility,
     Scope,
+    VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
     parse_gav,

@@ -4,15 +4,16 @@ extraction, project grouping and responsibility attribution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
 
 from depscope.model import (
-    DependencyNode,
     DependencyTree,
     Gav,
     Responsibility,
+    VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    prune,
     same_project,
 )
 
@@ -37,18 +38,7 @@ def filter_non_deployed(tree: DependencyTree) -> DependencyTree:
     serve it, so the whole subtree goes. The root is never removed. Sibling
     order is preserved; the operation is idempotent.
     """
-    kept = []  # deployed nodes, each before its descendants
-    stack = [tree.root]
-    while stack:
-        node = stack.pop()
-        kept.append(node)
-        stack.extend(child for child in node.children if child.scope.deployed)
-    # rebuilt bottom-up with an explicit order: no tree depth exhausts the stack
-    rebuilt: dict[int, DependencyNode] = {}
-    for node in reversed(kept):
-        children = tuple(rebuilt.pop(id(c)) for c in node.children if c.scope.deployed)
-        rebuilt[id(node)] = DependencyNode(node.gav, node.scope, children)
-    return DependencyTree(rebuilt[id(tree.root)], tree.analysis_time)
+    return DependencyTree(prune(tree.root, lambda node: node.scope.deployed), tree.analysis_time)
 
 
 def match_vulnerabilities(
@@ -57,15 +47,19 @@ def match_vulnerabilities(
     """Annotate tree nodes with the vulnerability ids affecting them.
 
     Only instances present in the tree are annotated; the root itself may be
-    flagged.
+    flagged. Each node is looked up in the KB's index, so a
+    :class:`VulnerabilityKb` is matched in O(tree); any other iterable of
+    records is indexed on the spot.
     """
-    present = tree.gavs()
-    vulnerable: dict[Gav, set[str]] = {}
-    for record in kb:
-        for gav in record.affected:
-            if gav in present:
-                vulnerable.setdefault(gav, set()).add(record.vuln_id)
-    return AnnotatedTree(tree, {g: frozenset(ids) for g, ids in vulnerable.items()})
+    if not isinstance(kb, VulnerabilityKb):
+        kb = VulnerabilityKb(kb)
+    ids_by_gav = kb.ids_by_gav
+    vulnerable = {}
+    for node, _ in tree.nodes():
+        ids = ids_by_gav.get(node.gav)
+        if ids:
+            vulnerable[node.gav] = frozenset(ids)
+    return AnnotatedTree(tree, vulnerable)
 
 
 def extract_vulnerable_paths(
@@ -107,12 +101,18 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
     deterministically). Members need not be adjacent to be grouped. The
     first element is always preserved and the operation is idempotent.
     """
+    return list(iter_group_path(raw_path))
+
+
+def iter_group_path(raw_path: Iterable[Gav]) -> Iterator[Gav]:
+    """The members :func:`group_path` keeps, yielded as they are found, so a
+    caller that needs only the first few stops the scan early."""
     kept: list[Gav] = []
     for gav in raw_path:
         if any(same_project(anchor, gav) for anchor in kept):
             continue
         kept.append(gav)
-    return kept
+        yield gav
 
 
 def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsibility:

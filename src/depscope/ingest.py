@@ -36,6 +36,7 @@ from depscope.model import (
     Release,
     ReleaseHistory,
     Scope,
+    VulnerabilityKb,
     VulnerabilityRecord,
     parse_gav,
 )
@@ -323,7 +324,7 @@ def _require_segment(value, pointer: str) -> str:
     return value
 
 
-def load_vuln_kb(doc: str) -> list[VulnerabilityRecord]:
+def load_vuln_kb(doc: str) -> VulnerabilityKb:
     """Load the vulnerability knowledge base.
 
     The document is an array of ``{"id", "affected"}`` records; each
@@ -366,4 +367,4 @@ def load_vuln_kb(doc: str) -> list[VulnerabilityRecord]:
                 _require_segment(version, f"{lib_pointer}/versions/{k}")
                 affected.add(Gav(group, artifact, version))
         records.append(VulnerabilityRecord(vuln_id, frozenset(affected)))
-    return records
+    return VulnerabilityKb(records)

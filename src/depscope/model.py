@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator
 
 from depscope.errors import DuplicateGa, MalformedCoordinate
 
@@ -108,9 +109,14 @@ def same_project(a, b) -> bool:
     return ga.startswith(gb + ".") or gb.startswith(ga + ".")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DependencyNode:
-    """One library instance in a resolved tree, with the scope of its edge."""
+    """One library instance in a resolved tree, with the scope of its edge.
+
+    Equality compares whole subtrees by value, as the generated dataclass
+    method would, but walks them without recursion so no tree depth
+    exhausts the stack.
+    """
 
     gav: Gav
     scope: Scope
@@ -118,6 +124,56 @@ class DependencyNode:
 
     def __post_init__(self):
         object.__setattr__(self, "children", tuple(self.children))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.gav != b.gav
+                or a.scope != b.scope
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self):
+        # shallow, so O(children); equal subtrees still hash equal
+        return hash((self.gav, self.scope, tuple(c.gav for c in self.children)))
+
+
+def prune(root: DependencyNode, keep: Callable[[DependencyNode], bool]) -> DependencyNode:
+    """``root`` rebuilt without the nodes ``keep`` rejects, each dropped with
+    its subtree.
+
+    The root is always kept. ``keep`` is asked about the other nodes in
+    depth-first preorder, children in order, and never about a node below a
+    dropped one, so it may track what it has kept so far. Sibling order is
+    preserved, and the walk and rebuild use no recursion, so no tree depth
+    exhausts the stack.
+    """
+    kept = [root]  # each kept node before its descendants
+    kept_children: list[list[int]] = [[]]  # per kept node, positions in kept
+    stack = [(child, 0) for child in reversed(root.children)]
+    while stack:
+        node, parent = stack.pop()
+        if keep(node):
+            kept_children[parent].append(len(kept))
+            stack.extend((child, len(kept)) for child in reversed(node.children))
+            kept.append(node)
+            kept_children.append([])
+    # children come after their parent, so in reverse order they are built first
+    rebuilt: list[DependencyNode] = [root] * len(kept)
+    for i in reversed(range(len(kept))):
+        children = tuple(rebuilt[j] for j in kept_children[i])
+        rebuilt[i] = DependencyNode(kept[i].gav, kept[i].scope, children)
+    return rebuilt[0]
 
 
 @dataclass(frozen=True)
@@ -215,6 +271,24 @@ class VulnerabilityRecord:
         object.__setattr__(self, "affected", frozenset(self.affected))
         if not self.affected:
             raise ValueError(f"vulnerability {self.vuln_id} affects no instances")
+
+
+class VulnerabilityKb(tuple):
+    """The vulnerability knowledge base: its records in order, plus the
+    inverted index from each affected instance to its vulnerability ids.
+
+    The index is built on first use, once per KB, so matching a tree costs
+    one lookup per node instead of a pass over every record. Building it
+    lazily also leaves the loader's parsed document released by then.
+    """
+
+    @cached_property
+    def ids_by_gav(self) -> dict[Gav, tuple[str, ...]]:
+        index: dict[Gav, tuple[str, ...]] = {}
+        for record in self:
+            for gav in record.affected:
+                index[gav] = index.get(gav, ()) + (record.vuln_id,)
+        return index
 
 
 class Responsibility(str, Enum):

@@ -13,13 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import date
+from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from depscope.analysis import (
     classify_responsibility,
     extract_vulnerable_paths,
     filter_non_deployed,
-    group_path,
+    iter_group_path,
     match_vulnerabilities,
 )
 from depscope.errors import MissingHistory, SchemaViolation
@@ -184,7 +185,11 @@ def scan(
                 deployed=gav in deployed,
                 vuln_ids=tuple(sorted(annotated.vulnerable.get(gav, ()))),
                 own=same_project(gav, root),
-                responsibility=classify_responsibility(group_path(chains[gav]), root),
+                # the class depends only on the first grouped member and on
+                # whether there are exactly two, so three members suffice
+                responsibility=classify_responsibility(
+                    tuple(islice(iter_group_path(chains[gav]), 3)), root
+                ),
                 library_status=lib_status,
                 instance_status=inst_status,
                 via_halted=gav in via_halted,

@@ -34,7 +34,8 @@ from depscope.model import (
     ReleaseHistory,
     Responsibility,
     Scope,
-    VulnerabilityRecord,
+    VulnerabilityKb,
+    prune,
 )
 from depscope.report import ScanResult, scan
 
@@ -45,20 +46,36 @@ SYNTHETIC_GROUP = "sim.depscope"
 
 @dataclass(frozen=True)
 class SimulationPool:
-    """The corpus a simulation draws from: trees, histories, vulnerabilities."""
+    """The corpus a simulation draws from: trees, histories, vulnerabilities.
+
+    ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
+    for all projects. ``libraries`` is derived once as well: for each pool
+    library in sorted order, the roots of its pool trees in version order.
+    """
 
     trees: tuple[DependencyTree, ...]
     histories: Mapping[Ga, ReleaseHistory]
-    kb: tuple[VulnerabilityRecord, ...]
+    kb: VulnerabilityKb
+    libraries: tuple[tuple[DependencyNode, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
-        object.__setattr__(self, "kb", tuple(self.kb))
-        seen = set()
+        if not isinstance(self.kb, VulnerabilityKb):
+            object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
+        by_library: dict[Ga, dict[str, DependencyNode]] = {}
         for tree in self.trees:
-            if tree.root.gav in seen:
-                raise ValueError(f"duplicate pool tree for {tree.root.gav}")
-            seen.add(tree.root.gav)
+            root = tree.root.gav
+            versions = by_library.setdefault(root.ga, {})
+            if root.version in versions:
+                raise ValueError(f"duplicate pool tree for {root}")
+            versions[root.version] = tree.root
+        libraries = tuple(
+            tuple(versions[v] for v in sorted(versions))
+            for _, versions in sorted(by_library.items())
+        )
+        object.__setattr__(self, "libraries", libraries)
 
 
 @dataclass(frozen=True)
@@ -95,14 +112,6 @@ def _sub_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _index_pool(pool: SimulationPool) -> dict[Ga, dict[str, DependencyTree]]:
-    by_library: dict[Ga, dict[str, DependencyTree]] = {}
-    for tree in pool.trees:
-        root = tree.root.gav
-        by_library.setdefault(root.ga, {})[root.version] = tree
-    return by_library
-
-
 def _synthesize(index: int, picks: Sequence[DependencyNode]) -> DependencyTree:
     """Attach the drawn subtrees under a fresh synthetic root.
 
@@ -113,13 +122,14 @@ def _synthesize(index: int, picks: Sequence[DependencyNode]) -> DependencyTree:
     root_gav = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
     seen = {root_gav.ga}
 
-    def prune(node: DependencyNode) -> DependencyNode:
+    def first_of_library(node: DependencyNode) -> bool:
+        if node.gav.ga in seen:
+            return False
         seen.add(node.gav.ga)
-        children = tuple(prune(c) for c in node.children if c.gav.ga not in seen)
-        return DependencyNode(node.gav, node.scope, children)
+        return True
 
-    children = [prune(pick) for pick in picks if pick.gav.ga not in seen]
-    return DependencyTree(DependencyNode(root_gav, Scope.COMPILE, tuple(children)))
+    root = DependencyNode(root_gav, Scope.COMPILE, tuple(picks))
+    return DependencyTree(prune(root, first_of_library))
 
 
 def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
@@ -128,18 +138,13 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
     Deterministic in (pool, cfg, index); exposed so results can be replayed
     against a direct run of the analysis pipeline.
     """
-    by_library = _index_pool(pool)
-    if not by_library:
+    if not pool.libraries:
         raise EmptyPool()
-    libraries = sorted(by_library)
-    if cfg.deps_per_project > len(libraries):
-        raise InsufficientLibraries(cfg.deps_per_project, len(libraries))
+    if cfg.deps_per_project > len(pool.libraries):
+        raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
     rng = _sub_rng(cfg.seed, index)
-    picks = []
-    for ga in rng.sample(libraries, cfg.deps_per_project):
-        versions = sorted(by_library[ga])
-        picks.append(by_library[ga][rng.choice(versions)].root)
-    return _synthesize(index, picks)
+    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
+    return _synthesize(index, [rng.choice(versions) for versions in drawn])
 
 
 def _outcome(index: int, result: ScanResult) -> ProjectOutcome:

@@ -220,6 +220,15 @@ def random_tree_case(rng: random.Random):
     return tree, kb
 
 
+def deep_chain_tree(depth: int, leaf_scope: Scope = Scope.COMPILE) -> DependencyTree:
+    """A root over a chain of ``depth`` dependencies, each its own project
+    (group ``org.deep<i>``), built without recursion."""
+    node = DependencyNode(Gav(f"org.deep{depth}", f"lib{depth}", "1.0"), leaf_scope)
+    for i in range(depth - 1, 0, -1):
+        node = DependencyNode(Gav(f"org.deep{i}", f"lib{i}", "1.0"), Scope.COMPILE, (node,))
+    return DependencyTree(DependencyNode(Gav("com.app", "app", "1.0"), Scope.COMPILE, (node,)))
+
+
 # --- synthetic simulation pool -------------------------------------------------
 
 

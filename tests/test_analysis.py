@@ -1,25 +1,31 @@
 from __future__ import annotations
 
+import json
 import random
+from itertools import islice
+
+from hypothesis import given, strategies as st
 
 from depscope.analysis import (
     classify_responsibility,
     extract_vulnerable_paths,
     filter_non_deployed,
     group_path,
+    iter_group_path,
     match_vulnerabilities,
 )
-from depscope.ingest import parse_tree_text
+from depscope.ingest import load_vuln_kb, parse_tree_text
 from depscope.model import (
     DependencyNode,
     DependencyTree,
     Gav,
     Responsibility,
     Scope,
+    VulnerabilityKb,
     VulnerabilityRecord,
 )
 
-from conftest import random_tree_case
+from conftest import VULN_ID_POOL, deep_chain_tree, random_tree_case
 
 ROOT = Gav("com.acme", "app-core", "1.0")
 HTTP_CLIENT = Gav("org.webkit", "http-client", "2.3")
@@ -74,6 +80,13 @@ def test_filter_idempotent_and_monotone_on_random_trees():
             assert node is filtered.root or node.scope.deployed
 
 
+def test_filter_compares_chains_deeper_than_recursion_limit():
+    tree = deep_chain_tree(1500)
+    assert filter_non_deployed(tree) == tree
+    # a test-scoped leaf is dropped, leaving the 1499-deep chain
+    assert filter_non_deployed(deep_chain_tree(1500, Scope.TEST)) == deep_chain_tree(1499)
+
+
 # --- matching -------------------------------------------------------------------
 
 
@@ -102,6 +115,60 @@ def test_match_wrong_version_not_flagged(sample_tree):
 def test_match_may_flag_root(sample_tree):
     kb = [VulnerabilityRecord("V9", frozenset({ROOT}))]
     assert match_vulnerabilities(sample_tree, kb).vulnerable == {ROOT: frozenset({"V9"})}
+
+
+def _kb_json(records) -> str:
+    return json.dumps([
+        {
+            "id": r.vuln_id,
+            "affected": [
+                {"group": g.group_id, "artifact": g.artifact_id, "versions": [g.version]}
+                for g in sorted(r.affected)
+            ],
+        }
+        for r in records
+    ])
+
+
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_match_on_loaded_kb_equals_plain_records(seed, data):
+    tree, _ = random_tree_case(random.Random(seed))
+    # instances of the tree (the root included) and one the tree lacks; ids
+    # from a small pool, so one instance sits in several records and one id
+    # names several records
+    candidates = sorted(tree.gavs()) + [Gav("not.in", "tree", "1")]
+    records = data.draw(st.lists(
+        st.builds(
+            VulnerabilityRecord,
+            st.sampled_from(VULN_ID_POOL),
+            st.frozensets(st.sampled_from(candidates), min_size=1),
+        ),
+        max_size=6,
+    ))
+    loaded = load_vuln_kb(_kb_json(records))
+    assert isinstance(loaded, VulnerabilityKb) and list(loaded) == records
+    expected = {}
+    for gav in tree.gavs():
+        ids = frozenset(r.vuln_id for r in records if gav in r.affected)
+        if ids:
+            expected[gav] = ids
+    assert match_vulnerabilities(tree, loaded).vulnerable == expected
+    assert match_vulnerabilities(tree, records).vulnerable == expected
+
+
+def test_match_on_indexed_kb_reads_no_record(sample_tree, sample_kb, monkeypatch):
+    match_vulnerabilities(sample_tree, sample_kb)  # the first match builds the index
+    reads = []
+
+    def read(record):
+        reads.append(record)
+        return record.__dict__["affected"]
+
+    monkeypatch.setattr(VulnerabilityRecord, "affected", property(read), raising=False)
+    assert match_vulnerabilities(sample_tree, sample_kb).vulnerable
+    assert reads == []  # one lookup per node, no pass over the KB
+    match_vulnerabilities(sample_tree, list(sample_kb))  # a plain list is indexed on the spot
+    assert len(reads) == len(sample_kb)
 
 
 # --- path extraction --------------------------------------------------------------
@@ -181,6 +248,19 @@ def test_group_idempotent_on_random_paths():
         # order-preserving subsequence
         positions = [path.index(g) for g in once]
         assert positions == sorted(positions)
+
+
+def test_iter_group_path_stops_at_the_members_taken():
+    path = [Gav(f"org.p{i}", "a", "1") for i in range(5)]
+    scanned = []
+
+    def tracked():
+        for gav in path:
+            scanned.append(gav)
+            yield gav
+
+    assert list(islice(iter_group_path(tracked()), 3)) == path[:3]
+    assert scanned == path[:3]
 
 
 # --- responsibility ------------------------------------------------------------------

@@ -16,6 +16,8 @@ from depscope.model import (
     same_project,
 )
 
+from conftest import deep_chain_tree
+
 
 def test_parse_gav_three_segments():
     assert parse_gav("org.slf4j:slf4j-api:1.7.25") == Gav("org.slf4j", "slf4j-api", "1.7.25")
@@ -143,3 +145,12 @@ def test_nodes_preorder(sample_tree):
         "app-core", "app-util", "http-client", "io-buffers",
         "stream-core", "stream-codec", "compress",
     ]
+
+
+def test_node_equality_and_hash_deeper_than_recursion_limit():
+    a, b = deep_chain_tree(1500), deep_chain_tree(1500)
+    assert a.root is not b.root
+    assert a == b and hash(a) == hash(b)
+    assert {a.root: 1}[b.root] == 1
+    assert a != deep_chain_tree(1500, Scope.TEST)  # differs only at the deepest node
+    assert a != deep_chain_tree(1499)

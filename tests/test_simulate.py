@@ -6,7 +6,15 @@ from collections import Counter
 import pytest
 
 from depscope.errors import EmptyPool, InsufficientLibraries
-from depscope.model import DependencyNode, DependencyTree, Ga, Gav, Scope
+from depscope.model import (
+    DependencyNode,
+    DependencyTree,
+    Ga,
+    Gav,
+    Scope,
+    VulnerabilityKb,
+    VulnerabilityRecord,
+)
 from depscope.report import scan
 from depscope.simulate import (
     SYNTHETIC_GROUP,
@@ -17,7 +25,7 @@ from depscope.simulate import (
     simulate,
 )
 
-from conftest import ANALYSIS_TIME, build_synthetic_pool
+from conftest import ANALYSIS_TIME, build_synthetic_pool, deep_chain_tree
 
 
 def _tiny_pool(n: int) -> SimulationPool:
@@ -49,6 +57,38 @@ def test_empty_pool_raises():
     pool = SimulationPool(trees=(), histories={}, kb=())
     with pytest.raises(EmptyPool):
         simulate(pool, SimulationConfig(projects=1, deps_per_project=1, time=ANALYSIS_TIME))
+
+
+def test_pool_rejects_duplicate_roots():
+    tree = DependencyTree(DependencyNode(Gav("org.t", "a", "1.0"), Scope.COMPILE))
+    other = DependencyTree(
+        DependencyNode(
+            Gav("org.t", "a", "1.0"), Scope.COMPILE,
+            (DependencyNode(Gav("org.u", "b", "2.0"), Scope.COMPILE),),
+        )
+    )
+    with pytest.raises(ValueError, match="duplicate pool tree for org.t:a:1.0"):
+        SimulationPool(trees=(tree, other), histories={}, kb=())
+
+
+def test_pool_keeps_kb_indexed_once():
+    record = VulnerabilityRecord("V1", frozenset({Gav("org.t", "a", "1.0")}))
+    pool = SimulationPool(trees=(), histories={}, kb=(record,))
+    assert isinstance(pool.kb, VulnerabilityKb) and pool.kb == (record,)
+    kb = VulnerabilityKb((record,))
+    assert SimulationPool(trees=(), histories={}, kb=kb).kb is kb
+
+
+def test_simulate_pool_chain_deeper_than_recursion_limit():
+    leaf = VulnerabilityRecord("V-DEEP", frozenset({Gav("org.deep1500", "lib1500", "1.0")}))
+    pool = SimulationPool(trees=(deep_chain_tree(1500),), histories={}, kb=(leaf,))
+    cfg = SimulationConfig(projects=1, deps_per_project=1, time=ANALYSIS_TIME, lenient=True)
+    tree = project_tree(pool, cfg, 0)
+    assert max(depth for _, depth in tree.nodes()) == 1501
+    assert tree.root.children[0] == pool.trees[0].root
+    (outcome,) = simulate(pool, cfg)
+    assert (outcome.all_vulnerable, outcome.deployed_vulnerable) == (1, 1)
+    assert (outcome.controlled_standard, outcome.controlled_proposed) == (0, 0)
 
 
 def test_insufficient_libraries_raises():
