@@ -13,12 +13,10 @@ from depscope.ingest import (
     load_vuln_kb,
     parse_tree_json,
     parse_tree_text,
-    render_release_history,
     render_tree_json,
 )
 from depscope.lifecycle import (
     SmoothingConfig,
-    detect_via_halted,
     expected_release_date,
     instance_status,
     last_release_interval,

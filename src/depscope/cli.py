@@ -19,8 +19,14 @@ import sys
 from datetime import date
 from pathlib import Path
 
-from depscope.errors import DepscopeError, InputFileError
-from depscope.ingest import load_release_history, load_vuln_kb, parse_tree_json, parse_tree_text
+from depscope.errors import DepscopeError, InputFileError, SchemaViolation
+from depscope.ingest import (
+    load_release_history,
+    load_vuln_kb,
+    parse_date_at,
+    parse_tree_json,
+    parse_tree_text,
+)
 from depscope.lifecycle import SmoothingConfig, render_status
 from depscope.model import DependencyTree
 from depscope.report import aggregate, parse_scan_results_json, render, scan
@@ -36,18 +42,22 @@ class _Parser(argparse.ArgumentParser):
 
 def _date_arg(text: str) -> date:
     try:
-        return date.fromisoformat(text)
-    except ValueError:
+        return parse_date_at(text, "")
+    except SchemaViolation:
         raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from None
 
 
 def _add_smoothing_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.6,
-                        help="smoothing factor in (0,1) (default 0.6)")
-    parser.add_argument("--default-interval-days", type=int, default=90,
-                        help="assumed release interval for short histories (default 90)")
-    parser.add_argument("--min-releases", type=int, default=3,
-                        help="releases needed before the smoothed interval is used (default 3)")
+    default = SmoothingConfig()
+    parser.add_argument("--alpha", type=float, default=default.alpha,
+                        help=f"smoothing factor in (0,1) (default {default.alpha})")
+    parser.add_argument("--default-interval-days", type=int,
+                        default=default.default_interval_days,
+                        help="assumed release interval for short histories "
+                        f"(default {default.default_interval_days})")
+    parser.add_argument("--min-releases", type=int, default=default.min_releases,
+                        help="releases needed before the smoothed interval is used "
+                        f"(default {default.min_releases})")
     parser.add_argument("--time", type=_date_arg, default=None,
                         help="analysis date YYYY-MM-DD (default: tree analysis time, else today)")
 
@@ -60,27 +70,23 @@ def _smoothing(args) -> SmoothingConfig:
     )
 
 
-def _read(path: Path) -> str:
-    return path.read_text(encoding="utf-8")
-
-
-def _load_tree(path: Path) -> DependencyTree:
-    parse = parse_tree_json if path.suffix == ".json" else parse_tree_text
+def _load(path: Path, parse):
+    """``parse`` applied to the file's text; its errors name the file."""
     try:
-        return parse(_read(path))
+        return parse(path.read_text(encoding="utf-8"))
     except DepscopeError as exc:
         raise InputFileError(path, exc) from exc
 
 
 def _load_trees(path: Path) -> list[DependencyTree]:
-    if not path.is_dir():
-        return [_load_tree(path)]
-    files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".json"))
-    if not files:
-        raise DepscopeError(f"no .txt or .json tree files in {path}")
+    files = [path]
+    if path.is_dir():
+        files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".json"))
+        if not files:
+            raise DepscopeError(f"no .txt or .json tree files in {path}")
     trees, file_of = [], {}
     for file in files:
-        tree = _load_tree(file)
+        tree = _load(file, parse_tree_json if file.suffix == ".json" else parse_tree_text)
         root = tree.root.gav
         if root in file_of:
             raise DepscopeError(f"tree {root} is in both {file_of[root]} and {file}")
@@ -89,23 +95,9 @@ def _load_trees(path: Path) -> list[DependencyTree]:
     return trees
 
 
-def _load_histories(path: Path):
-    try:
-        return load_release_history(_read(path))
-    except DepscopeError as exc:
-        raise InputFileError(path, exc) from exc
-
-
-def _load_kb(path: Path):
-    try:
-        return load_vuln_kb(_read(path))
-    except DepscopeError as exc:
-        raise InputFileError(path, exc) from exc
-
-
 def _cmd_scan(args) -> int:
-    histories = _load_histories(args.history)
-    kb = _load_kb(args.kb)
+    histories = _load(args.history, load_release_history)
+    kb = _load(args.kb, load_vuln_kb)
     trees = _load_trees(args.tree)
     results = [
         scan(
@@ -129,12 +121,7 @@ def _cmd_report(args) -> int:
     files = sorted(p for p in args.input.iterdir() if p.suffix == ".json")
     if not files:
         raise DepscopeError(f"no .json scan results in {args.input}")
-    results = []
-    for path in files:
-        try:
-            results.extend(parse_scan_results_json(_read(path)))
-        except DepscopeError as exc:
-            raise InputFileError(path, exc) from exc
+    results = [result for path in files for result in _load(path, parse_scan_results_json)]
     sys.stdout.write(render(aggregate(results), args.format))
     return 0
 
@@ -142,8 +129,8 @@ def _cmd_report(args) -> int:
 def _cmd_simulate(args) -> int:
     pool = SimulationPool(
         trees=tuple(_load_trees(args.trees)),
-        histories=_load_histories(args.history),
-        kb=tuple(_load_kb(args.kb)),
+        histories=_load(args.history, load_release_history),
+        kb=_load(args.kb, load_vuln_kb),
     )
     cfg = SimulationConfig(
         projects=args.projects,
@@ -159,7 +146,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_status(args) -> int:
-    histories = _load_histories(args.history)
+    histories = _load(args.history, load_release_history)
     time = args.time or date.today()
     sys.stdout.write(render_status(histories, time, _smoothing(args), args.format))
     return 0
@@ -196,10 +183,12 @@ def _build_parser() -> _Parser:
                        help="directory of pool tree files")
     p_sim.add_argument("--history", type=Path, required=True)
     p_sim.add_argument("--kb", type=Path, required=True)
-    p_sim.add_argument("--projects", type=int, default=100)
-    p_sim.add_argument("--deps", type=int, default=12,
-                       help="direct dependencies per synthetic project (default 12)")
-    p_sim.add_argument("--seed", type=int, default=0)
+    default = SimulationConfig()
+    p_sim.add_argument("--projects", type=int, default=default.projects)
+    p_sim.add_argument("--deps", type=int, default=default.deps_per_project,
+                       help="direct dependencies per synthetic project "
+                       f"(default {default.deps_per_project})")
+    p_sim.add_argument("--seed", type=int, default=default.seed)
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--lenient-history", action="store_true")
     _add_smoothing_flags(p_sim)

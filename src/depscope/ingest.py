@@ -56,6 +56,17 @@ def json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+def parse_json(doc: str):
+    """The value of a JSON document. Malformed JSON, and nesting deeper than
+    the stdlib decoder follows, are schema violations at the document."""
+    try:
+        return json.loads(doc)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaViolation("", "invalid JSON: nested too deeply to decode") from None
+
+
 # --- tree text ---------------------------------------------------------------
 
 _INFO_PREFIX = "[INFO] "
@@ -185,10 +196,11 @@ def _parse_json_node(obj, pointer: str, seen: set[Ga]) -> DependencyNode:
     children_obj = obj["children"]
     if not isinstance(children_obj, list):
         raise SchemaViolation(f"{pointer}/children", "must be an array")
-    children = tuple(
-        _parse_json_node(child, f"{pointer}/children/{i}", seen)
-        for i, child in enumerate(children_obj)
-    )
+    # a loop, not a generator, so each level costs one frame: the decoder
+    # spends two per level and so always runs out of stack first
+    children = []
+    for i, child in enumerate(children_obj):
+        children.append(_parse_json_node(child, f"{pointer}/children/{i}", seen))
     return DependencyNode(gav, _SCOPES[scope_text], children)
 
 
@@ -217,10 +229,7 @@ def parse_date_at(text, pointer: str) -> date:
 
 def parse_tree_json(doc: str) -> DependencyTree:
     """Parse the BoM JSON interchange form of a dependency tree."""
-    try:
-        data = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    data = parse_json(doc)
     if not isinstance(data, dict):
         raise SchemaViolation("", "document root must be an object")
     _require_keys(data, {"analysis_time", "root"}, {"root"}, "")
@@ -297,18 +306,6 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
     }
 
 
-def render_release_history(histories: dict[Ga, ReleaseHistory]) -> str:
-    """Inverse of :func:`load_release_history`, libraries in sorted order."""
-    return csv_text(
-        _HISTORY_HEADER,
-        (
-            [ga.group_id, ga.artifact_id, release.version, release.released.isoformat()]
-            for ga in sorted(histories)
-            for release in histories[ga].releases
-        ),
-    )
-
-
 # --- vulnerability knowledge base --------------------------------------------
 
 
@@ -331,10 +328,7 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
     affected entry names a library and the versions it applies to, and is
     expanded into explicit instances.
     """
-    try:
-        data = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    data = parse_json(doc)
     if not isinstance(data, list):
         raise SchemaViolation("", "document root must be an array")
 

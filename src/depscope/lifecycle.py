@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping
 
-from depscope.errors import MissingHistory, UnknownVersion
+from depscope.errors import UnknownVersion
 from depscope.ingest import csv_text, json_text
-from depscope.model import DependencyTree, Ga, Gav, InstanceStatus, LibraryStatus, ReleaseHistory
+from depscope.model import Ga, Gav, InstanceStatus, LibraryStatus, ReleaseHistory
 
 
 @dataclass(frozen=True)
@@ -83,38 +83,6 @@ def instance_status(gav: Gav, history: ReleaseHistory, time: date) -> InstanceSt
         if own_date < release.released <= time:
             return InstanceStatus.OUTDATED
     return InstanceStatus.UP_TO_DATE
-
-
-def detect_via_halted(
-    tree: DependencyTree,
-    histories: Mapping[Ga, ReleaseHistory],
-    time: date,
-    cfg: SmoothingConfig,
-    *,
-    lenient: bool = False,
-) -> set[Gav]:
-    """Instances reached only through a halted direct dependency.
-
-    Returns every node below a depth-1 node whose library is halted at
-    ``time`` (the halted direct dependency itself is not included). Such
-    instances cannot be refreshed by upgrading the direct dependency, since
-    no new version of it will arrive. With ``lenient`` a missing history
-    counts as alive instead of raising :class:`MissingHistory`.
-    """
-    reached: set[Gav] = set()
-    for child in tree.root.children:
-        history = histories.get(child.gav.ga)
-        if history is None:
-            if not lenient:
-                raise MissingHistory(child.gav.ga)
-            continue
-        if library_status(history, time, cfg) is LibraryStatus.HALTED:
-            stack = list(child.children)
-            while stack:
-                node = stack.pop()
-                reached.add(node.gav)
-                stack.extend(node.children)
-    return reached
 
 
 _STATUS_HEADER = ["library", "releases", "last_release", "interval_days", "expected_release", "status"]

@@ -10,7 +10,6 @@ are kept apart and named explicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
@@ -24,8 +23,8 @@ from depscope.analysis import (
     match_vulnerabilities,
 )
 from depscope.errors import MissingHistory, SchemaViolation
-from depscope.ingest import csv_text, json_text, parse_date_at, parse_gav_at
-from depscope.lifecycle import SmoothingConfig, detect_via_halted, instance_status, library_status
+from depscope.ingest import csv_text, json_text, parse_date_at, parse_gav_at, parse_json
+from depscope.lifecycle import SmoothingConfig, instance_status, library_status
 from depscope.model import (
     DependencyTree,
     Ga,
@@ -149,9 +148,13 @@ def scan(
     the census and extracting their paths as well.
 
     The census has one row per dependency (every non-root node of the
-    unfiltered tree). In strict mode a library without release history
+    unfiltered tree), built in one preorder walk. A row is ``deployed`` when
+    every edge on its chain to the root ships, and ``via_halted`` when it is
+    deployed, sits below depth 1 and its depth-1 ancestor is halted at
+    ``time``: no new version of that direct dependency will arrive to refresh
+    it. In strict mode the first library in preorder without release history
     raises :class:`MissingHistory`; with ``lenient`` it is counted as
-    alive/up-to-date and flagged ``unknown_history``.
+    alive/up-to-date (so never halted) and flagged ``unknown_history``.
 
     ``time`` defaults to the tree's own analysis date when present, else
     today.
@@ -159,17 +162,21 @@ def scan(
     cfg = cfg or SmoothingConfig()
     time = time or tree.analysis_time or date.today()
     root = tree.root.gav
-    filtered = filter_non_deployed(tree)
-    deployed = filtered.gavs()
-    annotated = match_vulnerabilities(tree if include_non_deployed else filtered, kb)
-    via_halted = detect_via_halted(filtered, histories, time, cfg, lenient=lenient)
-    chains = tree.ancestor_chains()
+    matched = tree if include_non_deployed else filter_non_deployed(tree)
+    annotated = match_vulnerabilities(matched, kb)
 
+    # one preorder walk of the unfiltered tree; each entry carries its node,
+    # its chain up to the root, whether every edge on that chain ships, and
+    # whether its depth-1 ancestor is halted
     rows = []
-    for node, depth in tree.nodes():
-        if depth == 0:
-            continue
+    stack = [
+        (child, (child.gav, root), child.scope.deployed, False)
+        for child in reversed(tree.root.children)
+    ]
+    while stack:
+        node, chain, deployed, top_halted = stack.pop()
         gav = node.gav
+        depth = len(chain) - 1
         history = histories.get(gav.ga)
         if history is not None:
             lib_status = library_status(history, time, cfg)
@@ -178,25 +185,32 @@ def scan(
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
             raise MissingHistory(gav.ga)
+        if depth == 1:
+            top_halted = lib_status is LibraryStatus.HALTED
         rows.append(
             CensusRow(
                 gav=gav,
                 depth=depth,
-                deployed=gav in deployed,
+                deployed=deployed,
                 vuln_ids=tuple(sorted(annotated.vulnerable.get(gav, ()))),
                 own=same_project(gav, root),
                 # the class depends only on the first grouped member and on
                 # whether there are exactly two, so three members suffice
                 responsibility=classify_responsibility(
-                    tuple(islice(iter_group_path(chains[gav]), 3)), root
+                    tuple(islice(iter_group_path(chain), 3)), root
                 ),
                 library_status=lib_status,
                 instance_status=inst_status,
-                via_halted=gav in via_halted,
+                via_halted=deployed and depth > 1 and top_halted,
                 unknown_history=history is None,
             )
         )
+        stack.extend(
+            (child, (child.gav,) + chain, deployed and child.scope.deployed, top_halted)
+            for child in reversed(node.children)
+        )
 
+    via_halted = {row.gav for row in rows if row.via_halted}
     return ScanResult(
         root=root,
         analysis_time=time,
@@ -562,20 +576,14 @@ def _result_from_dict(data, pointer: str = "") -> ScanResult:
 
 def parse_scan_results_json(doc: str) -> list[ScanResult]:
     """Parse a scan result object or array as rendered by :func:`render`."""
-    try:
-        data = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    data = parse_json(doc)
     if isinstance(data, list):
         return [_result_from_dict(entry, f"/{i}") for i, entry in enumerate(data)]
     return [_result_from_dict(data)]
 
 
 def parse_aggregate_json(doc: str) -> AggregateReport:
-    try:
-        data = json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    data = parse_json(doc)
     if not isinstance(data, dict) or "cells" not in data or not isinstance(data["cells"], dict):
         raise SchemaViolation("", "expected an object with a 'cells' mapping")
     try:

@@ -30,14 +30,12 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
-    LibraryStatus,
     ReleaseHistory,
-    Responsibility,
     Scope,
     VulnerabilityKb,
     prune,
 )
-from depscope.report import ScanResult, scan
+from depscope.report import ScanResult, aggregate, scan
 
 #: group id reserved for synthetic roots so they never share a project with
 #: pool libraries
@@ -148,28 +146,15 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
 
 
 def _outcome(index: int, result: ScanResult) -> ProjectOutcome:
-    controlled = (Responsibility.OWN, Responsibility.DIRECT)
-    all_vulnerable = sum(1 for row in result.census if row.vulnerable)
-    deployed_vulnerable = sum(1 for row in result.census if row.vulnerable and row.deployed)
-    controlled_standard = sum(1 for row in result.census if row.vulnerable and row.direct)
-    controlled_proposed = sum(
-        1
-        for row in result.census
-        if row.vulnerable and row.deployed and row.responsibility in controlled
-    )
-    halted_vulnerable = sum(
-        1
-        for row in result.census
-        if row.vulnerable and row.deployed and row.library_status is LibraryStatus.HALTED
-    )
+    count = aggregate([result]).get
     return ProjectOutcome(
         index=index,
         root=result.root,
-        all_vulnerable=all_vulnerable,
-        deployed_vulnerable=deployed_vulnerable,
-        controlled_standard=controlled_standard,
-        controlled_proposed=controlled_proposed,
-        halted_vulnerable=halted_vulnerable,
+        all_vulnerable=count("all/vuln/direct") + count("all/vuln/transitive"),
+        deployed_vulnerable=count("deployed/vuln/direct") + count("deployed/vuln/transitive"),
+        controlled_standard=count("all/vuln/direct"),
+        controlled_proposed=count("grouped/vuln/own") + count("grouped/vuln/direct"),
+        halted_vulnerable=count("lifecycle/vuln/halted"),
     )
 
 

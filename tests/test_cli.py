@@ -323,3 +323,46 @@ def test_report_malformed_result_names_file_and_pointer(workspace, capsys, corru
     assert main(["report", "--input", str(results_dir)]) == 1
     err = capsys.readouterr().err
     assert "broken.json" in err and f"schema violation at {pointer}:" in err
+
+
+@pytest.mark.parametrize("text", ["20180601", "2018-W22-5"])
+def test_time_flag_takes_only_yyyy_mm_dd(tmp_path, capsys, text):
+    (tmp_path / "history.csv").write_text(history_csv([stalled_history(Ga("org.legacy", "old"))]))
+    with pytest.raises(SystemExit) as exc:
+        main(["status", "--history", str(tmp_path / "history.csv"), "--time", text])
+    assert exc.value.code == 1
+    assert f"not a YYYY-MM-DD date: {text!r}" in capsys.readouterr().err
+
+
+def _json_chain(depth: int) -> str:
+    """A JSON tree whose root sits on a chain ``depth`` dependencies deep."""
+    opened = "".join(
+        f'{{"gav": "org.deep{i}:lib{i}:1.0", "scope": "compile", "children": ['
+        for i in range(depth)
+    )
+    leaf = '{"gav": "org.leaf:leaf:1.0", "scope": "compile", "children": []}'
+    return '{"root": ' + opened + leaf + "]}" * depth + "}"
+
+
+@pytest.mark.parametrize("depth", [520, 5000])
+def test_scan_json_tree_deeper_than_decoder_is_schema_violation(workspace, capsys, depth):
+    (workspace / "deep.json").write_text(_json_chain(depth))
+    args = _scan_args(workspace)
+    args[args.index("--tree") + 1] = str(workspace / "deep.json")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "deep.json" in err and "schema violation at <document>" in err
+
+
+def test_scan_deeply_nested_kb_is_schema_violation(workspace, capsys):
+    (workspace / "kb.json").write_text("[" * 3000 + "]" * 3000)
+    assert main(_scan_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert "kb.json" in err and "schema violation at <document>" in err
+
+
+def test_report_deeply_nested_result_is_schema_violation(tmp_path, capsys):
+    (tmp_path / "deep.json").write_text("[" * 3000 + "]" * 3000)
+    assert main(["report", "--input", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "deep.json" in err and "schema violation at <document>" in err

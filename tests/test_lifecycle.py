@@ -5,11 +5,9 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from depscope.analysis import filter_non_deployed
 from depscope.errors import MissingHistory, UnknownVersion
 from depscope.lifecycle import (
     SmoothingConfig,
-    detect_via_halted,
     expected_release_date,
     instance_status,
     last_release_interval,
@@ -24,6 +22,7 @@ from depscope.model import (
     Release,
     ReleaseHistory,
 )
+from depscope.report import scan
 
 from conftest import stalled_history
 
@@ -205,19 +204,20 @@ def test_last_visible_release_always_up_to_date(dates, probe):
 # --- reached through a halted direct dependency ---------------------------------------------
 
 
+def _via_halted(tree, histories, *, lenient=False) -> set[Gav]:
+    result = scan(tree, [], histories, time=date(2018, 6, 1), cfg=CFG, lenient=lenient)
+    return {row.gav for row in result.census if row.via_halted}
+
+
 def test_via_halted_collects_subtree(halted_fixture):
-    tree, histories = halted_fixture
-    deployed = filter_non_deployed(tree)
-    reached = detect_via_halted(deployed, histories, date(2018, 6, 1), CFG)
-    assert reached == {
+    assert _via_halted(*halted_fixture) == {
         Gav("org.tinyio", "io-buffers", "0.9"),
         Gav("org.tinyio2", "io-extras", "0.2"),
     }
 
 
 def test_via_halted_empty_when_all_alive(sample_tree, sample_histories):
-    deployed = filter_non_deployed(sample_tree)
-    assert detect_via_halted(deployed, sample_histories, date(2018, 6, 1), CFG) == set()
+    assert _via_halted(sample_tree, sample_histories) == set()
 
 
 def test_via_halted_ignores_deep_halted_nodes():
@@ -233,17 +233,15 @@ def test_via_halted_ignores_deep_halted_nodes():
     histories = {gav.ga: alive_history(gav) for gav in tree.gavs()}
     legacy = Ga("org.legacy", "old-parser")
     histories[legacy] = stalled_history(legacy, versions=("1.0", "2.0", "3.0"))
-    deployed = filter_non_deployed(tree)
     # the halted library sits at depth 2; the rule keys on direct dependencies only
-    assert detect_via_halted(deployed, histories, date(2018, 6, 1), CFG) == set()
+    assert _via_halted(tree, histories) == set()
 
 
 def test_via_halted_missing_history_strict_vs_lenient(halted_fixture):
     tree, histories = halted_fixture
     histories = dict(histories)
     del histories[Ga("org.fresh", "web-core")]
-    deployed = filter_non_deployed(tree)
     with pytest.raises(MissingHistory):
-        detect_via_halted(deployed, histories, date(2018, 6, 1), CFG)
-    reached = detect_via_halted(deployed, histories, date(2018, 6, 1), CFG, lenient=True)
+        _via_halted(tree, histories)
+    reached = _via_halted(tree, histories, lenient=True)
     assert Gav("org.tinyio", "io-buffers", "0.9") in reached

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from depscope.errors import DepscopeError, MissingHistory
 from depscope.ingest import load_vuln_kb, parse_tree_text
-from depscope.model import Ga, Gav, LibraryStatus, Responsibility
+from depscope.model import Ga, Gav, LibraryStatus, Responsibility, Scope
 from depscope.report import (
     CELL_KEYS,
     AggregateReport,
@@ -126,14 +126,26 @@ def test_census_consistency_on_random_corpus():
     rng = random.Random(31337)
     for _ in range(150):
         tree, kb = random_tree_case(rng)
-        histories = {}
+        histories, halted = {}, set()
         for gav in tree.gavs():
             if rng.random() < 0.3:
                 histories[gav.ga] = stalled_history(gav.ga, versions=("0.1", "0.2", gav.version))
+                halted.add(gav)
             else:
                 histories[gav.ga] = alive_history(gav)
         result = scan(tree, kb, histories, time=ANALYSIS_TIME)
         assert len(result.census) == len(list(tree.nodes())) - 1
+        # brute force: each row's chain of nodes from the root, by preorder depth
+        chain, chain_of = [], {}
+        for node, depth in tree.nodes():
+            chain[depth:] = [node]
+            chain_of[node.gav] = list(chain)
+        for row in result.census:
+            nodes = chain_of[row.gav]
+            deployed = all(n.scope not in (Scope.TEST, Scope.PROVIDED) for n in nodes[1:])
+            assert row.depth == len(nodes) - 1
+            assert row.deployed == deployed
+            assert row.via_halted == (deployed and row.depth > 1 and nodes[1].gav in halted)
         deployed_rows = {row.gav for row in result.census if row.deployed}
         vulnerable_deployed = {row.gav for row in result.census if row.deployed and row.vulnerable}
         path_instances = {p.raw_path[0] for p in result.paths}
