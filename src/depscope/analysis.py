@@ -74,13 +74,11 @@ def extract_vulnerable_paths(
     depth-first position of the vulnerable node, then by vulnerability id.
     """
     root = annotated.tree.root.gav
-    chains = annotated.tree.ancestor_chains()
     paths = []
-    for node, _ in annotated.tree.nodes():
+    for node, raw, _ in annotated.tree.chains():
         ids = annotated.vulnerable.get(node.gav)
         if not ids:
             continue
-        raw = chains[node.gav]
         grouped = tuple(group_path(raw))
         responsibility = classify_responsibility(grouped, root)
         for vuln_id in sorted(ids):

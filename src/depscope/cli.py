@@ -71,10 +71,11 @@ def _smoothing(args) -> SmoothingConfig:
 
 
 def _load(path: Path, parse):
-    """``parse`` applied to the file's text; its errors name the file."""
+    """``parse`` applied to the file's text; its errors, and text that is not
+    UTF-8, name the file."""
     try:
         return parse(path.read_text(encoding="utf-8"))
-    except DepscopeError as exc:
+    except (DepscopeError, UnicodeDecodeError) as exc:
         raise InputFileError(path, exc) from exc
 
 

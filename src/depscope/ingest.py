@@ -19,8 +19,6 @@ import re
 from datetime import date
 
 from depscope.errors import (
-    DuplicateGa,
-    DuplicateVersion,
     EmptyAffectedSet,
     EmptyInput,
     MalformedCoordinate,
@@ -38,6 +36,7 @@ from depscope.model import (
     Scope,
     VulnerabilityKb,
     VulnerabilityRecord,
+    build_tree,
     parse_gav,
 )
 
@@ -57,14 +56,43 @@ def json_text(data) -> str:
 
 
 def parse_json(doc: str):
-    """The value of a JSON document. Malformed JSON, and nesting deeper than
-    the stdlib decoder follows, are schema violations at the document."""
+    """The value of a JSON document. Malformed JSON, an integer literal too
+    long to convert, and nesting deeper than the stdlib decoder follows are
+    schema violations at the document."""
     try:
         return json.loads(doc)
-    except json.JSONDecodeError as exc:
-        raise SchemaViolation("", f"invalid JSON: {exc}") from None
     except RecursionError:
         raise SchemaViolation("", "invalid JSON: nested too deeply to decode") from None
+    except ValueError as exc:  # JSONDecodeError, or the integer digit limit
+        raise SchemaViolation("", f"invalid JSON: {exc}") from None
+
+
+def json_object(value, pointer: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
+    """``value`` when it is an object holding every key in ``required`` and
+    no key outside ``required`` and ``optional``. Failures name ``pointer``
+    and the smallest missing, else unexpected, key."""
+    if not isinstance(value, dict):
+        raise SchemaViolation(pointer, "must be an object")
+    keys = value.keys()
+    # the first test is the cheap one; the second admits optional keys
+    if keys == required or keys - optional == required:
+        return value
+    if not required <= keys:
+        raise SchemaViolation(pointer, f"missing key {min(required - keys)!r}")
+    raise SchemaViolation(pointer, f"unexpected key {min(keys - required - optional)!r}")
+
+
+_JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string", list: "an array",
+                    dict: "an object"}
+
+
+def json_typed(obj, key, kind: type, pointer: str):
+    """``obj[key]`` when it has exactly the JSON type ``kind``; ``obj`` is an
+    object or an array. Failures name ``pointer/key``."""
+    value = obj[key]
+    if type(value) is not kind:
+        raise SchemaViolation(f"{pointer}/{key}", f"must be {_JSON_TYPE_NAMES[kind]}")
+    return value
 
 
 # --- tree text ---------------------------------------------------------------
@@ -74,15 +102,6 @@ _INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
 _BRANCH_UNITS = ("+- ", "\\- ")
 # scope names both tree formats accept; the text form maps any other to UNKNOWN
 _SCOPES = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
-
-
-class _NodeBuilder:
-    __slots__ = ("gav", "scope", "children", "node")
-
-    def __init__(self, gav: Gav, scope: Scope):
-        self.gav = gav
-        self.scope = scope
-        self.children: list[_NodeBuilder] = []
 
 
 def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scope]:
@@ -112,10 +131,8 @@ def parse_tree_text(text: str) -> DependencyTree:
     one level up. A leading ``[INFO] `` per line is stripped, so both raw
     dumps and log captures parse.
     """
-    in_order = []  # every node in file order: each parent before its children
-    seen: set[Ga] = set()
-    # stack of (depth, builder) for ancestor resolution
-    stack: list[tuple[int, _NodeBuilder]] = []
+    preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
+    ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw
         if line.startswith(_INFO_PREFIX):
@@ -127,81 +144,36 @@ def parse_tree_text(text: str) -> DependencyTree:
             continue
 
         pos = 0
-        units: list[str] = []
         while line[pos : pos + 3] in _INDENT_UNITS:
-            units.append(line[pos : pos + 3])
             pos += 3
         coordinate = line[pos:]
-        depth = len(units)
-        if units and units[-1] not in _BRANCH_UNITS:
+        depth = pos // 3
+        if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
             raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
 
-        if not in_order:
+        if not preorder:
             if depth != 0:
                 raise MalformedTreeLine(line_no, "first content line must be the unindented root")
             gav, scope = _parse_coordinate(coordinate, line_no, is_root=True)
-            root = _NodeBuilder(gav, scope)
-            in_order.append(root)
-            seen.add(gav.ga)
-            stack = [(0, root)]
+            preorder.append((gav, scope, -1))
+            ancestors = [0]
             continue
 
         if depth == 0:
             raise MalformedTreeLine(line_no, "second root line")
         gav, scope = _parse_coordinate(coordinate, line_no, is_root=False)
-        if gav.ga in seen:
-            raise DuplicateGa(gav.ga)
-        while stack and stack[-1][0] >= depth:
-            stack.pop()
-        if not stack or stack[-1][0] != depth - 1:
+        del ancestors[depth:]
+        if len(ancestors) != depth:
             raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
-        node = _NodeBuilder(gav, scope)
-        stack[-1][1].children.append(node)
-        stack.append((depth, node))
-        in_order.append(node)
-        seen.add(gav.ga)
+        ancestors.append(len(preorder))
+        preorder.append((gav, scope, ancestors[-2]))
 
-    if not in_order:
+    if not preorder:
         raise EmptyInput()
-    # freezing in reverse file order builds every subtree before its parent,
-    # without recursion, so no tree depth exhausts the stack
-    for item in reversed(in_order):
-        item.node = DependencyNode(item.gav, item.scope, tuple(c.node for c in item.children))
-    return DependencyTree(in_order[0].node)
+    return DependencyTree(build_tree(preorder))
 
 
 # --- tree JSON ---------------------------------------------------------------
-
-
-def _require_keys(obj: dict, allowed: set[str], required: set[str], pointer: str) -> None:
-    for key in required:
-        if key not in obj:
-            raise SchemaViolation(pointer, f"missing key {key!r}")
-    for key in obj:
-        if key not in allowed:
-            raise SchemaViolation(pointer, f"unexpected key {key!r}")
-
-
-def _parse_json_node(obj, pointer: str, seen: set[Ga]) -> DependencyNode:
-    if not isinstance(obj, dict):
-        raise SchemaViolation(pointer, "node must be an object")
-    _require_keys(obj, {"gav", "scope", "children"}, {"gav", "scope", "children"}, pointer)
-    gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
-    if gav.ga in seen:
-        raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
-    seen.add(gav.ga)
-    scope_text = obj["scope"]
-    if not isinstance(scope_text, str) or scope_text not in _SCOPES:
-        raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
-    children_obj = obj["children"]
-    if not isinstance(children_obj, list):
-        raise SchemaViolation(f"{pointer}/children", "must be an array")
-    # a loop, not a generator, so each level costs one frame: the decoder
-    # spends two per level and so always runs out of stack first
-    children = []
-    for i, child in enumerate(children_obj):
-        children.append(_parse_json_node(child, f"{pointer}/children/{i}", seen))
-    return DependencyNode(gav, _SCOPES[scope_text], children)
 
 
 def parse_gav_at(value, pointer: str) -> Gav:
@@ -227,19 +199,41 @@ def parse_date_at(text, pointer: str) -> date:
         raise SchemaViolation(pointer, str(exc)) from None
 
 
+_TREE_KEYS = frozenset({"root"})
+_NODE_KEYS = frozenset({"gav", "scope", "children"})
+
+
 def parse_tree_json(doc: str) -> DependencyTree:
-    """Parse the BoM JSON interchange form of a dependency tree."""
-    data = parse_json(doc)
-    if not isinstance(data, dict):
-        raise SchemaViolation("", "document root must be an object")
-    _require_keys(data, {"analysis_time", "root"}, {"root"}, "")
+    """Parse the BoM JSON interchange form of a dependency tree.
+
+    Nodes are checked in preorder from an explicit stack, so the error
+    reported is the first in document order, and no nesting the decoder
+    accepts exhausts the stack.
+    """
+    data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
     analysis_time = None
     if "analysis_time" in data:
         analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
-    root = _parse_json_node(data["root"], "/root", set())
-    if root.scope is not Scope.COMPILE:
+    preorder: list[tuple[Gav, Scope, int]] = []
+    seen: set[Ga] = set()
+    stack = [(data["root"], "/root", -1)]
+    while stack:
+        obj, pointer, parent = stack.pop()
+        json_object(obj, pointer, _NODE_KEYS)
+        gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
+        if gav.ga in seen:
+            raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
+        seen.add(gav.ga)
+        scope_text = obj["scope"]
+        if not isinstance(scope_text, str) or scope_text not in _SCOPES:
+            raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
+        children = json_typed(obj, "children", list, pointer)
+        for i in reversed(range(len(children))):
+            stack.append((children[i], f"{pointer}/children/{i}", len(preorder)))
+        preorder.append((gav, _SCOPES[scope_text], parent))
+    if preorder[0][1] is not Scope.COMPILE:
         raise SchemaViolation("/root/scope", "root scope must be compile")
-    return DependencyTree(root, analysis_time)
+    return DependencyTree(build_tree(preorder), analysis_time)
 
 
 def _node_to_dict(node: DependencyNode) -> dict:
@@ -271,34 +265,31 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
     ``group_id,artifact_id,version,release_date``.
     """
     reader = csv.reader(io.StringIO(doc))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedRow(1, "missing header") from None
-    if header != _HISTORY_HEADER:
-        raise MalformedRow(1, f"bad header {header!r}")
-
     rows: dict[Ga, list[Release]] = {}
-    seen: set[tuple[Ga, str]] = set()
-    for row in reader:
-        line_no = reader.line_num
-        if len(row) != 4:
-            raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
-        group, artifact, version, date_text = row
-        if not group or not artifact or not version:
-            raise MalformedRow(line_no, "empty field")
-        try:
-            released = parse_date_at(date_text, "")
-        except SchemaViolation:
-            raise MalformedRow(line_no, f"bad date {date_text!r}") from None
-        try:
-            ga = Ga(group, artifact)
-        except ValueError as exc:  # a ':' inside group_id or artifact_id
-            raise MalformedRow(line_no, str(exc)) from None
-        if (ga, version) in seen:
-            raise DuplicateVersion(ga, version)
-        seen.add((ga, version))
-        rows.setdefault(ga, []).append(Release(version, released))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "missing header")
+        if header != _HISTORY_HEADER:
+            raise MalformedRow(1, f"bad header {header!r}")
+        for row in reader:
+            line_no = reader.line_num
+            if len(row) != 4:
+                raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
+            group, artifact, version, date_text = row
+            if not group or not artifact or not version:
+                raise MalformedRow(line_no, "empty field")
+            try:
+                released = parse_date_at(date_text, "")
+            except SchemaViolation:
+                raise MalformedRow(line_no, f"bad date {date_text!r}") from None
+            try:
+                ga = Ga(group, artifact)
+            except ValueError as exc:  # a ':' inside group_id or artifact_id
+                raise MalformedRow(line_no, str(exc)) from None
+            rows.setdefault(ga, []).append(Release(version, released))
+    except csv.Error as exc:  # a record the reader cannot split, e.g. one over its field limit
+        raise MalformedRow(reader.line_num, str(exc)) from None
 
     return {
         ga: ReleaseHistory(ga, tuple(sorted(releases, key=lambda r: r.released)))
@@ -309,15 +300,16 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
 # --- vulnerability knowledge base --------------------------------------------
 
 
-def _require_nonempty_str(value, pointer: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise SchemaViolation(pointer, "must be a non-empty string")
-    return value
+_RECORD_KEYS = frozenset({"id", "affected"})
+_AFFECTED_KEYS = frozenset({"group", "artifact", "versions"})
 
 
-def _require_segment(value, pointer: str) -> str:
-    if ":" in _require_nonempty_str(value, pointer):
-        raise SchemaViolation(pointer, "must not contain ':'")
+def _kb_text(obj, key, pointer: str, segment: bool = True) -> str:
+    """``obj[key]`` when it is a non-empty string, without ':' when it is a
+    coordinate ``segment``."""
+    value = json_typed(obj, key, str, pointer)
+    if not value or segment and ":" in value:
+        raise SchemaViolation(f"{pointer}/{key}", "must be a non-empty string" + " without ':'" * segment)
     return value
 
 
@@ -335,30 +327,21 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
     records = []
     for i, entry in enumerate(data):
         pointer = f"/{i}"
-        if not isinstance(entry, dict):
-            raise SchemaViolation(pointer, "record must be an object")
-        _require_keys(entry, {"id", "affected"}, {"id", "affected"}, pointer)
-        vuln_id = _require_nonempty_str(entry["id"], f"{pointer}/id")
-        affected_obj = entry["affected"]
-        if not isinstance(affected_obj, list):
-            raise SchemaViolation(f"{pointer}/affected", "must be an array")
+        json_object(entry, pointer, _RECORD_KEYS)
+        vuln_id = _kb_text(entry, "id", pointer, segment=False)
+        affected_obj = json_typed(entry, "affected", list, pointer)
         if not affected_obj:
             raise EmptyAffectedSet(vuln_id)
         affected: set[Gav] = set()
         for j, lib in enumerate(affected_obj):
             lib_pointer = f"{pointer}/affected/{j}"
-            if not isinstance(lib, dict):
-                raise SchemaViolation(lib_pointer, "entry must be an object")
-            _require_keys(lib, {"group", "artifact", "versions"}, {"group", "artifact", "versions"}, lib_pointer)
-            group = _require_segment(lib["group"], f"{lib_pointer}/group")
-            artifact = _require_segment(lib["artifact"], f"{lib_pointer}/artifact")
-            versions = lib["versions"]
-            if not isinstance(versions, list):
-                raise SchemaViolation(f"{lib_pointer}/versions", "must be an array")
+            json_object(lib, lib_pointer, _AFFECTED_KEYS)
+            group = _kb_text(lib, "group", lib_pointer)
+            artifact = _kb_text(lib, "artifact", lib_pointer)
+            versions = json_typed(lib, "versions", list, lib_pointer)
             if not versions:
                 raise EmptyAffectedSet(vuln_id)
-            for k, version in enumerate(versions):
-                _require_segment(version, f"{lib_pointer}/versions/{k}")
-                affected.add(Gav(group, artifact, version))
+            for k in range(len(versions)):
+                affected.add(Gav(group, artifact, _kb_text(versions, k, f"{lib_pointer}/versions")))
         records.append(VulnerabilityRecord(vuln_id, frozenset(affected)))
     return VulnerabilityKb(records)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
-from depscope.errors import DuplicateGa, MalformedCoordinate
+from depscope.errors import DuplicateGa, DuplicateVersion, MalformedCoordinate
 
 
 class Scope(str, Enum):
@@ -148,6 +148,24 @@ class DependencyNode:
         return hash((self.gav, self.scope, tuple(c.gav for c in self.children)))
 
 
+def build_tree(preorder: Sequence[tuple[Gav, Scope, int]]) -> DependencyNode:
+    """The root of the tree whose nodes ``preorder`` lists as
+    ``(gav, scope, parent)`` entries, ``parent`` being the position of the
+    node's parent in ``preorder`` (-1 for the root, which comes first).
+
+    Each parent comes before its children and siblings keep their order, so
+    freezing in reverse builds every subtree before its parent: no
+    recursion, and so no tree depth exhausts the stack.
+    """
+    children: list[list[DependencyNode]] = [[] for _ in preorder]
+    for i in reversed(range(len(preorder))):
+        gav, scope, parent = preorder[i]
+        node = DependencyNode(gav, scope, children[i][::-1])
+        if parent >= 0:
+            children[parent].append(node)
+    return node
+
+
 def prune(root: DependencyNode, keep: Callable[[DependencyNode], bool]) -> DependencyNode:
     """``root`` rebuilt without the nodes ``keep`` rejects, each dropped with
     its subtree.
@@ -155,25 +173,16 @@ def prune(root: DependencyNode, keep: Callable[[DependencyNode], bool]) -> Depen
     The root is always kept. ``keep`` is asked about the other nodes in
     depth-first preorder, children in order, and never about a node below a
     dropped one, so it may track what it has kept so far. Sibling order is
-    preserved, and the walk and rebuild use no recursion, so no tree depth
-    exhausts the stack.
+    preserved, and the walk and rebuild use no recursion.
     """
-    kept = [root]  # each kept node before its descendants
-    kept_children: list[list[int]] = [[]]  # per kept node, positions in kept
+    kept = [(root.gav, root.scope, -1)]
     stack = [(child, 0) for child in reversed(root.children)]
     while stack:
         node, parent = stack.pop()
         if keep(node):
-            kept_children[parent].append(len(kept))
             stack.extend((child, len(kept)) for child in reversed(node.children))
-            kept.append(node)
-            kept_children.append([])
-    # children come after their parent, so in reverse order they are built first
-    rebuilt: list[DependencyNode] = [root] * len(kept)
-    for i in reversed(range(len(kept))):
-        children = tuple(rebuilt[j] for j in kept_children[i])
-        rebuilt[i] = DependencyNode(kept[i].gav, kept[i].scope, children)
-    return rebuilt[0]
+            kept.append((node.gav, node.scope, parent))
+    return build_tree(kept)
 
 
 @dataclass(frozen=True)
@@ -210,16 +219,20 @@ class DependencyTree:
     def gavs(self) -> set[Gav]:
         return {node.gav for node, _ in self.nodes()}
 
-    def ancestor_chains(self) -> dict[Gav, tuple[Gav, ...]]:
-        """For every node, the chain from the node up to the root, inclusive."""
-        chains = {self.root.gav: (self.root.gav,)}
-        stack = [self.root]
+    def chains(self) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
+        """Depth-first preorder walk yielding ``(node, chain, deployed)``.
+
+        ``chain`` runs from the node up to the root, inclusive; ``deployed``
+        is true when every edge on it ships.
+        """
+        stack = [(self.root, (self.root.gav,), True)]
         while stack:
-            node = stack.pop()
-            for child in node.children:
-                chains[child.gav] = (child.gav,) + chains[node.gav]
-                stack.append(child)
-        return chains
+            node, chain, deployed = stack.pop()
+            yield node, chain, deployed
+            stack.extend(
+                (child, (child.gav,) + chain, deployed and child.scope.deployed)
+                for child in reversed(node.children)
+            )
 
 
 @dataclass(frozen=True, order=True)
@@ -233,7 +246,7 @@ class ReleaseHistory:
     """Dated release sequence of one library, ascending by release date.
 
     Equal dates keep their input order; the interval between them is zero
-    days.
+    days. Each version is released once.
     """
 
     library: Ga
@@ -246,6 +259,11 @@ class ReleaseHistory:
         dates = [r.released for r in self.releases]
         if any(b < a for a, b in zip(dates, dates[1:])):
             raise ValueError(f"history of {self.library} is not sorted by date")
+        versions: set[str] = set()
+        for release in self.releases:
+            if release.version in versions:
+                raise DuplicateVersion(self.library, release.version)
+            versions.add(release.version)
 
     @property
     def last_release(self) -> Release:

@@ -23,7 +23,15 @@ from depscope.analysis import (
     match_vulnerabilities,
 )
 from depscope.errors import MissingHistory, SchemaViolation
-from depscope.ingest import csv_text, json_text, parse_date_at, parse_gav_at, parse_json
+from depscope.ingest import (
+    csv_text,
+    json_object,
+    json_text,
+    json_typed,
+    parse_date_at,
+    parse_gav_at,
+    parse_json,
+)
 from depscope.lifecycle import SmoothingConfig, instance_status, library_status
 from depscope.model import (
     DependencyTree,
@@ -35,7 +43,6 @@ from depscope.model import (
     Responsibility,
     VulnerabilityRecord,
     VulnerablePath,
-    same_project,
 )
 
 _VULN_AXES = ("vuln", "safe")
@@ -67,7 +74,6 @@ class CensusRow:
     depth: int
     deployed: bool
     vuln_ids: tuple[str, ...]
-    own: bool
     responsibility: Responsibility  # grouped classification of the node's chain
     library_status: LibraryStatus
     instance_status: InstanceStatus
@@ -82,6 +88,12 @@ class CensusRow:
     def vulnerable(self) -> bool:
         return bool(self.vuln_ids)
 
+    @property
+    def own(self) -> bool:
+        """Whether the dependency shares a project with the root, which is
+        what makes its chain's class ``own``."""
+        return self.responsibility is Responsibility.OWN
+
 
 @dataclass(frozen=True)
 class ScanResult:
@@ -93,13 +105,9 @@ class ScanResult:
     paths: tuple[VulnerablePath, ...]
     census: tuple[CensusRow, ...]
 
-    def deployed_gavs(self) -> set[Gav]:
-        out = {row.gav for row in self.census if row.deployed}
-        out.add(self.root)
-        return out
-
     def has_deployed_finding(self) -> bool:
-        deployed = self.deployed_gavs()
+        """Whether some path starts at the root or at a deployed dependency."""
+        deployed = {self.root, *(row.gav for row in self.census if row.deployed)}
         return any(path.raw_path[0] in deployed for path in self.paths)
 
 
@@ -165,16 +173,9 @@ def scan(
     matched = tree if include_non_deployed else filter_non_deployed(tree)
     annotated = match_vulnerabilities(matched, kb)
 
-    # one preorder walk of the unfiltered tree; each entry carries its node,
-    # its chain up to the root, whether every edge on that chain ships, and
-    # whether its depth-1 ancestor is halted
     rows = []
-    stack = [
-        (child, (child.gav, root), child.scope.deployed, False)
-        for child in reversed(tree.root.children)
-    ]
-    while stack:
-        node, chain, deployed, top_halted = stack.pop()
+    halted_direct: set[Gav] = set()  # the halted depth-1 rows so far
+    for node, chain, deployed in islice(tree.chains(), 1, None):  # every node but the root
         gav = node.gav
         depth = len(chain) - 1
         history = histories.get(gav.ga)
@@ -185,15 +186,14 @@ def scan(
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
             raise MissingHistory(gav.ga)
-        if depth == 1:
-            top_halted = lib_status is LibraryStatus.HALTED
+        if depth == 1 and lib_status is LibraryStatus.HALTED:
+            halted_direct.add(gav)
         rows.append(
             CensusRow(
                 gav=gav,
                 depth=depth,
                 deployed=deployed,
                 vuln_ids=tuple(sorted(annotated.vulnerable.get(gav, ()))),
-                own=same_project(gav, root),
                 # the class depends only on the first grouped member and on
                 # whether there are exactly two, so three members suffice
                 responsibility=classify_responsibility(
@@ -201,13 +201,10 @@ def scan(
                 ),
                 library_status=lib_status,
                 instance_status=inst_status,
-                via_halted=deployed and depth > 1 and top_halted,
+                # chain[-2] is the node's depth-1 ancestor
+                via_halted=deployed and depth > 1 and chain[-2] in halted_direct,
                 unknown_history=history is None,
             )
-        )
-        stack.extend(
-            (child, (child.gav,) + chain, deployed and child.scope.deployed, top_halted)
-            for child in reversed(node.children)
         )
 
     via_halted = {row.gav for row in rows if row.via_halted}
@@ -496,24 +493,7 @@ _ROW_KEYS = frozenset(
     {"gav", "depth", "deployed", "vuln_ids", "own", "responsibility", "library_status",
      "instance_status", "via_halted", "unknown_history"}
 )
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string", list: "an array"}
-
-
-def _object(value, keys: frozenset, pointer: str) -> dict:
-    """``value`` when it is an object holding every key in ``keys``."""
-    if not isinstance(value, dict):
-        raise SchemaViolation(pointer, "must be an object")
-    if not keys <= value.keys():
-        raise SchemaViolation(pointer, f"missing key {min(keys - value.keys())!r}")
-    return value
-
-
-def _typed(obj: dict, key: str, kind: type, pointer: str):
-    """``obj[key]`` when it has exactly the JSON type ``kind``."""
-    value = obj[key]
-    if type(value) is not kind:
-        raise SchemaViolation(f"{pointer}/{key}", f"must be {_TYPE_NAMES[kind]}")
-    return value
+_ROW_WRITTEN_ONLY = frozenset({"direct"})  # rendered, but derived from depth
 
 
 def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
@@ -525,50 +505,53 @@ def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
 
 def _gavs(obj: dict, key: str, pointer: str) -> tuple[Gav, ...]:
     field = f"{pointer}/{key}"
-    return tuple(parse_gav_at(text, field) for text in _typed(obj, key, list, pointer))
+    return tuple(parse_gav_at(text, field) for text in json_typed(obj, key, list, pointer))
 
 
 def _path_from_dict(entry, p: str) -> VulnerablePath:
-    _object(entry, _PATH_KEYS, p)
+    json_object(entry, p, _PATH_KEYS)
     try:
         return VulnerablePath(
             raw_path=_gavs(entry, "raw_path", p),
             grouped_path=_gavs(entry, "grouped_path", p),
-            vuln_id=_typed(entry, "vuln_id", str, p),
+            vuln_id=json_typed(entry, "vuln_id", str, p),
             responsibility=_enum_field(Responsibility, entry, "responsibility", p),
-            via_halted=_typed(entry, "via_halted", bool, p),
+            via_halted=json_typed(entry, "via_halted", bool, p),
         )
     except ValueError as exc:  # an empty path, or grouping that lost the instance
         raise SchemaViolation(p, str(exc)) from None
 
 
 def _row_from_dict(entry, p: str) -> CensusRow:
-    _object(entry, _ROW_KEYS, p)
-    vuln_ids = tuple(_typed(entry, "vuln_ids", list, p))
+    json_object(entry, p, _ROW_KEYS, _ROW_WRITTEN_ONLY)
+    vuln_ids = tuple(json_typed(entry, "vuln_ids", list, p))
     if not all(type(vuln_id) is str for vuln_id in vuln_ids):
         raise SchemaViolation(f"{p}/vuln_ids", "must be an array of strings")
-    return CensusRow(
+    own = json_typed(entry, "own", bool, p)
+    row = CensusRow(
         gav=parse_gav_at(entry["gav"], f"{p}/gav"),
-        depth=_typed(entry, "depth", int, p),
-        deployed=_typed(entry, "deployed", bool, p),
+        depth=json_typed(entry, "depth", int, p),
+        deployed=json_typed(entry, "deployed", bool, p),
         vuln_ids=vuln_ids,
-        own=_typed(entry, "own", bool, p),
         responsibility=_enum_field(Responsibility, entry, "responsibility", p),
         library_status=_enum_field(LibraryStatus, entry, "library_status", p),
         instance_status=_enum_field(InstanceStatus, entry, "instance_status", p),
-        via_halted=_typed(entry, "via_halted", bool, p),
-        unknown_history=_typed(entry, "unknown_history", bool, p),
+        via_halted=json_typed(entry, "via_halted", bool, p),
+        unknown_history=json_typed(entry, "unknown_history", bool, p),
     )
+    if own is not row.own:
+        raise SchemaViolation(f"{p}/own", f"{own} disagrees with responsibility {row.responsibility.value!r}")
+    return row
 
 
 def _result_from_dict(data, pointer: str = "") -> ScanResult:
-    _object(data, _RESULT_KEYS, pointer)
-    paths = _typed(data, "paths", list, pointer)
-    census = _typed(data, "census", list, pointer)
+    json_object(data, pointer, _RESULT_KEYS)
+    paths = json_typed(data, "paths", list, pointer)
+    census = json_typed(data, "census", list, pointer)
     return ScanResult(
         root=parse_gav_at(data["root"], f"{pointer}/root"),
         analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
-        include_non_deployed=_typed(data, "include_non_deployed", bool, pointer),
+        include_non_deployed=json_typed(data, "include_non_deployed", bool, pointer),
         paths=tuple(_path_from_dict(e, f"{pointer}/paths/{i}") for i, e in enumerate(paths)),
         census=tuple(_row_from_dict(e, f"{pointer}/census/{i}") for i, e in enumerate(census)),
     )
@@ -583,10 +566,10 @@ def parse_scan_results_json(doc: str) -> list[ScanResult]:
 
 
 def parse_aggregate_json(doc: str) -> AggregateReport:
-    data = parse_json(doc)
-    if not isinstance(data, dict) or "cells" not in data or not isinstance(data["cells"], dict):
-        raise SchemaViolation("", "expected an object with a 'cells' mapping")
+    cells = json_typed(json_object(parse_json(doc), "", frozenset({"cells"})), "cells", dict, "")
+    for key in cells:
+        json_typed(cells, key, int, "/cells")
     try:
-        return AggregateReport(data["cells"])
+        return AggregateReport(cells)
     except ValueError as exc:
         raise SchemaViolation("/cells", str(exc)) from None

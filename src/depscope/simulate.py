@@ -198,17 +198,15 @@ METHODOLOGY = {
 def render_simulation(
     outcomes: Sequence[ProjectOutcome], cfg: SimulationConfig, format: str = "csv"
 ) -> str:
+    rows = [
+        [
+            o.index, str(o.root), o.all_vulnerable, o.deployed_vulnerable,
+            o.controlled_standard, o.controlled_proposed, o.halted_vulnerable,
+        ]
+        for o in outcomes
+    ]
     if format == "csv":
-        return csv_text(
-            _CSV_HEADER,
-            (
-                [
-                    o.index, str(o.root), o.all_vulnerable, o.deployed_vulnerable,
-                    o.controlled_standard, o.controlled_proposed, o.halted_vulnerable,
-                ]
-                for o in outcomes
-            ),
-        )
+        return csv_text(_CSV_HEADER, rows)
     if format == "json":
         data = {
             "config": {
@@ -221,18 +219,7 @@ def render_simulation(
                 "min_releases": cfg.smoothing.min_releases,
             },
             "methodology": METHODOLOGY,
-            "projects": [
-                {
-                    "project": o.index,
-                    "root": str(o.root),
-                    "all_vulnerable": o.all_vulnerable,
-                    "deployed_vulnerable": o.deployed_vulnerable,
-                    "controlled_standard": o.controlled_standard,
-                    "controlled_proposed": o.controlled_proposed,
-                    "halted_vulnerable": o.halted_vulnerable,
-                }
-                for o in outcomes
-            ],
+            "projects": [dict(zip(_CSV_HEADER, row)) for row in rows],
         }
         return json_text(data)
     raise ValueError(f"unknown format {format!r}")

@@ -1,6 +1,6 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
-fixture, a random tree generator for oracle tests, and a synthetic simulation
-pool."""
+fixture, a random tree generator for oracle tests, a synthetic simulation
+pool, and a JSON mutator for parser fuzzing."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import strategies as st
 
 from depscope.model import (
     DependencyNode,
@@ -102,9 +103,10 @@ SAMPLE_GAVS = [
 
 
 def alive_history(gav: Gav, last: date = date(2018, 5, 20)) -> ReleaseHistory:
-    """Monthly cadence ending in ``gav.version``; alive at ANALYSIS_TIME."""
+    """Monthly cadence ending in ``gav.version``; alive at ANALYSIS_TIME. The
+    three earlier versions are fillers other than ``gav.version``."""
     dates = [last - timedelta(days=d) for d in (89, 61, 30, 0)]
-    versions = ["0.1", "0.2", "0.3", gav.version]
+    versions = [v for v in ("0.1", "0.2", "0.3", "0.4") if v != gav.version][:3] + [gav.version]
     return ReleaseHistory(gav.ga, tuple(Release(v, d) for v, d in zip(versions, dates)))
 
 
@@ -300,3 +302,43 @@ def build_synthetic_pool(n_libraries: int = 50, seed: int = 987654) -> Simulatio
         VulnerabilityRecord(vid, frozenset(gavs)) for vid, gavs in sorted(affected.items())
     )
     return SimulationPool(trees=tuple(trees), histories=histories, kb=kb)
+
+
+# --- mutated JSON documents for parser fuzzing -----------------------------------
+
+WRONG_JSON_VALUES = [None, 0, -1, 1.5, True, "", "x", ":", "g:a", "g:a:v", [], {}, [1], {"k": 1}]
+
+
+def _json_locations(node, here=()):
+    """Every position inside a JSON value, as its key path."""
+    yield here
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _json_locations(child, here + (key,))
+
+
+def mutate_json(doc, data) -> None:
+    """Apply one mutation, drawn with Hypothesis ``data``, at one position
+    inside the JSON value ``doc``: drop the value, give it a wrong type,
+    empty it, or add an unknown key to the object holding it."""
+    where = data.draw(st.sampled_from(list(_json_locations(doc))[1:]))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    key = where[-1]
+    mutation = data.draw(st.sampled_from(["drop", "wrong type", "empty", "extra key"]))
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "wrong type":
+        parent[key] = data.draw(st.sampled_from(WRONG_JSON_VALUES))
+    elif mutation == "extra key" and isinstance(parent, dict):
+        parent[data.draw(st.text(max_size=5))] = 1
+    elif isinstance(parent[key], (list, dict)):
+        parent[key].clear()
+    else:
+        parent[key] = ""

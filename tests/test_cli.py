@@ -366,3 +366,57 @@ def test_report_deeply_nested_result_is_schema_violation(tmp_path, capsys):
     assert main(["report", "--input", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "deep.json" in err and "schema violation at <document>" in err
+
+
+_HUGE_INT = "1" * 5000  # longer than the decoder converts to an int
+
+
+@pytest.mark.parametrize("kind", ["tree", "kb", "result"])
+def test_json_integer_over_digit_limit_names_file(workspace, capsys, kind):
+    doc = "[" + _HUGE_INT + "]" if kind == "kb" else '{"root": ' + _HUGE_INT + "}"
+    if kind == "result":
+        (workspace / "results").mkdir()
+        (workspace / "results" / "huge.json").write_text(doc)
+        args = ["report", "--input", str(workspace / "results")]
+    else:
+        (workspace / "huge.json").write_text(doc)
+        args = _scan_args(workspace)
+        args[args.index(f"--{kind}") + 1] = str(workspace / "huge.json")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "huge.json" in err and "schema violation at <document>" in err
+    assert "Traceback" not in err
+
+
+def test_history_field_over_csv_limit_names_file_and_line(workspace, capsys):
+    (workspace / "releases.csv").write_text(
+        "group_id,artifact_id,version,release_date\n"
+        "g,a,1.0,2020-01-01\n"
+        "g," + "x" * 131073 + ",1.0,2020-01-01\n"
+    )
+    assert main(_scan_args(workspace)) == 1
+    err = capsys.readouterr().err
+    assert "releases.csv" in err and "line 3" in err and "field limit" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--history", "--kb", "--tree"])
+def test_input_not_utf8_names_file(workspace, capsys, flag):
+    (workspace / "latin1.txt").write_bytes(b"caf\xe9\n")
+    args = _scan_args(workspace)
+    args[args.index(flag) + 1] = str(workspace / "latin1.txt")
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "latin1.txt" in err and "can't decode" in err
+    assert "Traceback" not in err
+
+
+def test_report_rejects_unknown_result_key(workspace, capsys):
+    main(_scan_args(workspace, "--format", "json"))
+    data = json.loads(capsys.readouterr().out)
+    data["census"][0]["extra"] = 1
+    (workspace / "results").mkdir()
+    (workspace / "results" / "extra.json").write_text(json.dumps(data))
+    assert main(["report", "--input", str(workspace / "results")]) == 1
+    err = capsys.readouterr().err
+    assert "extra.json" in err and "schema violation at /census/0: unexpected key 'extra'" in err

@@ -23,7 +23,14 @@ from depscope.ingest import (
 )
 from depscope.model import Ga, Gav, Scope
 
-from conftest import SAMPLE_KB_JSON, SAMPLE_TREE_JSON, SAMPLE_TREE_TEXT
+from conftest import (
+    SAMPLE_KB_JSON,
+    SAMPLE_TREE_JSON,
+    SAMPLE_TREE_TEXT,
+    build_synthetic_pool,
+    history_csv,
+    stalled_history,
+)
 
 
 # --- tree text -----------------------------------------------------------------
@@ -158,6 +165,12 @@ def test_parse_json_rejects_unknown_key():
         parse_tree_json(doc)
 
 
+def test_parse_json_names_smallest_missing_key():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json('{"root": {}}')
+    assert (exc.value.pointer, exc.value.reason) == ("/root", "missing key 'children'")
+
+
 def test_parse_json_rejects_non_compile_root():
     doc = '{"root":{"gav":"g:a:1","scope":"runtime","children":[]}}'
     with pytest.raises(SchemaViolation) as exc:
@@ -223,6 +236,18 @@ def test_load_history_duplicate_version():
     )
     with pytest.raises(DuplicateVersion):
         load_release_history(doc)
+
+
+def test_conftest_histories_round_trip_through_csv(sample_histories, halted_fixture):
+    _, halted_histories = halted_fixture
+    fixtures = [
+        sample_histories,
+        halted_histories,
+        build_synthetic_pool().histories,
+        {history.library: history for history in [stalled_history(Ga("org.legacy", "old"))]},
+    ]
+    for histories in fixtures:
+        assert load_release_history(history_csv(histories.values())) == histories
 
 
 def test_load_history_tie_dates_keep_file_order():

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
 from hypothesis import given, strategies as st
 
-from depscope.errors import DuplicateGa, MalformedCoordinate
+from depscope.errors import DuplicateGa, DuplicateVersion, MalformedCoordinate
 from depscope.ingest import parse_tree_text
 from depscope.model import (
     NON_DEPLOYED_SCOPES,
@@ -11,7 +13,10 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
+    Release,
+    ReleaseHistory,
     Scope,
+    build_tree,
     parse_gav,
     same_project,
 )
@@ -121,13 +126,24 @@ def test_tree_rejects_duplicate_library():
         DependencyTree(root)
 
 
+def test_history_rejects_repeated_version():
+    ga = Ga("g", "a")
+    releases = (Release("1.0", date(2020, 1, 1)), Release("1.1", date(2020, 2, 1)),
+                Release("1.0", date(2020, 3, 1)))
+    with pytest.raises(DuplicateVersion) as exc:
+        ReleaseHistory(ga, releases)
+    assert (exc.value.ga, exc.value.version) == (ga, "1.0")
+
+
 def test_tree_rejects_non_compile_root():
     with pytest.raises(ValueError):
         DependencyTree(DependencyNode(Gav("g", "a", "1"), Scope.TEST))
 
 
 def test_ancestor_chains(sample_tree):
-    chains = sample_tree.ancestor_chains()
+    walk = list(sample_tree.chains())
+    assert [node for node, _, _ in walk] == [node for node, _ in sample_tree.nodes()]
+    chains = {node.gav: chain for node, chain, _ in walk}
     compress = Gav("org.ziplib", "compress", "1.4")
     assert chains[compress] == (
         compress,
@@ -137,6 +153,31 @@ def test_ancestor_chains(sample_tree):
     )
     root = sample_tree.root.gav
     assert chains[root] == (root,)
+    assert all(deployed for _, _, deployed in walk)
+
+
+def test_chains_deployed_needs_every_edge_to_ship():
+    leaf = DependencyNode(Gav("g", "leaf", "1"), Scope.COMPILE)
+    tested = DependencyNode(Gav("g", "tested", "1"), Scope.TEST, (leaf,))
+    runtime = DependencyNode(Gav("g", "runtime", "1"), Scope.RUNTIME)
+    tree = DependencyTree(
+        DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (tested, runtime))
+    )
+    deployed = {node.gav.artifact_id: flag for node, _, flag in tree.chains()}
+    assert deployed == {"root": True, "tested": False, "leaf": False, "runtime": True}
+
+
+def test_build_tree_inverts_the_preorder_walk(sample_tree):
+    positions = {}
+    preorder = []
+    for node, chain, _ in sample_tree.chains():
+        positions[node.gav] = len(preorder)
+        parent = positions[chain[1]] if len(chain) > 1 else -1
+        preorder.append((node.gav, node.scope, parent))
+    assert build_tree(preorder) == sample_tree.root
+    deep = deep_chain_tree(1500)
+    rebuilt = build_tree([(n.gav, n.scope, i - 1) for i, (n, _) in enumerate(deep.nodes())])
+    assert rebuilt == deep.root
 
 
 def test_nodes_preorder(sample_tree):

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from depscope.errors import DepscopeError, MissingHistory
+from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import load_vuln_kb, parse_tree_text
 from depscope.model import Ga, Gav, LibraryStatus, Responsibility, Scope
 from depscope.report import (
@@ -25,6 +25,7 @@ from conftest import (
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
     alive_history,
+    mutate_json,
     random_tree_case,
     stalled_history,
 )
@@ -294,6 +295,24 @@ def test_aggregate_json_round_trip(sample_tree, sample_kb, sample_histories):
     assert render(parse_aggregate_json(rendered), "json") == rendered
 
 
+def test_saved_own_must_agree_with_responsibility(sample_tree, sample_kb, sample_histories):
+    result = _scan_sample(sample_tree, sample_kb, sample_histories)
+    assert [row.own for row in result.census] == [
+        row.responsibility is Responsibility.OWN for row in result.census
+    ]
+    data = json.loads(render(result, "json"))
+    data["census"][0]["own"] = not data["census"][0]["own"]
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert exc.value.pointer == "/census/0/own"
+
+
+def test_saved_aggregate_cells_must_be_integers():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json('{"cells": {"trees": [1]}}')
+    assert exc.value.pointer == "/cells/trees"
+
+
 def test_json_paths_carry_responsibilities(sample_tree, sample_kb, sample_histories):
     import json
 
@@ -304,21 +323,6 @@ def test_json_paths_carry_responsibilities(sample_tree, sample_kb, sample_histor
 
 
 # --- malformed saved results -----------------------------------------------------------
-
-_WRONG_VALUES = [None, 0, -1, 1.5, True, "", "x", "g:a", [], {}, [1], {"k": 1}]
-
-
-def _locations(node, here=()):
-    """Every position inside a JSON value, as its key path."""
-    yield here
-    if isinstance(node, dict):
-        children = node.items()
-    elif isinstance(node, list):
-        children = enumerate(node)
-    else:
-        return
-    for key, child in children:
-        yield from _locations(child, here + (key,))
 
 
 def _rendered_results() -> str:
@@ -338,20 +342,7 @@ _RENDERED = _rendered_results()
 @given(data=st.data())
 def test_mutated_scan_result_raises_only_depscope_errors(data):
     doc = json.loads(_RENDERED)
-    where = data.draw(st.sampled_from(list(_locations(doc))[1:]))
-    parent = doc
-    for key in where[:-1]:
-        parent = parent[key]
-    key = where[-1]
-    mutation = data.draw(st.sampled_from(["drop", "wrong type", "empty"]))
-    if mutation == "drop":
-        del parent[key]
-    elif mutation == "wrong type":
-        parent[key] = data.draw(st.sampled_from(_WRONG_VALUES))
-    elif isinstance(parent[key], (list, dict)):
-        parent[key].clear()
-    else:
-        parent[key] = ""
+    mutate_json(doc, data)
     try:
         results = parse_scan_results_json(json.dumps(doc))
     except DepscopeError:
