@@ -49,6 +49,7 @@ from depscope.report import (
     parse_aggregate_json,
     parse_scan_results_json,
     render,
+    render_chunks,
     scan,
 )
 from depscope.simulate import (

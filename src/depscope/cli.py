@@ -15,6 +15,7 @@ variables are read.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import date
 from pathlib import Path
@@ -29,7 +30,7 @@ from depscope.ingest import (
 )
 from depscope.lifecycle import SmoothingConfig, render_status
 from depscope.model import DependencyTree
-from depscope.report import aggregate, parse_scan_results_json, render, scan
+from depscope.report import aggregate, parse_scan_results_json, render, render_chunks, scan
 from depscope.simulate import SimulationConfig, SimulationPool, render_simulation, simulate
 
 
@@ -114,15 +115,18 @@ def _cmd_scan(args) -> int:
     ]
     results.sort(key=lambda r: str(r.root))
     output = results[0] if not args.tree.is_dir() else results
-    sys.stdout.write(render(output, args.format))
+    sys.stdout.writelines(render_chunks(output, args.format))  # one rendered result at a time
     return 2 if any(r.has_deployed_finding() for r in results) else 0
 
 
 def _cmd_report(args) -> int:
-    files = sorted(p for p in args.input.iterdir() if p.suffix == ".json")
-    if not files:
+    # names, not paths, so what is held per file stays small
+    names = sorted(name for name in os.listdir(args.input) if os.path.splitext(name)[1] == ".json")
+    if not names:
         raise DepscopeError(f"no .json scan results in {args.input}")
-    results = [result for path in files for result in _load(path, parse_scan_results_json)]
+    # aggregate reads every file before anything is written, holding one at a time
+    results = (result for name in names
+               for result in _load(args.input / name, parse_scan_results_json))
     sys.stdout.write(render(aggregate(results), args.format))
     return 0
 

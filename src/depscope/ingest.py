@@ -6,8 +6,8 @@
 * the vulnerability knowledge base as JSON.
 
 All parsers are pure functions from document text to model values.
-:func:`csv_text` and :func:`json_text` fix the encoding of every CSV and JSON
-output the package renders.
+:func:`csv_rows`, :func:`csv_text` and :func:`json_text` fix the encoding of
+every CSV and JSON output the package renders.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io
 import json
 import re
 from datetime import date
+from itertools import chain
 
 from depscope.errors import (
     EmptyAffectedSet,
@@ -27,7 +28,6 @@ from depscope.errors import (
     SchemaViolation,
 )
 from depscope.model import (
-    DependencyNode,
     DependencyTree,
     Ga,
     Gav,
@@ -41,13 +41,16 @@ from depscope.model import (
 )
 
 
+def csv_rows(rows) -> str:
+    """Rows as CSV with LF line ends."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def csv_text(header, rows) -> str:
     """A header row and data rows as CSV with LF line ends."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return out.getvalue()
+    return csv_rows(chain((header,), rows))
 
 
 def json_text(data) -> str:
@@ -55,16 +58,52 @@ def json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def parse_json(doc: str):
     """The value of a JSON document. Malformed JSON, an integer literal too
     long to convert, and nesting deeper than the stdlib decoder follows are
-    schema violations at the document."""
+    schema violations at the document; a string holding a lone surrogate is
+    one at the string."""
     try:
-        return json.loads(doc)
+        value = json.loads(doc)
     except RecursionError:
         raise SchemaViolation("", "invalid JSON: nested too deeply to decode") from None
     except ValueError as exc:  # JSONDecodeError, or the integer digit limit
         raise SchemaViolation("", f"invalid JSON: {exc}") from None
+    # a decoded surrogate comes from an escape in its range or from the text
+    # itself; most documents have neither, and isascii is O(1)
+    if _SURROGATE_ESCAPE.search(doc) or not doc.isascii() and _SURROGATE.search(doc):
+        _reject_lone_surrogates(value)
+    return value
+
+
+def _check_surrogates(text: str, pointer: str) -> None:
+    found = not text.isascii() and _SURROGATE.search(text)
+    if found:
+        raise SchemaViolation(pointer, f"unpaired surrogate {found.group()!r}")
+
+
+def _reject_lone_surrogates(value) -> None:
+    """Raise at the first string in preorder holding a surrogate code point:
+    an escape such as ``"\\ud800"`` that no other half pairs. No UTF-8
+    output can encode it, so it fails here, where its pointer is known,
+    instead of mid-write. Keys are checked with their object, which a
+    pointer names."""
+    stack = [("", value)]
+    while stack:
+        pointer, value = stack.pop()
+        if isinstance(value, str):
+            _check_surrogates(value, pointer)
+        elif isinstance(value, dict):
+            for name in value:
+                _check_surrogates(name, pointer)
+            stack.extend((f"{pointer}/{name.replace('~', '~0').replace('/', '~1')}", child)
+                         for name, child in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((f"{pointer}/{i}", value[i]) for i in reversed(range(len(value))))
 
 
 def json_object(value, pointer: str, required: frozenset, optional: frozenset = frozenset()) -> dict:
@@ -236,20 +275,37 @@ def parse_tree_json(doc: str) -> DependencyTree:
     return DependencyTree(build_tree(preorder), analysis_time)
 
 
-def _node_to_dict(node: DependencyNode) -> dict:
-    return {
-        "gav": str(node.gav),
-        "scope": node.scope.value,
-        "children": [_node_to_dict(child) for child in node.children],
-    }
-
-
 def render_tree_json(tree: DependencyTree) -> str:
-    """Canonical BoM JSON rendering; inverse of :func:`parse_tree_json`."""
-    data: dict = {"root": _node_to_dict(tree.root)}
+    """Canonical BoM JSON rendering; inverse of :func:`parse_tree_json`.
+
+    The bytes are those of :func:`json_text` on the nested node objects
+    (keys ``children``, ``gav``, ``scope``), written from an explicit stack
+    so that no depth exhausts the interpreter's.
+    """
+    out = ["{\n"]
     if tree.analysis_time is not None:
-        data["analysis_time"] = tree.analysis_time.isoformat()
-    return json_text(data)
+        out.append(f'  "analysis_time": "{tree.analysis_time.isoformat()}",\n')
+    out.append('  "root": ')
+    stack: list = ["\n}\n", (tree.root, 1)]  # literal text, or a node and its level
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, level = item
+        pad, inner = "  " * level, "  " * (level + 1)
+        rest = (f'{inner}"gav": {json.dumps(str(node.gav))},\n'
+                f'{inner}"scope": {json.dumps(node.scope.value)}\n{pad}}}')
+        if not node.children:
+            out.append(f'{{\n{inner}"children": [],\n{rest}')
+            continue
+        out.append(f'{{\n{inner}"children": [\n')
+        stack.append(f"\n{inner}],\n{rest}")
+        child_pad = "  " * (level + 2)
+        for i in reversed(range(len(node.children))):
+            stack.append((node.children[i], level + 2))
+            stack.append(f",\n{child_pad}" if i else child_pad)
+    return "".join(out)
 
 
 # --- release histories -------------------------------------------------------
@@ -325,7 +381,8 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
         raise SchemaViolation("", "document root must be an array")
 
     records = []
-    for i, entry in enumerate(data):
+    for i in range(len(data)):
+        entry, data[i] = data[i], None  # the parsed entry goes once its record is built
         pointer = f"/{i}"
         json_object(entry, pointer, _RECORD_KEYS)
         vuln_id = _kb_text(entry, "id", pointer, segment=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from depscope.analysis import (
     classify_responsibility,
@@ -24,6 +24,7 @@ from depscope.analysis import (
 )
 from depscope.errors import MissingHistory, SchemaViolation
 from depscope.ingest import (
+    csv_rows,
     csv_text,
     json_object,
     json_text,
@@ -407,22 +408,18 @@ _CENSUS_CSV_HEADER = [
 ]
 
 
-def _results_csv(results: Sequence[ScanResult]) -> str:
-    return csv_text(
-        _CENSUS_CSV_HEADER,
-        (
-            [
-                str(result.root), str(row.gav), row.gav.group_id,
-                row.gav.artifact_id, row.gav.version, row.depth,
-                _bool(row.direct), _bool(row.deployed), _bool(row.vulnerable),
-                ";".join(row.vuln_ids), _bool(row.own),
-                row.responsibility.value, row.library_status.value,
-                row.instance_status.value, _bool(row.via_halted),
-                _bool(row.unknown_history),
-            ]
-            for result in results
-            for row in result.census
-        ),
+def _result_csv(result: ScanResult) -> str:
+    return csv_rows(
+        [
+            str(result.root), str(row.gav), row.gav.group_id,
+            row.gav.artifact_id, row.gav.version, row.depth,
+            _bool(row.direct), _bool(row.deployed), _bool(row.vulnerable),
+            ";".join(row.vuln_ids), _bool(row.own),
+            row.responsibility.value, row.library_status.value,
+            row.instance_status.value, _bool(row.via_halted),
+            _bool(row.unknown_history),
+        ]
+        for row in result.census
     )
 
 
@@ -460,28 +457,45 @@ def _result_to_dict(result: ScanResult) -> dict:
     }
 
 
+def render_chunks(obj, format: str = "text") -> Iterator[str]:
+    """:func:`render`'s output in pieces, one per scan result of a list, so a
+    caller can write each as it is made instead of holding the whole text."""
+    if format not in ("text", "csv", "json"):
+        raise ValueError(f"unknown format {format!r}")
+    if isinstance(obj, AggregateReport):
+        if format == "text":
+            yield _aggregate_text(obj)
+        elif format == "csv":
+            yield csv_text(["cell", "count"], ([key, obj.get(key)] for key in CELL_KEYS))
+        else:
+            yield json_text({"cells": dict(obj.cells)})
+        return
+    results = (obj,) if isinstance(obj, ScanResult) else obj
+    if format == "text":
+        for i, result in enumerate(results):
+            yield "\n" * (i > 0) + _result_text(result)
+    elif format == "csv":
+        yield csv_text(_CENSUS_CSV_HEADER, ())
+        for result in results:
+            yield _result_csv(result)
+    elif isinstance(obj, ScanResult):
+        yield json_text(_result_to_dict(obj))
+    else:
+        # an element of an indented array is its own document indented one level
+        opener = "[\n"
+        for result in results:
+            yield opener + "  " + json_text(_result_to_dict(result))[:-1].replace("\n", "\n  ")
+            opener = ",\n"
+        yield "[]\n" if opener == "[\n" else "\n]\n"
+
+
 def render(obj, format: str = "text") -> str:
     """Render a scan result, a list of scan results, or an aggregate report.
 
     All formats are deterministic: rendering the same value twice yields
     byte-identical output.
     """
-    if format not in ("text", "csv", "json"):
-        raise ValueError(f"unknown format {format!r}")
-    if isinstance(obj, AggregateReport):
-        if format == "text":
-            return _aggregate_text(obj)
-        if format == "csv":
-            return csv_text(["cell", "count"], ([key, obj.get(key)] for key in CELL_KEYS))
-        return json_text({"cells": dict(obj.cells)})
-    results = [obj] if isinstance(obj, ScanResult) else list(obj)
-    if format == "text":
-        return "\n".join(_result_text(result) for result in results)
-    if format == "csv":
-        return _results_csv(results)
-    if isinstance(obj, ScanResult):
-        return json_text(_result_to_dict(obj))
-    return json_text([_result_to_dict(r) for r in results])
+    return "".join(render_chunks(obj, format))
 
 
 # --- report JSON round trip -----------------------------------------------------

@@ -1,6 +1,7 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
 fixture, a random tree generator for oracle tests, a synthetic simulation
-pool, and a JSON mutator for parser fuzzing."""
+pool, a JSON mutator for parser fuzzing, and Hypothesis strategies for trees
+and scan results."""
 
 from __future__ import annotations
 
@@ -16,11 +17,16 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
+    InstanceStatus,
+    LibraryStatus,
     Release,
     ReleaseHistory,
+    Responsibility,
     Scope,
     VulnerabilityRecord,
+    VulnerablePath,
 )
+from depscope.report import CensusRow, ScanResult
 from depscope.simulate import SimulationPool
 
 ANALYSIS_TIME = date(2018, 6, 1)
@@ -342,3 +348,59 @@ def mutate_json(doc, data) -> None:
         parent[key].clear()
     else:
         parent[key] = ""
+
+
+# --- Hypothesis strategies for trees and scan results ------------------------------
+
+# any text but lone surrogates, which the JSON parsers reject; coordinate
+# segments add only the model's own rule, no ':'
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+SEGMENTS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=":"),
+                   min_size=1, max_size=4)
+GAVS = st.builds(Gav, SEGMENTS, SEGMENTS, SEGMENTS)
+
+
+@st.composite
+def trees(draw, max_nodes: int = 15) -> DependencyTree:
+    """A tree of distinct libraries, each node under a random earlier one,
+    with random scopes below the root and an optional analysis time."""
+    gavs = draw(st.lists(GAVS, min_size=1, max_size=max_nodes, unique_by=lambda gav: gav.ga))
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, len(gavs))]
+    scopes = [Scope.COMPILE] + draw(st.lists(st.sampled_from(Scope), min_size=len(parents),
+                                             max_size=len(parents)))
+    children: list[list[DependencyNode]] = [[] for _ in gavs]
+    for i in reversed(range(len(gavs))):  # every child index exceeds its parent's
+        node = DependencyNode(gavs[i], scopes[i], tuple(reversed(children[i])))
+        if i:
+            children[parents[i - 1]].append(node)
+    return DependencyTree(node, draw(st.none() | st.dates()))
+
+
+_CENSUS_ROWS = st.builds(
+    CensusRow,
+    gav=GAVS,
+    depth=st.integers(1, 40),
+    deployed=st.booleans(),
+    vuln_ids=st.lists(TEXT, max_size=3).map(tuple),
+    responsibility=st.sampled_from(Responsibility),
+    library_status=st.sampled_from(LibraryStatus),
+    instance_status=st.sampled_from(InstanceStatus),
+    via_halted=st.booleans(),
+    unknown_history=st.booleans(),
+)
+_PATHS = st.builds(
+    lambda raw, grouped_tail, **fields: VulnerablePath(raw, raw[:1] + grouped_tail, **fields),
+    st.lists(GAVS, min_size=1, max_size=4).map(tuple),
+    st.lists(GAVS, max_size=3).map(tuple),
+    vuln_id=TEXT,
+    responsibility=st.sampled_from(Responsibility),
+    via_halted=st.booleans(),
+)
+SCAN_RESULTS = st.builds(
+    ScanResult,
+    root=GAVS,
+    analysis_time=st.dates(),
+    include_non_deployed=st.booleans(),
+    paths=st.lists(_PATHS, max_size=3).map(tuple),
+    census=st.lists(_CENSUS_ROWS, max_size=5).map(tuple),
+)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
+from datetime import date
 
 import pytest
 
 from depscope.cli import main
 from depscope.ingest import render_tree_json
-from depscope.report import aggregate, render, scan
+from depscope.report import CensusRow, ScanResult, aggregate, render, scan
 
 from conftest import (
     ANALYSIS_TIME,
@@ -16,7 +18,7 @@ from conftest import (
     history_csv,
     stalled_history,
 )
-from depscope.model import Ga
+from depscope.model import Ga, Gav, InstanceStatus, LibraryStatus, Responsibility
 
 
 @pytest.fixture
@@ -420,3 +422,98 @@ def test_report_rejects_unknown_result_key(workspace, capsys):
     assert main(["report", "--input", str(workspace / "results")]) == 1
     err = capsys.readouterr().err
     assert "extra.json" in err and "schema violation at /census/0: unexpected key 'extra'" in err
+
+
+# --- one result at a time ---------------------------------------------------------
+
+
+def _tree_with_child(gav_json: str) -> str:
+    child = f'{{"gav": "{gav_json}", "scope": "compile", "children": []}}'
+    return f'{{"root": {{"gav": "com.acme:app-core:1.0", "scope": "compile", "children": [{child}]}}}}'
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("kind", ["tree", "kb", "result"])
+def test_lone_surrogate_names_file_and_pointer(workspace, capsys, kind, fmt):
+    if kind == "tree":
+        (workspace / "odd.json").write_text(_tree_with_child("g:a:\\ud800"))
+        args = _scan_args(workspace, "--format", fmt, "--lenient-history")
+        args[args.index("--tree") + 1] = str(workspace / "odd.json")
+        pointer = "/root/children/0/gav"
+    elif kind == "kb":
+        kb = json.loads(SAMPLE_KB_JSON)
+        kb[1]["id"] = "VULN-\udc00"
+        (workspace / "odd.json").write_text(json.dumps(kb))
+        args = _scan_args(workspace, "--format", fmt)
+        args[args.index("--kb") + 1] = str(workspace / "odd.json")
+        pointer = "/1/id"
+    else:
+        main(_scan_args(workspace, "--format", "json"))
+        data = json.loads(capsys.readouterr().out)
+        data["census"][0]["vuln_ids"] = ["\ud800"]
+        (workspace / "results").mkdir()
+        (workspace / "results" / "odd.json").write_text(json.dumps(data))
+        args = ["report", "--input", str(workspace / "results"), "--format", fmt]
+        pointer = "/census/0/vuln_ids/0"
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd.json" in captured.err
+    assert f"schema violation at {pointer}: unpaired surrogate" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_scan_directory_writes_nothing_when_last_tree_lacks_history(workspace, capsys, fmt):
+    corpus = workspace / "corpus"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text(SAMPLE_TREE_TEXT)
+    (corpus / "b.txt").write_text("zz.group:late:1.0\n+- zz.none:unknown:jar:1.0:compile\n")
+    args = _scan_args(workspace, "--format", fmt)
+    args[args.index("--tree") + 1] = str(corpus)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no release history for library zz.none:unknown" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_report_writes_nothing_when_last_file_is_malformed(workspace, capsys, fmt):
+    main(_scan_args(workspace, "--format", "json"))
+    scan_json = capsys.readouterr().out
+    results = workspace / "results"
+    results.mkdir()
+    for k in range(3):
+        (results / f"r{k}.json").write_text(scan_json)
+    (results / "z.json").write_text('{"root": "com.acme:app-core:1.0"}')
+    assert main(["report", "--input", str(results), "--format", fmt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "z.json" in captured.err and "schema violation at <document>: missing key" in captured.err
+
+
+def _report_peak_bytes(directory, files: int, text: str, capsys) -> int:
+    directory.mkdir()
+    for k in range(files):
+        (directory / f"r{k:04d}.json").write_text(text)
+    tracemalloc.start()
+    try:
+        assert main(["report", "--input", str(directory), "--format", "json"]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        assert json.loads(capsys.readouterr().out)["cells"]["trees"] == files
+
+
+def test_report_memory_does_not_grow_with_file_count(tmp_path, capsys):
+    """``report`` holds one saved result at a time, so ten times the files
+    must not mean ten times the peak."""
+    rows = tuple(
+        CensusRow(Gav(f"org.g{i}", f"a{i}", "1.0"), 1 + i % 3, True, ("V-1",) * (i % 7 == 0),
+                  Responsibility.TRANSITIVE, LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE,
+                  False, False)
+        for i in range(50)
+    )
+    text = render(ScanResult(Gav("com.app", "app", "1.0"), date(2018, 6, 1), False, (), rows), "json")
+    small = _report_peak_bytes(tmp_path / "small", 40, text, capsys)
+    large = _report_peak_bytes(tmp_path / "large", 400, text, capsys)
+    assert large < 1.5 * small

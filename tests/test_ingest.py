@@ -4,6 +4,7 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given, settings
 
 from depscope.errors import (
     DuplicateGa,
@@ -15,8 +16,10 @@ from depscope.errors import (
     SchemaViolation,
 )
 from depscope.ingest import (
+    json_text,
     load_release_history,
     load_vuln_kb,
+    parse_json,
     parse_tree_json,
     parse_tree_text,
     render_tree_json,
@@ -28,8 +31,10 @@ from conftest import (
     SAMPLE_TREE_JSON,
     SAMPLE_TREE_TEXT,
     build_synthetic_pool,
+    deep_chain_tree,
     history_csv,
     stalled_history,
+    trees,
 )
 
 
@@ -202,6 +207,31 @@ def test_tree_json_round_trip(sample_tree):
     assert render_tree_json(parse_tree_json(rendered)) == rendered
 
 
+def _node_to_dict(node) -> dict:
+    return {
+        "gav": str(node.gav),
+        "scope": node.scope.value,
+        "children": [_node_to_dict(child) for child in node.children],
+    }
+
+
+@settings(deadline=None)
+@given(tree=trees())
+def test_render_tree_json_is_json_text_of_the_nested_nodes(tree):
+    data = {"root": _node_to_dict(tree.root)}
+    if tree.analysis_time is not None:
+        data["analysis_time"] = tree.analysis_time.isoformat()
+    assert render_tree_json(tree) == json_text(data)
+
+
+def test_render_tree_json_deeper_than_recursion_limit():
+    rendered = render_tree_json(deep_chain_tree(1500))
+    assert rendered.count('"gav"') == 1501
+    # the chain's node at depth d sits at nesting level 2d + 1, its keys one deeper
+    assert "\n" + "  " * 3002 + '"gav": "org.deep1500:lib1500:1.0",\n' in rendered
+    assert rendered.endswith("\n  }\n}\n")
+
+
 def test_parse_tree_text_tolerates_trailing_whitespace():
     tree = parse_tree_text("com.acme:m:1.0   \n+- g:a:jar:1:compile  \n")
     assert tree.root.children[0].gav == Gav("g", "a", "1")
@@ -319,6 +349,42 @@ def test_load_kb_schema_pointer():
     with pytest.raises(SchemaViolation) as exc:
         load_vuln_kb(doc)
     assert exc.value.pointer == "/0/affected/0"
+
+
+# --- lone surrogates -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc, pointer",
+    [
+        ('"\\ud800"', ""),
+        ('{"a": ["x", "\\udc00y"]}', "/a/1"),
+        ('{"a/b~c": "\\ud83d"}', "/a~1b~0c"),
+        ('{"a": {"b": 1, "\\ud800": 2}}', "/a"),  # a key has no pointer: its object is named
+        ('{"a": {"b": "\\ud800"}, "c": "\\udfff"}', "/a/b"),  # the first in preorder
+        ('["ok", "\ud800"]', "/1"),  # an unescaped surrogate in library input
+    ],
+)
+def test_parse_json_rejects_lone_surrogate_at_its_pointer(doc, pointer):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_json(doc)
+    assert exc.value.pointer == pointer
+    assert "surrogate" in exc.value.reason
+
+
+def test_parse_json_accepts_paired_surrogates():
+    assert parse_json('["\\ud83d\\ude00", "\\u00e9"]') == ["\U0001f600", "\u00e9"]
+
+
+def test_lone_surrogate_in_tree_and_kb_is_schema_violation():
+    tree = '{"root": {"gav": "g:a:\\ud800", "scope": "compile", "children": []}}'
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json(tree)
+    assert exc.value.pointer == "/root/gav"
+    kb = '[{"id": "V\\udc00", "affected": [{"group": "g", "artifact": "a", "versions": ["1"]}]}]'
+    with pytest.raises(SchemaViolation) as exc:
+        load_vuln_kb(kb)
+    assert exc.value.pointer == "/0/id"
 
 
 def test_load_kb_rejects_non_array():

@@ -4,10 +4,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
-from depscope.ingest import load_vuln_kb, parse_tree_text
+from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
 from depscope.model import Ga, Gav, LibraryStatus, Responsibility, Scope
 from depscope.report import (
     CELL_KEYS,
@@ -16,14 +16,17 @@ from depscope.report import (
     parse_aggregate_json,
     parse_scan_results_json,
     render,
+    render_chunks,
     scan,
 )
+from depscope.report import _CENSUS_CSV_HEADER, _result_text, _result_to_dict
 
 from conftest import (
     ANALYSIS_TIME,
     SAMPLE_GAVS,
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
+    SCAN_RESULTS,
     alive_history,
     mutate_json,
     random_tree_case,
@@ -311,6 +314,52 @@ def test_saved_aggregate_cells_must_be_integers():
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json('{"cells": {"trees": [1]}}')
     assert exc.value.pointer == "/cells/trees"
+
+
+def _render_whole(results: list, format: str) -> str:
+    """A list of results rendered as one value: one text join, one CSV table
+    or one JSON array, the reference for the chunked rendering."""
+    if format == "text":
+        return "\n".join(_result_text(result) for result in results)
+    if format == "csv":
+        flag = {True: "true", False: "false"}
+        return csv_text(_CENSUS_CSV_HEADER, [
+            [str(result.root), str(row.gav), row.gav.group_id, row.gav.artifact_id,
+             row.gav.version, row.depth, flag[row.direct], flag[row.deployed],
+             flag[row.vulnerable], ";".join(row.vuln_ids), flag[row.own],
+             row.responsibility.value, row.library_status.value, row.instance_status.value,
+             flag[row.via_halted], flag[row.unknown_history]]
+            for result in results
+            for row in result.census
+        ])
+    return json_text([_result_to_dict(result) for result in results])
+
+
+@settings(deadline=None)
+@given(results=st.lists(SCAN_RESULTS, max_size=4), format=st.sampled_from(["text", "csv", "json"]))
+def test_chunks_join_to_the_whole_rendering(results, format):
+    chunks = list(render_chunks(results, format))
+    assert "".join(chunks) == render(results, format) == _render_whole(results, format)
+    # one chunk per result, plus the CSV header or the JSON array's close
+    assert len(chunks) == len(results) + (format != "text")
+    if results:
+        single = "".join(render_chunks(results[0], format))
+        assert single == render(results[0], format)
+        assert single == (json_text(_result_to_dict(results[0])) if format == "json"
+                          else _render_whole(results[:1], format))
+
+
+@settings(deadline=None)
+@given(results=st.lists(SCAN_RESULTS, max_size=4))
+def test_generated_results_json_round_trip(results):
+    rendered = render(results, "json")
+    parsed = parse_scan_results_json(rendered)
+    assert parsed == results
+    assert render(parsed, "json") == rendered
+    if results:
+        one = render(results[0], "json")
+        assert parse_scan_results_json(one) == results[:1]
+        assert render(parse_scan_results_json(one)[0], "json") == one
 
 
 def test_json_paths_carry_responsibilities(sample_tree, sample_kb, sample_histories):
