@@ -32,6 +32,7 @@ from depscope.model import (
     InstanceStatus,
     LibraryStatus,
     Release,
+    ReleaseHistories,
     ReleaseHistory,
     Responsibility,
     Scope,

@@ -101,13 +101,14 @@ def _cmd_scan(args) -> int:
     histories = _load(args.history, load_release_history)
     kb = _load(args.kb, load_vuln_kb)
     trees = _load_trees(args.tree)
+    cfg = _smoothing(args)  # one config, so every tree reads the one verdict table
     results = [
         scan(
             tree,
             kb,
             histories,
             time=args.time,
-            cfg=_smoothing(args),
+            cfg=cfg,
             lenient=args.lenient_history,
             include_non_deployed=args.include_non_deployed,
         )

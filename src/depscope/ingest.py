@@ -32,6 +32,7 @@ from depscope.model import (
     Ga,
     Gav,
     Release,
+    ReleaseHistories,
     ReleaseHistory,
     Scope,
     VulnerabilityKb,
@@ -313,12 +314,13 @@ def render_tree_json(tree: DependencyTree) -> str:
 _HISTORY_HEADER = ["group_id", "artifact_id", "version", "release_date"]
 
 
-def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
+def load_release_history(doc: str) -> ReleaseHistories:
     """Load release histories from CSV keyed by library.
 
     Rows are grouped by library and sorted ascending by date; equal dates
     keep file order. Header must be exactly
-    ``group_id,artifact_id,version,release_date``.
+    ``group_id,artifact_id,version,release_date``. The result keeps its
+    lifecycle verdict table (see :class:`ReleaseHistories`).
     """
     reader = csv.reader(io.StringIO(doc))
     rows: dict[Ga, list[Release]] = {}
@@ -347,10 +349,10 @@ def load_release_history(doc: str) -> dict[Ga, ReleaseHistory]:
     except csv.Error as exc:  # a record the reader cannot split, e.g. one over its field limit
         raise MalformedRow(reader.line_num, str(exc)) from None
 
-    return {
-        ga: ReleaseHistory(ga, tuple(sorted(releases, key=lambda r: r.released)))
+    return ReleaseHistories(
+        (ga, ReleaseHistory(ga, tuple(sorted(releases, key=lambda r: r.released))))
         for ga, releases in rows.items()
-    }
+    )
 
 
 # --- vulnerability knowledge base --------------------------------------------

@@ -13,13 +13,21 @@ fixed default interval.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from depscope.errors import UnknownVersion
 from depscope.ingest import csv_text, json_text
-from depscope.model import Ga, Gav, InstanceStatus, LibraryStatus, ReleaseHistory
+from depscope.model import (
+    Ga,
+    Gav,
+    InstanceStatus,
+    LibraryStatus,
+    ReleaseHistories,
+    ReleaseHistory,
+)
 
 
 @dataclass(frozen=True)
@@ -63,26 +71,84 @@ def expected_release_date(history: ReleaseHistory, cfg: SmoothingConfig) -> date
     return history.last_release.released + timedelta(days=math.floor(interval + 0.5))
 
 
+class LibraryVerdict(NamedTuple):
+    """What the cadence model says of one library at one analysis time and
+    smoothing config."""
+
+    status: LibraryStatus
+    interval: float  # the smoothed interval, in days
+    expected: date  # the expected next release
+    dates: Mapping[str, date]  # version -> release date
+    last_visible: date  # of the last release on or before the time; date.min when none
+
+    def instance_status(self, gav: Gav) -> InstanceStatus:
+        """Outdated when a release newer than ``gav``'s own was visible at
+        the time, i.e. when its own date precedes the last visible one."""
+        own = self.dates.get(gav.version)
+        if own is None:
+            raise UnknownVersion(gav)
+        return InstanceStatus.OUTDATED if own < self.last_visible else InstanceStatus.UP_TO_DATE
+
+
+def library_verdict(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -> LibraryVerdict:
+    """The verdict on ``history``'s library at ``time`` under ``cfg``.
+
+    The library is halted when its expected next release date lies strictly
+    before ``time``. Releases dated after ``time`` are invisible: an
+    instance is judged against what had been published by then."""
+    expected = expected_release_date(history, cfg)
+    dates = [release.released for release in history.releases]
+    visible = bisect_right(dates, time)  # the releases are sorted by date
+    return LibraryVerdict(
+        status=LibraryStatus.HALTED if expected < time else LibraryStatus.ALIVE,
+        interval=last_release_interval(history, cfg),
+        expected=expected,
+        dates={release.version: release.released for release in history.releases},
+        last_visible=dates[visible - 1] if visible else date.min,
+    )
+
+
 def library_status(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -> LibraryStatus:
     """Halted when the expected next release date lies strictly before ``time``."""
-    if expected_release_date(history, cfg) < time:
-        return LibraryStatus.HALTED
-    return LibraryStatus.ALIVE
+    return library_verdict(history, time, cfg).status
 
 
 def instance_status(gav: Gav, history: ReleaseHistory, time: date) -> InstanceStatus:
-    """Outdated when a strictly newer release exists and is visible at ``time``.
+    """Outdated when a strictly newer release exists and is visible at ``time``."""
+    # the smoothing config plays no part in the instance status
+    return library_verdict(history, time, SmoothingConfig()).instance_status(gav)
 
-    Releases dated after ``time`` are invisible: an instance is judged
-    against what had been published by the analysis date.
+
+class VerdictTable(dict):
+    """``Ga -> LibraryVerdict`` over one mapping of histories at one time and
+    config, ``None`` for a library without history. A library's verdict is
+    made on its first lookup."""
+
+    def __init__(self, histories: Mapping[Ga, ReleaseHistory], time: date, cfg: SmoothingConfig):
+        super().__init__()
+        self.histories, self.time, self.cfg = histories, time, cfg
+
+    def __missing__(self, ga: Ga) -> LibraryVerdict | None:
+        history = self.histories.get(ga)
+        verdict = self[ga] = None if history is None else library_verdict(history, self.time, self.cfg)
+        return verdict
+
+
+def verdict_table(
+    histories: Mapping[Ga, ReleaseHistory], time: date, cfg: SmoothingConfig
+) -> VerdictTable:
+    """The verdict table of ``histories`` at ``(time, cfg)``.
+
+    A loaded :class:`ReleaseHistories` keeps the table of the latest
+    ``(time, cfg)``, so every tree of a run reads one table; any other
+    mapping gets a fresh table over it, without a copy.
     """
-    own_date = history.release_date_of(gav.version)
-    if own_date is None:
-        raise UnknownVersion(gav)
-    for release in history.releases:
-        if own_date < release.released <= time:
-            return InstanceStatus.OUTDATED
-    return InstanceStatus.UP_TO_DATE
+    if not isinstance(histories, ReleaseHistories):
+        return VerdictTable(histories, time, cfg)
+    table = histories.verdicts
+    if table is None or table.time != time or table.cfg != cfg:
+        table = histories.verdicts = VerdictTable(histories, time, cfg)
+    return table
 
 
 _STATUS_HEADER = ["library", "releases", "last_release", "interval_days", "expected_release", "status"]
@@ -92,17 +158,18 @@ def render_status(
     histories: Mapping[Ga, ReleaseHistory], time: date, cfg: SmoothingConfig, format: str = "text"
 ) -> str:
     """The cadence verdict of every library at ``time``, in sorted order."""
-    rows = [
-        [
+    verdicts = verdict_table(histories, time, cfg)
+    rows = []
+    for ga, history in sorted(histories.items()):
+        verdict = verdicts[ga]
+        rows.append([
             str(ga),
             len(history.releases),
             history.last_release.released.isoformat(),
-            round(last_release_interval(history, cfg), 3),
-            expected_release_date(history, cfg).isoformat(),
-            library_status(history, time, cfg).value,
-        ]
-        for ga, history in sorted(histories.items())
-    ]
+            round(verdict.interval, 3),
+            verdict.expected.isoformat(),
+            verdict.status.value,
+        ])
     if format == "json":
         libraries = [dict(zip(_STATUS_HEADER, row)) for row in rows]
         return json_text({"time": time.isoformat(), "libraries": libraries})

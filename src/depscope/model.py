@@ -269,11 +269,35 @@ class ReleaseHistory:
     def last_release(self) -> Release:
         return self.releases[-1]
 
-    def release_date_of(self, version: str) -> date | None:
-        for release in self.releases:
-            if release.version == version:
-                return release.released
-        return None
+
+def _drops_verdicts(method):
+    def changing(self, *args, **kwargs):
+        self.verdicts = None
+        return method(self, *args, **kwargs)
+
+    return changing
+
+
+class ReleaseHistories(dict):
+    """Release histories keyed by library, as the loader returns them.
+
+    The mapping also keeps the lifecycle verdict table of the latest
+    analysis time and smoothing config asked of it
+    (:func:`depscope.lifecycle.verdict_table`), so the scans of a run share
+    one table. Every change to the mapping drops the table, so no verdict
+    outlives the history it was made from.
+    """
+
+    verdicts = None
+
+    __setitem__ = _drops_verdicts(dict.__setitem__)
+    __delitem__ = _drops_verdicts(dict.__delitem__)
+    __ior__ = _drops_verdicts(dict.__ior__)
+    clear = _drops_verdicts(dict.clear)
+    pop = _drops_verdicts(dict.pop)
+    popitem = _drops_verdicts(dict.popitem)
+    setdefault = _drops_verdicts(dict.setdefault)
+    update = _drops_verdicts(dict.update)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ are kept apart and named explicitly.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
@@ -33,7 +34,7 @@ from depscope.ingest import (
     parse_gav_at,
     parse_json,
 )
-from depscope.lifecycle import SmoothingConfig, instance_status, library_status
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyTree,
     Ga,
@@ -164,25 +165,30 @@ def scan(
     it. In strict mode the first library in preorder without release history
     raises :class:`MissingHistory`; with ``lenient`` it is counted as
     alive/up-to-date (so never halted) and flagged ``unknown_history``.
+    ``lenient`` covers only libraries with no history at all: in both modes
+    a version missing from a history that exists raises
+    :class:`UnknownVersion` at the first such node in preorder.
 
     ``time`` defaults to the tree's own analysis date when present, else
-    today.
+    today. Lifecycle verdicts come from the verdict table of ``histories``
+    at ``(time, cfg)`` (:func:`depscope.lifecycle.verdict_table`).
     """
     cfg = cfg or SmoothingConfig()
     time = time or tree.analysis_time or date.today()
     root = tree.root.gav
     matched = tree if include_non_deployed else filter_non_deployed(tree)
     annotated = match_vulnerabilities(matched, kb)
+    verdicts = verdict_table(histories, time, cfg)
 
     rows = []
     halted_direct: set[Gav] = set()  # the halted depth-1 rows so far
     for node, chain, deployed in islice(tree.chains(), 1, None):  # every node but the root
         gav = node.gav
         depth = len(chain) - 1
-        history = histories.get(gav.ga)
-        if history is not None:
-            lib_status = library_status(history, time, cfg)
-            inst_status = instance_status(gav, history, time)
+        verdict = verdicts[gav.ga]
+        if verdict is not None:
+            lib_status = verdict.status
+            inst_status = verdict.instance_status(gav)
         elif lenient:
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
@@ -204,7 +210,7 @@ def scan(
                 instance_status=inst_status,
                 # chain[-2] is the node's depth-1 ancestor
                 via_halted=deployed and depth > 1 and chain[-2] in halted_direct,
-                unknown_history=history is None,
+                unknown_history=verdict is None,
             )
         )
 
@@ -423,38 +429,63 @@ def _result_csv(result: ScanResult) -> str:
     )
 
 
-def _result_to_dict(result: ScanResult) -> dict:
-    return {
-        "analysis_time": result.analysis_time.isoformat(),
-        "census": [
-            {
-                "gav": str(row.gav),
-                "depth": row.depth,
-                "direct": row.direct,
-                "deployed": row.deployed,
-                "vuln_ids": list(row.vuln_ids),
-                "own": row.own,
-                "responsibility": row.responsibility.value,
-                "library_status": row.library_status.value,
-                "instance_status": row.instance_status.value,
-                "via_halted": row.via_halted,
-                "unknown_history": row.unknown_history,
-            }
-            for row in result.census
-        ],
-        "include_non_deployed": result.include_non_deployed,
-        "paths": [
-            {
-                "vuln_id": path.vuln_id,
-                "raw_path": [str(g) for g in path.raw_path],
-                "grouped_path": [str(g) for g in path.grouped_path],
-                "responsibility": path.responsibility.value,
-                "via_halted": path.via_halted,
-            }
-            for path in result.paths
-        ],
-        "root": str(result.root),
-    }
+_encode = json.encoder.encode_basestring_ascii  # the string encoder json_text uses
+
+
+def _json_list(items, pad: str) -> str:
+    """A JSON array of already encoded ``items`` as :func:`json_text` indents
+    it when the array's own line starts with ``pad``."""
+    if not items:
+        return "[]"
+    inner = f",\n{pad}  "
+    return f"[\n{pad}  " + inner.join(items) + f"\n{pad}]"
+
+
+def _result_json(result: ScanResult, pad: str = "") -> str:
+    """The result as :func:`json_text` writes its JSON object, without the
+    final newline and with every line after the first indented by ``pad``.
+
+    It is written straight from the result with fixed templates, because
+    with an indent ``json.dumps`` runs its pure-Python encoder. Keys are in
+    sorted order. Strings that may hold any character go through the C
+    string encoder that ``json.dumps`` uses; enum values and dates need no
+    escaping.
+    """
+    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
+    row_json = (
+        f'{{\n{p3}"deployed": %s,\n{p3}"depth": %d,\n{p3}"direct": %s,\n{p3}"gav": %s,\n'
+        f'{p3}"instance_status": "%s",\n{p3}"library_status": "%s",\n{p3}"own": %s,\n'
+        f'{p3}"responsibility": "%s",\n{p3}"unknown_history": %s,\n{p3}"via_halted": %s,\n'
+        f'{p3}"vuln_ids": %s\n{p2}}}'
+    )
+    path_json = (
+        f'{{\n{p3}"grouped_path": %s,\n{p3}"raw_path": %s,\n{p3}"responsibility": "%s",\n'
+        f'{p3}"via_halted": %s,\n{p3}"vuln_id": %s\n{p2}}}'
+    )
+    census = [
+        row_json % (
+            _bool(row.deployed), row.depth, _bool(row.direct), _encode(str(row.gav)),
+            row.instance_status.value, row.library_status.value, _bool(row.own),
+            row.responsibility.value, _bool(row.unknown_history), _bool(row.via_halted),
+            _json_list([_encode(vuln_id) for vuln_id in row.vuln_ids], p3),
+        )
+        for row in result.census
+    ]
+    paths = [
+        path_json % (
+            _json_list([_encode(str(gav)) for gav in path.grouped_path], p3),
+            _json_list([_encode(str(gav)) for gav in path.raw_path], p3),
+            path.responsibility.value, _bool(path.via_halted), _encode(path.vuln_id),
+        )
+        for path in result.paths
+    ]
+    return (
+        f'{{\n{p1}"analysis_time": "{result.analysis_time.isoformat()}",\n'
+        f'{p1}"census": {_json_list(census, p1)},\n'
+        f'{p1}"include_non_deployed": {_bool(result.include_non_deployed)},\n'
+        f'{p1}"paths": {_json_list(paths, p1)},\n'
+        f'{p1}"root": {_encode(str(result.root))}\n{pad}}}'
+    )
 
 
 def render_chunks(obj, format: str = "text") -> Iterator[str]:
@@ -479,12 +510,12 @@ def render_chunks(obj, format: str = "text") -> Iterator[str]:
         for result in results:
             yield _result_csv(result)
     elif isinstance(obj, ScanResult):
-        yield json_text(_result_to_dict(obj))
+        yield _result_json(obj) + "\n"
     else:
         # an element of an indented array is its own document indented one level
         opener = "[\n"
         for result in results:
-            yield opener + "  " + json_text(_result_to_dict(result))[:-1].replace("\n", "\n  ")
+            yield opener + "  " + _result_json(result, "  ")
             opener = ",\n"
         yield "[]\n" if opener == "[\n" else "\n]\n"
 

@@ -30,6 +30,7 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
+    ReleaseHistories,
     ReleaseHistory,
     Scope,
     VulnerabilityKb,
@@ -47,8 +48,10 @@ class SimulationPool:
     """The corpus a simulation draws from: trees, histories, vulnerabilities.
 
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
-    for all projects. ``libraries`` is derived once as well: for each pool
-    library in sorted order, the roots of its pool trees in version order.
+    for all projects, and ``histories`` as :class:`ReleaseHistories`, so
+    their lifecycle verdicts are too. ``libraries`` is derived once as well:
+    for each pool library in sorted order, the roots of its pool trees in
+    version order.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -62,6 +65,8 @@ class SimulationPool:
         object.__setattr__(self, "trees", tuple(self.trees))
         if not isinstance(self.kb, VulnerabilityKb):
             object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
+        if not isinstance(self.histories, ReleaseHistories):
+            object.__setattr__(self, "histories", ReleaseHistories(self.histories))
         by_library: dict[Ga, dict[str, DependencyNode]] = {}
         for tree in self.trees:
             root = tree.root.gav

@@ -1,7 +1,7 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
 fixture, a random tree generator for oracle tests, a synthetic simulation
-pool, a JSON mutator for parser fuzzing, and Hypothesis strategies for trees
-and scan results."""
+pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
+and scan results, and the reference JSON object of a scan result."""
 
 from __future__ import annotations
 
@@ -404,3 +404,39 @@ SCAN_RESULTS = st.builds(
     paths=st.lists(_PATHS, max_size=3).map(tuple),
     census=st.lists(_CENSUS_ROWS, max_size=5).map(tuple),
 )
+
+
+def result_to_dict(result: ScanResult) -> dict:
+    """The JSON object of a scan result, the reference for what ``render``
+    writes: ``json_text(result_to_dict(r)) == render(r, "json")``."""
+    return {
+        "analysis_time": result.analysis_time.isoformat(),
+        "census": [
+            {
+                "gav": str(row.gav),
+                "depth": row.depth,
+                "direct": row.direct,
+                "deployed": row.deployed,
+                "vuln_ids": list(row.vuln_ids),
+                "own": row.own,
+                "responsibility": row.responsibility.value,
+                "library_status": row.library_status.value,
+                "instance_status": row.instance_status.value,
+                "via_halted": row.via_halted,
+                "unknown_history": row.unknown_history,
+            }
+            for row in result.census
+        ],
+        "include_non_deployed": result.include_non_deployed,
+        "paths": [
+            {
+                "vuln_id": path.vuln_id,
+                "raw_path": [str(g) for g in path.raw_path],
+                "grouped_path": [str(g) for g in path.grouped_path],
+                "responsibility": path.responsibility.value,
+                "via_halted": path.via_halted,
+            }
+            for path in result.paths
+        ],
+        "root": str(result.root),
+    }

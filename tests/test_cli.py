@@ -225,6 +225,31 @@ def test_include_non_deployed_flag(workspace, capsys, sample_histories):
     assert "vulnerable paths: 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "lenient, error",
+    [
+        ((), "no release history for library org.none:unknown"),
+        (("--lenient-history",),
+         "version of org.webkit:http-client:8.8 does not appear in its release history"),
+    ],
+    ids=["strict", "lenient"],
+)
+def test_unknown_version_fails_in_both_history_modes(workspace, capsys, lenient, error):
+    # lenient mode covers only libraries with no history at all; a version
+    # missing from a history that exists fails at its first node in preorder,
+    # deployed or not
+    (workspace / "app-core.txt").write_text(
+        "com.acme:app-core:jar:1.0\n"
+        "+- org.none:unknown:jar:1.0:compile\n"
+        "\\- org.webkit:http-client:jar:8.8:test\n"
+        "   \\- com.acme:app-util:jar:9.9:compile\n"
+    )
+    assert main(_scan_args(workspace, *lenient)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"depscope: error: {error}\n"
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--tree", "x"])

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import math
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
 from depscope.errors import MissingHistory, UnknownVersion
+from depscope.ingest import load_release_history
 from depscope.lifecycle import (
     SmoothingConfig,
     expected_release_date,
@@ -13,6 +15,7 @@ from depscope.lifecycle import (
     last_release_interval,
     library_status,
     release_intervals,
+    verdict_table,
 )
 from depscope.model import (
     Ga,
@@ -20,11 +23,12 @@ from depscope.model import (
     InstanceStatus,
     LibraryStatus,
     Release,
+    ReleaseHistories,
     ReleaseHistory,
 )
 from depscope.report import scan
 
-from conftest import stalled_history
+from conftest import ANALYSIS_TIME, alive_history, halted_direct_tree, history_csv, stalled_history
 
 CFG = SmoothingConfig()
 
@@ -245,3 +249,147 @@ def test_via_halted_missing_history_strict_vs_lenient(halted_fixture):
         _via_halted(tree, histories)
     reached = _via_halted(tree, histories, lenient=True)
     assert Gav("org.tinyio", "io-buffers", "0.9") in reached
+
+
+# --- the verdict table ------------------------------------------------------------------
+
+# the definitions the table replaced, one loop each, kept as its reference
+
+
+def _reference_interval(history: ReleaseHistory, cfg: SmoothingConfig) -> float:
+    if len(history.releases) < cfg.min_releases:
+        return float(cfg.default_interval_days)
+    dates = [r.released for r in history.releases]
+    days = [(b - a).days for a, b in zip(dates, dates[1:])]
+    total = 0.0
+    for age, interval in enumerate(reversed(days)):
+        total += cfg.alpha * (1.0 - cfg.alpha) ** age * interval
+    return total
+
+
+def _reference_expected(history: ReleaseHistory, cfg: SmoothingConfig) -> date:
+    interval = _reference_interval(history, cfg)
+    return history.releases[-1].released + timedelta(days=math.floor(interval + 0.5))
+
+
+def _reference_instance_status(version: str, history: ReleaseHistory, time: date) -> InstanceStatus:
+    own = None
+    for release in history.releases:
+        if release.version == version:
+            own = release.released
+    if own is None:
+        raise UnknownVersion(Gav(history.library.group_id, history.library.artifact_id, version))
+    for release in history.releases:
+        if own < release.released <= time:
+            return InstanceStatus.OUTDATED
+    return InstanceStatus.UP_TO_DATE
+
+
+def _check_verdict_against_reference(dates, time, cfg) -> None:
+    history = history_from_dates(sorted(dates))
+    verdict = verdict_table(ReleaseHistories({history.library: history}), time, cfg)[history.library]
+    expected = _reference_expected(history, cfg)
+    assert verdict.interval == _reference_interval(history, cfg)
+    assert verdict.expected == expected
+    assert verdict.status is (LibraryStatus.HALTED if expected < time else LibraryStatus.ALIVE)
+    for release in history.releases:
+        gav = Gav("g", "a", release.version)
+        assert verdict.instance_status(gav) is _reference_instance_status(release.version, history, time)
+    with pytest.raises(UnknownVersion):
+        verdict.instance_status(Gav("g", "a", "not-released"))
+
+
+_CONFIGS = st.builds(
+    SmoothingConfig,
+    alpha=st.floats(0.01, 0.99),
+    default_interval_days=st.integers(1, 400),
+    min_releases=st.integers(1, 5),
+)
+
+
+@given(
+    # a narrow range, so equal release dates are common
+    dates=st.lists(st.dates(date(2010, 1, 1), date(2010, 3, 1)), min_size=1, max_size=8),
+    cfg=_CONFIGS,
+    data=st.data(),
+)
+def test_verdict_table_equals_reference_loops(dates, cfg, data):
+    history = history_from_dates(sorted(dates))
+    on_expected = _reference_expected(history, cfg)
+    time = data.draw(st.sampled_from([on_expected, on_expected + timedelta(days=1)])
+                     | st.dates(date(2009, 12, 1), date(2011, 12, 1)))
+    _check_verdict_against_reference(dates, time, cfg)
+
+
+@pytest.mark.parametrize(
+    "dates, time",
+    [
+        ([date(2010, 1, 1), date(2010, 1, 1), date(2010, 1, 1)], date(2010, 6, 1)),  # equal dates
+        ([date(2010, 1, 1), date(2010, 5, 1), date(2010, 9, 1)], date(2010, 6, 1)),  # own after time
+        ([date(2010, 1, 1)], date(2010, 6, 1)),  # a single release
+        ([date(2010, 1, 1), date(2010, 2, 1)], date(2009, 6, 1)),  # nothing visible yet
+        # on the expected date: 0.6 * 28 + 0.24 * 31 days after the last release, rounded
+        ([date(2010, 1, 1), date(2010, 2, 1), date(2010, 3, 1)], date(2010, 3, 25)),
+    ],
+)
+def test_verdict_table_named_cases(dates, time):
+    _check_verdict_against_reference(dates, time, CFG)
+
+
+_LEGACY = Ga("org.legacy", "old-parser")  # the halted direct dependency of the fixture
+_FRESH_LEGACY = alive_history(Gav("org.legacy", "old-parser", "3.0"))
+
+
+def _loaded_halted_fixture() -> ReleaseHistories:
+    tree = halted_direct_tree()
+    histories = [alive_history(gav) for gav in tree.gavs() if gav.ga != _LEGACY]
+    return load_release_history(history_csv(histories + [stalled_history(_LEGACY)]))
+
+
+def _scan_rows(histories, time=ANALYSIS_TIME, cfg=CFG, lenient=False):
+    result = scan(halted_direct_tree(), [], histories, time=time, cfg=cfg, lenient=lenient)
+    return [(row.gav, row.library_status, row.instance_status, row.via_halted, row.unknown_history)
+            for row in result.census]
+
+
+def test_loaded_histories_keep_one_table_per_time_and_config():
+    histories = _loaded_halted_fixture()
+    _scan_rows(histories)
+    table = histories.verdicts
+    _scan_rows(histories, cfg=SmoothingConfig())  # an equal config reads the same table
+    assert histories.verdicts is table
+    slow = SmoothingConfig(alpha=0.1, default_interval_days=5000, min_releases=9)
+    for time, cfg in [(date(2007, 12, 1), CFG), (ANALYSIS_TIME, slow)]:
+        assert _scan_rows(histories, time, cfg) == _scan_rows(_loaded_halted_fixture(), time, cfg)
+        assert histories.verdicts.time == time and histories.verdicts.cfg == cfg
+    assert _scan_rows(histories) == _scan_rows(_loaded_halted_fixture())
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda h: h.__setitem__(_LEGACY, _FRESH_LEGACY),
+        lambda h: h.update({_LEGACY: _FRESH_LEGACY}),
+        lambda h: h.__ior__({_LEGACY: _FRESH_LEGACY}),
+        lambda h: h.__delitem__(_LEGACY),
+        lambda h: h.pop(_LEGACY),
+        lambda h: h.clear(),
+        lambda h: h.popitem(),
+    ],
+    ids=["setitem", "update", "ior", "delitem", "pop", "clear", "popitem"],
+)
+def test_mutated_loaded_histories_serve_no_stale_verdict(mutate):
+    histories = _loaded_halted_fixture()
+    _scan_rows(histories, lenient=True)
+    mutate(histories)
+    fresh = ReleaseHistories(histories)  # what a fresh load of the changed mapping holds
+    assert histories.verdicts is None
+    assert _scan_rows(histories, lenient=True) == _scan_rows(fresh, lenient=True)
+
+
+def test_plain_mapping_gets_a_fresh_table_each_scan(halted_fixture):
+    tree, histories = halted_fixture
+    assert verdict_table(histories, ANALYSIS_TIME, CFG) is not verdict_table(histories, ANALYSIS_TIME, CFG)
+    halted = _scan_rows(histories)
+    histories[_LEGACY] = _FRESH_LEGACY
+    assert _scan_rows(histories) != halted

@@ -2,16 +2,27 @@ from __future__ import annotations
 
 import json
 import random
+from datetime import date
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
-from depscope.model import Ga, Gav, LibraryStatus, Responsibility, Scope
+from depscope.model import (
+    Ga,
+    Gav,
+    InstanceStatus,
+    LibraryStatus,
+    Responsibility,
+    Scope,
+    VulnerablePath,
+)
 from depscope.report import (
     CELL_KEYS,
     AggregateReport,
+    CensusRow,
+    ScanResult,
     aggregate,
     parse_aggregate_json,
     parse_scan_results_json,
@@ -19,7 +30,7 @@ from depscope.report import (
     render_chunks,
     scan,
 )
-from depscope.report import _CENSUS_CSV_HEADER, _result_text, _result_to_dict
+from depscope.report import _CENSUS_CSV_HEADER, _result_text
 
 from conftest import (
     ANALYSIS_TIME,
@@ -30,6 +41,7 @@ from conftest import (
     alive_history,
     mutate_json,
     random_tree_case,
+    result_to_dict,
     stalled_history,
 )
 
@@ -332,12 +344,32 @@ def _render_whole(results: list, format: str) -> str:
             for result in results
             for row in result.census
         ])
-    return json_text([_result_to_dict(result) for result in results])
+    return json_text([result_to_dict(result) for result in results])
+
+
+# strings the JSON writer must escape: quotes, backslashes, controls, non-ASCII
+# (one outside the basic plane) and the line separators JavaScript rejects
+_ODD_GAV = Gav('q"\\', "t\n\x00\x7f", "é\u2028😀")
+_ODD_RESULT = ScanResult(
+    root=_ODD_GAV,
+    analysis_time=date(1, 1, 1),
+    include_non_deployed=True,
+    paths=(VulnerablePath((_ODD_GAV,), (_ODD_GAV,), "\\u0041 \"/", Responsibility.OWN, True),),
+    census=(CensusRow(_ODD_GAV, 1, False, ("", "ü", "\t"), Responsibility.DIRECT,
+                      LibraryStatus.HALTED, InstanceStatus.OUTDATED, False, True),),
+)
+_EMPTY_RESULT = ScanResult(Gav("g", "a", "1"), date(9999, 12, 31), False, (), ())
 
 
 @settings(deadline=None)
 @given(results=st.lists(SCAN_RESULTS, max_size=4), format=st.sampled_from(["text", "csv", "json"]))
+@example(results=[_ODD_RESULT, _EMPTY_RESULT], format="json")
+@example(results=[_EMPTY_RESULT], format="json")
+@example(results=[_EMPTY_RESULT, _ODD_RESULT], format="text")
+@example(results=[_ODD_RESULT], format="csv")
 def test_chunks_join_to_the_whole_rendering(results, format):
+    """The JSON writer equals json_text of the reference dict, whole and in
+    chunks; the other formats equal their whole renderings."""
     chunks = list(render_chunks(results, format))
     assert "".join(chunks) == render(results, format) == _render_whole(results, format)
     # one chunk per result, plus the CSV header or the JSON array's close
@@ -345,12 +377,14 @@ def test_chunks_join_to_the_whole_rendering(results, format):
     if results:
         single = "".join(render_chunks(results[0], format))
         assert single == render(results[0], format)
-        assert single == (json_text(_result_to_dict(results[0])) if format == "json"
+        assert single == (json_text(result_to_dict(results[0])) if format == "json"
                           else _render_whole(results[:1], format))
 
 
 @settings(deadline=None)
 @given(results=st.lists(SCAN_RESULTS, max_size=4))
+@example(results=[_ODD_RESULT])
+@example(results=[_EMPTY_RESULT])
 def test_generated_results_json_round_trip(results):
     rendered = render(results, "json")
     parsed = parse_scan_results_json(rendered)
