@@ -4,7 +4,7 @@ extraction, project grouping and responsibility attribution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from depscope.model import (
     DependencyTree,
@@ -20,11 +20,9 @@ from depscope.model import (
 
 @dataclass(frozen=True)
 class AnnotatedTree:
-    """A tree plus the vulnerability ids found on its nodes.
-
-    In the default pipeline the tree is the deployed-only (filtered) tree;
-    the include-non-deployed report mode annotates the unfiltered tree
-    instead. Keys of ``vulnerable`` always occur in ``tree``.
+    """A tree plus the vulnerability ids found on its nodes: the stepwise
+    reference that :func:`depscope.report.scan`, which matches in its one
+    walk, is tested against. Keys of ``vulnerable`` always occur in ``tree``.
     """
 
     tree: DependencyTree
@@ -62,15 +60,13 @@ def match_vulnerabilities(
     return AnnotatedTree(tree, vulnerable)
 
 
-def extract_vulnerable_paths(
-    annotated: AnnotatedTree, via_halted: AbstractSet[Gav] = frozenset()
-) -> list[VulnerablePath]:
-    """One finished path per (vulnerable node, vulnerability id) pair.
+def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
+    """One path per (vulnerable node, vulnerability id) pair.
 
     The raw path runs from the vulnerable instance up to the root inclusive;
     the grouped path and the responsibility come from :func:`group_path` and
-    :func:`classify_responsibility`. A path is flagged ``via_halted`` when its
-    vulnerable instance is in ``via_halted``. Paths are ordered by the
+    :func:`classify_responsibility`. No path is flagged ``via_halted``: that
+    takes release histories, which only a scan has. Paths are ordered by the
     depth-first position of the vulnerable node, then by vulnerability id.
     """
     root = annotated.tree.root.gav
@@ -82,9 +78,7 @@ def extract_vulnerable_paths(
         grouped = tuple(group_path(raw))
         responsibility = classify_responsibility(grouped, root)
         for vuln_id in sorted(ids):
-            paths.append(
-                VulnerablePath(raw, grouped, vuln_id, responsibility, node.gav in via_halted)
-            )
+            paths.append(VulnerablePath(raw, grouped, vuln_id, responsibility, False))
     return paths
 
 

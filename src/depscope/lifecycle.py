@@ -139,16 +139,16 @@ def verdict_table(
 ) -> VerdictTable:
     """The verdict table of ``histories`` at ``(time, cfg)``.
 
-    A loaded :class:`ReleaseHistories` keeps the table of the latest
-    ``(time, cfg)``, so every tree of a run reads one table; any other
-    mapping gets a fresh table over it, without a copy.
+    A loaded :class:`ReleaseHistories` keeps a table per ``(time, cfg)``, so
+    the trees of a run that share a date read one table in any order; any
+    other mapping gets a fresh table over it, without a copy.
     """
     if not isinstance(histories, ReleaseHistories):
         return VerdictTable(histories, time, cfg)
-    table = histories.verdicts
-    if table is None or table.time != time or table.cfg != cfg:
-        table = histories.verdicts = VerdictTable(histories, time, cfg)
-    return table
+    tables = histories.verdicts = histories.verdicts or {}
+    if (time, cfg) not in tables:
+        tables[time, cfg] = VerdictTable(histories, time, cfg)
+    return tables[time, cfg]
 
 
 _STATUS_HEADER = ["library", "releases", "last_release", "interval_days", "expected_release", "status"]

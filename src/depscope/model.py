@@ -281,11 +281,10 @@ def _drops_verdicts(method):
 class ReleaseHistories(dict):
     """Release histories keyed by library, as the loader returns them.
 
-    The mapping also keeps the lifecycle verdict table of the latest
-    analysis time and smoothing config asked of it
-    (:func:`depscope.lifecycle.verdict_table`), so the scans of a run share
-    one table. Every change to the mapping drops the table, so no verdict
-    outlives the history it was made from.
+    The mapping also keeps a lifecycle verdict table per analysis time and
+    smoothing config asked of it (:func:`depscope.lifecycle.verdict_table`),
+    so the scans of a run share one table per date. Every change to the
+    mapping drops them all, so no verdict outlives its history.
     """
 
     verdicts = None
@@ -317,7 +316,7 @@ class VulnerabilityRecord:
 
 class VulnerabilityKb(tuple):
     """The vulnerability knowledge base: its records in order, plus the
-    inverted index from each affected instance to its vulnerability ids.
+    inverted index from each affected instance to its sorted, distinct ids.
 
     The index is built on first use, once per KB, so matching a tree costs
     one lookup per node instead of a pass over every record. Building it
@@ -330,6 +329,8 @@ class VulnerabilityKb(tuple):
         for record in self:
             for gav in record.affected:
                 index[gav] = index.get(gav, ()) + (record.vuln_id,)
+        for gav, ids in index.items():  # in place, so no second index is held
+            index[gav] = tuple(sorted(set(ids)))
         return index
 
 

@@ -16,13 +16,7 @@ from datetime import date
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from depscope.analysis import (
-    classify_responsibility,
-    extract_vulnerable_paths,
-    filter_non_deployed,
-    iter_group_path,
-    match_vulnerabilities,
-)
+from depscope.analysis import classify_responsibility, iter_group_path
 from depscope.errors import MissingHistory, SchemaViolation
 from depscope.ingest import (
     csv_rows,
@@ -43,6 +37,7 @@ from depscope.model import (
     LibraryStatus,
     ReleaseHistory,
     Responsibility,
+    VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
 )
@@ -150,20 +145,22 @@ def scan(
     lenient: bool = False,
     include_non_deployed: bool = False,
 ) -> ScanResult:
-    """Run the full pipeline on one tree.
+    """Run the full pipeline on one tree, in one preorder walk of it.
 
-    Vulnerability matching runs after the deployment filter, so non-deployed
-    vulnerable instances never produce paths; ``include_non_deployed``
-    matches the unfiltered tree instead, flagging non-deployed instances in
-    the census and extracting their paths as well.
+    Each node is looked up in the KB's index once (a plain list of records
+    is indexed on the spot). By default only deployed nodes are matched, so
+    non-deployed vulnerable instances never produce paths;
+    ``include_non_deployed`` matches every node, flagging non-deployed
+    instances in the census and giving their paths as well.
 
-    The census has one row per dependency (every non-root node of the
-    unfiltered tree), built in one preorder walk. A row is ``deployed`` when
-    every edge on its chain to the root ships, and ``via_halted`` when it is
-    deployed, sits below depth 1 and its depth-1 ancestor is halted at
-    ``time``: no new version of that direct dependency will arrive to refresh
-    it. In strict mode the first library in preorder without release history
-    raises :class:`MissingHistory`; with ``lenient`` it is counted as
+    The census has one row per dependency (every non-root node). A row is
+    ``deployed`` when every edge on its chain to the root ships, and
+    ``via_halted`` when it is deployed, sits below depth 1 and its depth-1
+    ancestor is halted at ``time``: no new version of that direct
+    dependency will arrive to refresh it. A node's paths take their
+    responsibility and ``via_halted`` flag from its row (a root's paths are
+    ``own``). In strict mode the first library in preorder without release
+    history raises :class:`MissingHistory`; with ``lenient`` it is counted as
     alive/up-to-date (so never halted) and flagged ``unknown_history``.
     ``lenient`` covers only libraries with no history at all: in both modes
     a version missing from a history that exists raises
@@ -176,50 +173,54 @@ def scan(
     cfg = cfg or SmoothingConfig()
     time = time or tree.analysis_time or date.today()
     root = tree.root.gav
-    matched = tree if include_non_deployed else filter_non_deployed(tree)
-    annotated = match_vulnerabilities(matched, kb)
+    if not isinstance(kb, VulnerabilityKb):
+        kb = VulnerabilityKb(kb)
+    ids_by_gav = kb.ids_by_gav
     verdicts = verdict_table(histories, time, cfg)
 
-    rows = []
-    halted_direct: set[Gav] = set()  # the halted depth-1 rows so far
-    for node, chain, deployed in islice(tree.chains(), 1, None):  # every node but the root
+    rows, paths = [], []
+    for node, chain, deployed in tree.chains():
         gav = node.gav
         depth = len(chain) - 1
-        verdict = verdicts[gav.ga]
-        if verdict is not None:
-            lib_status = verdict.status
-            inst_status = verdict.instance_status(gav)
-        elif lenient:
-            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
-        else:
-            raise MissingHistory(gav.ga)
-        if depth == 1 and lib_status is LibraryStatus.HALTED:
-            halted_direct.add(gav)
-        rows.append(
-            CensusRow(
-                gav=gav,
-                depth=depth,
-                deployed=deployed,
-                vuln_ids=tuple(sorted(annotated.vulnerable.get(gav, ()))),
-                # the class depends only on the first grouped member and on
-                # whether there are exactly two, so three members suffice
-                responsibility=classify_responsibility(
-                    tuple(islice(iter_group_path(chain), 3)), root
-                ),
-                library_status=lib_status,
-                instance_status=inst_status,
-                # chain[-2] is the node's depth-1 ancestor
-                via_halted=deployed and depth > 1 and chain[-2] in halted_direct,
-                unknown_history=verdict is None,
+        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
+        # a path needs the whole grouped chain; the class depends only on the
+        # first grouped member and on whether there are exactly two
+        grouped = tuple(islice(iter_group_path(chain), None if vuln_ids else 3))
+        responsibility = classify_responsibility(grouped, root)
+        via_halted = False
+        if depth:  # the root has no census row and needs no history
+            verdict = verdicts[gav.ga]
+            if verdict is not None:
+                lib_status = verdict.status
+                inst_status = verdict.instance_status(gav)
+            elif lenient:
+                lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
+            else:
+                raise MissingHistory(gav.ga)
+            # chain[-2] is the node's depth-1 ancestor, whose verdict is made by now
+            direct = verdicts[chain[-2].ga] if deployed and depth > 1 else None
+            via_halted = direct is not None and direct.status is LibraryStatus.HALTED
+            rows.append(
+                CensusRow(
+                    gav=gav,
+                    depth=depth,
+                    deployed=deployed,
+                    vuln_ids=vuln_ids,
+                    responsibility=responsibility,
+                    library_status=lib_status,
+                    instance_status=inst_status,
+                    via_halted=via_halted,
+                    unknown_history=verdict is None,
+                )
             )
-        )
+        for vuln_id in vuln_ids:
+            paths.append(VulnerablePath(chain, grouped, vuln_id, responsibility, via_halted))
 
-    via_halted = {row.gav for row in rows if row.via_halted}
     return ScanResult(
         root=root,
         analysis_time=time,
         include_non_deployed=include_non_deployed,
-        paths=tuple(extract_vulnerable_paths(annotated, via_halted)),
+        paths=tuple(paths),
         census=tuple(rows),
     )
 

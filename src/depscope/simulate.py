@@ -166,9 +166,9 @@ def _outcome(index: int, result: ScanResult) -> ProjectOutcome:
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
-    Vulnerability matching runs before the filter internally so that both
-    methodologies can be counted from one census: the standard counts ignore
-    deployment and grouping, the proposed counts honor both.
+    Each project is scanned with non-deployed instances matched too, so
+    that both methodologies are counted from one census: the standard
+    counts ignore deployment and grouping, the proposed counts honor both.
     """
     time = cfg.time or date.today()
     outcomes = []

@@ -299,3 +299,13 @@ def test_path_count_invariant_under_grouping():
         for raw, short in zip(paths, grouped):
             assert len(short) <= len(raw.raw_path)
             assert short[0] == raw.raw_path[0]
+
+
+def test_kb_index_holds_sorted_distinct_ids():
+    other = Gav("org.other", "lib", "1")
+    kb = VulnerabilityKb([
+        VulnerabilityRecord("V2", frozenset({COMPRESS})),
+        VulnerabilityRecord("V1", frozenset({COMPRESS, other})),
+        VulnerabilityRecord("V2", frozenset({COMPRESS})),  # the loader accepts a repeated id
+    ])
+    assert kb.ids_by_gav == {COMPRESS: ("V1", "V2"), other: ("V1",)}

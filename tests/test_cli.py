@@ -15,10 +15,21 @@ from conftest import (
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
     alive_history,
+    halted_direct_tree,
     history_csv,
     stalled_history,
 )
-from depscope.model import Ga, Gav, InstanceStatus, LibraryStatus, Responsibility
+from depscope import lifecycle
+from depscope.model import (
+    DependencyNode,
+    DependencyTree,
+    Ga,
+    Gav,
+    InstanceStatus,
+    LibraryStatus,
+    Responsibility,
+    Scope,
+)
 
 
 @pytest.fixture
@@ -542,3 +553,28 @@ def test_report_memory_does_not_grow_with_file_count(tmp_path, capsys):
     small = _report_peak_bytes(tmp_path / "small", 40, text, capsys)
     large = _report_peak_bytes(tmp_path / "large", 400, text, capsys)
     assert large < 1.5 * small
+
+
+def test_scan_directory_of_alternating_dates_fills_each_library_once_per_date(
+        tmp_path, capsys, monkeypatch):
+    # the trees are scanned in file-name order, so their dates alternate;
+    # each (library, date) verdict is still made once
+    template = halted_direct_tree()
+    libraries = sorted(template.gavs() - {template.root.gav})
+    times = [date(2018, 6, 1), date(2017, 6, 1)]
+    (tmp_path / "trees").mkdir()
+    for k in range(6):
+        root = DependencyNode(Gav("com.acme", f"app-{k}", "1.0"), Scope.COMPILE, template.root.children)
+        tree = DependencyTree(root, times[k % 2])
+        (tmp_path / "trees" / f"app-{k}.json").write_text(render_tree_json(tree))
+    (tmp_path / "releases.csv").write_text(history_csv([alive_history(g) for g in libraries]))
+    (tmp_path / "kb.json").write_text("[]")
+    made = []
+    verdict = lifecycle.library_verdict
+    monkeypatch.setattr(lifecycle, "library_verdict",
+                        lambda history, time, cfg: made.append((history.library, time))
+                        or verdict(history, time, cfg))
+    args = ["scan", "--tree", str(tmp_path / "trees"), "--history", str(tmp_path / "releases.csv"),
+            "--kb", str(tmp_path / "kb.json")]
+    assert main(args) == 0
+    assert sorted(made) == sorted((gav.ga, time) for gav in libraries for time in times)

@@ -355,14 +355,17 @@ def _scan_rows(histories, time=ANALYSIS_TIME, cfg=CFG, lenient=False):
 def test_loaded_histories_keep_one_table_per_time_and_config():
     histories = _loaded_halted_fixture()
     _scan_rows(histories)
-    table = histories.verdicts
+    table = histories.verdicts[ANALYSIS_TIME, CFG]
     _scan_rows(histories, cfg=SmoothingConfig())  # an equal config reads the same table
-    assert histories.verdicts is table
+    assert list(histories.verdicts.values()) == [table]
     slow = SmoothingConfig(alpha=0.1, default_interval_days=5000, min_releases=9)
     for time, cfg in [(date(2007, 12, 1), CFG), (ANALYSIS_TIME, slow)]:
         assert _scan_rows(histories, time, cfg) == _scan_rows(_loaded_halted_fixture(), time, cfg)
-        assert histories.verdicts.time == time and histories.verdicts.cfg == cfg
+        kept = histories.verdicts[time, cfg]
+        assert kept.time == time and kept.cfg == cfg
     assert _scan_rows(histories) == _scan_rows(_loaded_halted_fixture())
+    # the first table is kept and read again, not rebuilt
+    assert len(histories.verdicts) == 3 and histories.verdicts[ANALYSIS_TIME, CFG] is table
 
 
 @pytest.mark.parametrize(

@@ -2,14 +2,17 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from datetime import date
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from depscope.analysis import extract_vulnerable_paths, filter_non_deployed, match_vulnerabilities
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
 from depscope.model import (
+    DependencyTree,
     Ga,
     Gav,
     InstanceStatus,
@@ -167,6 +170,81 @@ def test_census_consistency_on_random_corpus():
         path_instances = {p.raw_path[0] for p in result.paths}
         assert path_instances - {result.root} == vulnerable_deployed
         assert vulnerable_deployed <= deployed_rows
+
+
+def _random_case(seed: int):
+    """A random tree and KB, with histories that halt about a third of the
+    libraries, so rows below a halted direct dependency occur."""
+    rng = random.Random(seed)
+    tree, kb = random_tree_case(rng)
+    histories = {
+        gav.ga: stalled_history(gav.ga, versions=("0.1", "0.2", gav.version))
+        if rng.random() < 0.3 else alive_history(gav)
+        for gav in tree.gavs()
+    }
+    return tree, kb, histories
+
+
+def _path_key(path: VulnerablePath):
+    return path.raw_path, path.grouped_path, path.vuln_id, path.responsibility
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scan_matches_the_stepwise_reference(seed):
+    # scan matches, groups and extracts in its one walk; the stepwise
+    # pipeline that acceptance criterion 4's oracle checks is the reference:
+    # filter -> match -> extract by default, match -> extract with
+    # include_non_deployed
+    tree, kb, histories = _random_case(seed)
+    for include, matched in ((False, filter_non_deployed(tree)), (True, tree)):
+        annotated = match_vulnerabilities(matched, kb)
+        result = scan(tree, kb, histories, time=ANALYSIS_TIME, include_non_deployed=include)
+        reference = extract_vulnerable_paths(annotated)
+        assert [_path_key(p) for p in result.paths] == [_path_key(p) for p in reference]
+        row_of = {row.gav: row for row in result.census}
+        for path in result.paths:
+            row = row_of.get(path.raw_path[0])  # None for the root, whose paths are never via-halted
+            assert path.via_halted == (row is not None and row.via_halted)
+        for row in result.census:
+            assert row.vuln_ids == tuple(sorted(annotated.vulnerable.get(row.gav, ())))
+
+
+def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, sample_kb,
+                                                      sample_histories):
+    cases = [(sample_tree, sample_kb, sample_histories)] + [_random_case(s) for s in range(40)]
+    expected = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
+                for t, kb, h in cases for include in (False, True)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scan must not call this")
+
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "depscope"]
+    for name in ("filter_non_deployed", "match_vulnerabilities", "extract_vulnerable_paths"):
+        for module in modules:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(DependencyTree, "__post_init__", forbidden)
+    monkeypatch.setattr(DependencyTree, "nodes", forbidden)
+    walks = []
+    chains = DependencyTree.chains
+    monkeypatch.setattr(DependencyTree, "chains", lambda tree: walks.append(tree) or chains(tree))
+
+    got = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
+           for t, kb, h in cases for include in (False, True)]
+    assert got == expected
+    assert walks == [t for t, _, _ in cases for _ in (False, True)]
+
+
+@pytest.mark.parametrize("include", [False, True])
+def test_repeated_id_on_one_instance_gives_one_census_id_and_one_path(
+        sample_tree, sample_histories, include):
+    compress = {"group": "org.ziplib", "artifact": "compress", "versions": ["1.4"]}
+    kb = load_vuln_kb(json.dumps([{"id": "V1", "affected": [compress]}] * 2))
+    result = scan(sample_tree, kb, sample_histories, time=ANALYSIS_TIME,
+                  include_non_deployed=include)
+    assert [row.vuln_ids for row in result.census if row.vulnerable] == [("V1",)]
+    assert [(p.raw_path[0].artifact_id, p.vuln_id) for p in result.paths] == [("compress", "V1")]
 
 
 # --- aggregation ------------------------------------------------------------------
