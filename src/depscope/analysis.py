@@ -99,12 +99,15 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
 def iter_group_path(raw_path: Iterable[Gav]) -> Iterator[Gav]:
     """The members :func:`group_path` keeps, yielded as they are found, so a
     caller that needs only the first few stops the scan early."""
-    kept: list[Gav] = []
+    kept: list[str] = []  # the group ids of the members kept so far
     for gav in raw_path:
-        if any(same_project(anchor, gav) for anchor in kept):
-            continue
-        kept.append(gav)
-        yield gav
+        group = gav.group_id
+        for anchor in kept:
+            if same_project(anchor, group):
+                break
+        else:
+            kept.append(group)
+            yield gav
 
 
 def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsibility:

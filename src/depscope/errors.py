@@ -84,6 +84,12 @@ class InsufficientLibraries(DepscopeError):
         self.available = available
 
 
+class ReservedGroup(DepscopeError):
+    def __init__(self, ga, reserved: str):
+        super().__init__(f"pool library {ga} shares a project with the synthetic roots' group {reserved}")
+        self.ga = ga
+
+
 class InputFileError(DepscopeError):
     """Wraps a module error with the file it occurred in (CLI context)."""
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from depscope.errors import DuplicateGa, DuplicateVersion, MalformedCoordinate
 
@@ -47,37 +47,55 @@ def _check_segment(name: str, value: str) -> None:
         raise ValueError(f"{name} must not contain ':'")
 
 
-@dataclass(frozen=True, order=True)
-class Ga:
-    """A library: group and artifact, across all versions."""
-
+class _GaFields(NamedTuple):
     group_id: str
     artifact_id: str
 
-    def __post_init__(self):
-        _check_segment("group_id", self.group_id)
-        _check_segment("artifact_id", self.artifact_id)
+
+class Ga(_GaFields):
+    """A library: group and artifact, across all versions. A tuple of its
+    fields, so hashing, equality and field-wise ordering run in C."""
+
+    __slots__ = ()
+
+    def __new__(cls, group_id: str, artifact_id: str):
+        _check_segment("group_id", group_id)
+        _check_segment("artifact_id", artifact_id)
+        return tuple.__new__(cls, (group_id, artifact_id))
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's own skips __new__, and so the checks
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.group_id}:{self.artifact_id}"
 
 
-@dataclass(frozen=True, order=True)
-class Gav:
-    """A library instance: group, artifact and version."""
-
+class _GavFields(NamedTuple):
     group_id: str
     artifact_id: str
     version: str
 
-    def __post_init__(self):
-        _check_segment("group_id", self.group_id)
-        _check_segment("artifact_id", self.artifact_id)
-        _check_segment("version", self.version)
+
+class Gav(_GavFields):
+    """A library instance: group, artifact and version; a tuple of its
+    fields like :class:`Ga`, which it never equals."""
+
+    __slots__ = ()
+
+    def __new__(cls, group_id: str, artifact_id: str, version: str):
+        _check_segment("group_id", group_id)
+        _check_segment("artifact_id", artifact_id)
+        _check_segment("version", version)
+        return tuple.__new__(cls, (group_id, artifact_id, version))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def ga(self) -> Ga:
-        return Ga(self.group_id, self.artifact_id)
+        return tuple.__new__(Ga, self[:2])  # segments already checked
 
     def __str__(self) -> str:
         return f"{self.group_id}:{self.artifact_id}:{self.version}"
@@ -91,22 +109,20 @@ def parse_gav(text: str) -> Gav:
     return Gav(*segments)
 
 
-def _group_of(value) -> str:
-    return value if isinstance(value, str) else value.group_id
-
-
 def same_project(a, b) -> bool:
     """Whether two group ids (or Ga/Gav carriers) name the same project.
 
-    Groups are the same project when equal or when one is a dot-boundary
-    prefix of the other (``org.apache.activemq`` vs
+    A string argument is the group id itself; anything else gives its
+    ``group_id``. Groups are the same project when equal or when one is a
+    dot-boundary prefix of the other (``org.apache.activemq`` vs
     ``org.apache.activemq.tooling``). Plain string prefixes do not match:
     ``com.foo`` and ``com.foobar`` are distinct projects.
     """
-    ga, gb = _group_of(a), _group_of(b)
-    if ga == gb:
+    a = a if isinstance(a, str) else a.group_id
+    b = b if isinstance(b, str) else b.group_id
+    if a == b:
         return True
-    return ga.startswith(gb + ".") or gb.startswith(ga + ".")
+    return a.startswith(b + ".") or b.startswith(a + ".")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from datetime import date
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from depscope.analysis import classify_responsibility, iter_group_path
 from depscope.errors import MissingHistory, SchemaViolation
@@ -63,8 +63,7 @@ def _all_cell_keys() -> tuple[str, ...]:
 CELL_KEYS: tuple[str, ...] = _all_cell_keys()
 
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     """Flags for one dependency (a non-root node of the unfiltered tree)."""
 
     gav: Gav
@@ -542,10 +541,14 @@ _ROW_KEYS = frozenset(
 _ROW_WRITTEN_ONLY = frozenset({"direct"})  # rendered, but derived from depth
 
 
+# value -> member per enum: a dict lookup costs a tenth of an Enum call
+_MEMBERS = {cls: {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus)}
+
+
 def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
     try:
-        return enum_cls(obj[key])
-    except ValueError:
+        return _MEMBERS[enum_cls][obj[key]]
+    except (KeyError, TypeError):  # not a member's value, or unhashable
         raise SchemaViolation(f"{pointer}/{key}", f"invalid value {obj[key]!r}") from None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
-from depscope.errors import EmptyPool, InsufficientLibraries
+from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
 from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig
 from depscope.model import (
@@ -35,6 +35,7 @@ from depscope.model import (
     Scope,
     VulnerabilityKb,
     prune,
+    same_project,
 )
 from depscope.report import ScanResult, aggregate, scan
 
@@ -51,7 +52,9 @@ class SimulationPool:
     for all projects, and ``histories`` as :class:`ReleaseHistories`, so
     their lifecycle verdicts are too. ``libraries`` is derived once as well:
     for each pool library in sorted order, the roots of its pool trees in
-    version order.
+    version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
+    raises :class:`ReservedGroup`: grouping would absorb the synthetic root
+    into it and count its third-party findings as ``own``.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -68,12 +71,18 @@ class SimulationPool:
         if not isinstance(self.histories, ReleaseHistories):
             object.__setattr__(self, "histories", ReleaseHistories(self.histories))
         by_library: dict[Ga, dict[str, DependencyNode]] = {}
+        library_of_group: dict[str, Gav] = {}  # each distinct pool group, checked once
         for tree in self.trees:
+            for node, _ in tree.nodes():
+                library_of_group.setdefault(node.gav.group_id, node.gav)
             root = tree.root.gav
             versions = by_library.setdefault(root.ga, {})
             if root.version in versions:
                 raise ValueError(f"duplicate pool tree for {root}")
             versions[root.version] = tree.root
+        for group, gav in library_of_group.items():
+            if same_project(group, SYNTHETIC_GROUP):
+                raise ReservedGroup(gav.ga, SYNTHETIC_GROUP)
         libraries = tuple(
             tuple(versions[v] for v in sorted(versions))
             for _, versions in sorted(by_library.items())

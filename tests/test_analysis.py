@@ -4,7 +4,7 @@ import json
 import random
 from itertools import islice
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from depscope.analysis import (
     classify_responsibility,
@@ -23,6 +23,7 @@ from depscope.model import (
     Scope,
     VulnerabilityKb,
     VulnerabilityRecord,
+    same_project,
 )
 
 from conftest import VULN_ID_POOL, deep_chain_tree, random_tree_case
@@ -248,6 +249,38 @@ def test_group_idempotent_on_random_paths():
         # order-preserving subsequence
         positions = [path.index(g) for g in once]
         assert positions == sorted(positions)
+
+
+def _reference_group_path(raw_path):
+    """Grouping as first written: a member is dropped when it shares a
+    project with any member kept before it."""
+    kept = []
+    for gav in raw_path:
+        if any(same_project(anchor, gav) for anchor in kept):
+            continue
+        kept.append(gav)
+    return kept
+
+
+# groups from a dot-heavy alphabet, so that dot-prefix relatives, string-prefix
+# decoys and non-transitive triples (a.b ~ a ~ a.c, a.b !~ a.c) come up
+_dotted_groups = st.lists(st.text(alphabet="ab.", min_size=1, max_size=5), min_size=1, max_size=8)
+
+
+@given(groups=_dotted_groups)
+@example(groups=["com.foobar", "com.foo", "com.foo.sub", "com.foobar.x"])
+@example(groups=["a.b", "a.c", "a", "a.b.c"])
+@example(groups=["a", "a.b", "a.c"])
+def test_group_path_matches_the_any_anchor_reference(groups):
+    path = [Gav(group, f"x{i}", "1") for i, group in enumerate(groups)]
+    assert group_path(path) == _reference_group_path(path)
+
+
+def test_group_path_keeps_string_prefix_decoys_apart():
+    foobar, foo, foo_sub = (Gav("com.foobar", "x", "1"), Gav("com.foo", "y", "1"),
+                            Gav("com.foo.sub", "z", "1"))
+    assert group_path([foobar, foo, foo_sub]) == [foobar, foo]
+    assert group_path([foo, foobar, foo_sub]) == [foo, foobar]
 
 
 def test_iter_group_path_stops_at_the_members_taken():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 from datetime import date
 
 import pytest
@@ -116,6 +118,75 @@ _segment = st.text(
 def test_render_parse_round_trip(group, artifact, version):
     gav = Gav(group, artifact, version)
     assert parse_gav(str(gav)) == gav
+
+
+# --- value semantics of the tuple-backed coordinates --------------------------------
+
+
+# a small alphabet, so that equal fields and ties in ordering come up
+_short_segment = st.text(alphabet="ab.", min_size=1, max_size=3)
+_gav_fields = st.tuples(_short_segment, _short_segment, _short_segment)
+
+
+@given(x=_gav_fields, y=_gav_fields)
+def test_coordinates_order_hash_and_compare_as_their_field_tuples(x, y):
+    for cls, fx, fy in ((Gav, x, y), (Ga, x[:2], y[:2])):
+        a, b = cls(*fx), cls(*fy)
+        assert (a == b) == (fx == fy) and (a != b) == (fx != fy)
+        assert (a < b) == (fx < fy) and (a <= b) == (fx <= fy)
+        assert (a > b) == (fx > fy) and (a >= b) == (fx >= fy)
+        assert hash(a) == hash(fx) and a == fx
+        assert tuple(a) == fx
+    gav = Gav(*x)
+    assert parse_gav(str(gav)) == gav
+    assert gav.ga == Ga(*x[:2]) and type(gav.ga) is Ga
+
+
+def test_coordinates_unpack_into_their_fields():
+    g, a, v = Gav("org.p", "lib", "1.0")
+    assert (g, a, v) == ("org.p", "lib", "1.0")
+    assert Gav(group_id="g", artifact_id="a", version="1") == Gav("g", "a", "1")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Gav("g", "a", "1")._replace(version="x:y"),
+        lambda: Gav("g", "a", "1")._replace(group_id=""),
+        lambda: Gav._make(["g", "a", "x:y"]),
+        lambda: Gav._make(["g", "a", 1]),
+        lambda: Ga._make(["g:x", "a"]),
+        lambda: Ga._make(["g", ""]),
+    ],
+)
+def test_derived_constructors_validate_segments(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_derived_constructors_keep_the_type():
+    gav = Gav("g", "a", "1")
+    assert type(gav._replace(version="2")) is Gav and gav._replace(version="2") == ("g", "a", "2")
+    assert type(Gav._make(["g", "a", "1"])) is Gav
+    assert type(Ga._make(["g", "a"])) is Ga
+
+
+@pytest.mark.parametrize("value", [Gav("org.p", "lib", "1.0"), Ga("org.p", "lib")])
+def test_coordinates_survive_pickle_and_deepcopy(value):
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert copied == value and type(copied) is type(value)
+        assert hash(copied) == hash(value)
+
+
+def test_gav_never_equals_its_ga():
+    gav = Gav("org.p", "lib", "1.0")
+    assert gav != gav.ga and gav.ga != gav
+    assert {gav.ga: 1}.get(gav) is None and {gav: 1}.get(gav.ga) is None
+
+
+def test_coordinate_repr_names_each_field():
+    assert repr(Gav("a", "b", "c")) == "Gav(group_id='a', artifact_id='b', version='c')"
+    assert repr(Ga("a", "b")) == "Ga(group_id='a', artifact_id='b')"
 
 
 def test_tree_rejects_duplicate_library():

@@ -400,6 +400,22 @@ def test_saved_own_must_agree_with_responsibility(sample_tree, sample_kb, sample
     assert exc.value.pointer == "/census/0/own"
 
 
+@pytest.mark.parametrize("value", [["own"], {}, 1, None, "OWN"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("census", "responsibility"), ("census", "library_status"),
+     ("census", "instance_status"), ("paths", "responsibility")],
+)
+def test_saved_enum_fields_reject_other_values(sample_tree, sample_kb, sample_histories,
+                                               section, key, value):
+    data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
+    data[section][0][key] = value
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert exc.value.pointer == f"/{section}/0/{key}"
+    assert exc.value.reason == f"invalid value {value!r}"
+
+
 def test_saved_aggregate_cells_must_be_integers():
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json('{"cells": {"trees": [1]}}')

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from depscope.errors import EmptyPool, InsufficientLibraries
+from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -188,3 +188,37 @@ def test_sampling_close_to_uniform():
     sigma = math.sqrt(draws * p * (1 - p))
     for ga in libraries:
         assert abs(counts[ga] - draws * p) <= 3 * sigma, (ga, counts[ga])
+
+
+def _pool_with_library_in(group: str) -> SimulationPool:
+    """Pool trees ``org.a:b:1.0 -> <group>:x:1.0`` (vulnerable) and
+    ``org.c:d:1.0``."""
+    from conftest import alive_history
+
+    inner = Gav(group, "x", "1.0")
+    trees = (
+        DependencyTree(DependencyNode(Gav("org.a", "b", "1.0"), Scope.COMPILE,
+                                      (DependencyNode(inner, Scope.COMPILE),))),
+        DependencyTree(DependencyNode(Gav("org.c", "d", "1.0"), Scope.COMPILE)),
+    )
+    histories = {gav.ga: alive_history(gav)
+                 for gav in (inner, trees[0].root.gav, trees[1].root.gav)}
+    return SimulationPool(trees=trees, histories=histories,
+                          kb=(VulnerabilityRecord("V1", frozenset({inner})),))
+
+
+@pytest.mark.parametrize("group", ["sim", "sim.depscope", "sim.depscope.evil"])
+def test_pool_rejects_libraries_in_the_synthetic_project(group):
+    # grouping would absorb the synthetic root into the library's project and
+    # count its transitive finding as own
+    message = rf"pool library {group}:x shares a project with the synthetic roots' group sim\.depscope"
+    with pytest.raises(ReservedGroup, match=message):
+        _pool_with_library_in(group)
+
+
+@pytest.mark.parametrize("group", ["simx", "sim.depscopex", "org.sim.depscope"])
+def test_pool_accepts_string_prefix_decoys_of_the_synthetic_group(group):
+    pool = _pool_with_library_in(group)
+    cfg = SimulationConfig(projects=1, deps_per_project=2, seed=0, time=ANALYSIS_TIME)
+    (outcome,) = simulate(pool, cfg)
+    assert (outcome.controlled_standard, outcome.controlled_proposed) == (0, 0)
