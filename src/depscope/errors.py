@@ -21,9 +21,11 @@ class MalformedTreeLine(DepscopeError):
 
 
 class DuplicateGa(DepscopeError):
-    def __init__(self, ga):
-        super().__init__(f"library {ga} appears more than once in the tree")
+    def __init__(self, ga, line_no: int | None = None):
+        super().__init__(f"library {ga} appears more than once in the tree"
+                         + (f", again at line {line_no}" if line_no else ""))
         self.ga = ga
+        self.line_no = line_no
 
 
 class EmptyInput(DepscopeError):
@@ -46,10 +48,12 @@ class MalformedRow(DepscopeError):
 
 
 class DuplicateVersion(DepscopeError):
-    def __init__(self, ga, version: str):
-        super().__init__(f"duplicate release {ga}:{version} in history")
+    def __init__(self, ga, version: str, line_no: int | None = None):
+        super().__init__(f"duplicate release {ga}:{version} in history"
+                         + (f" at line {line_no}" if line_no else ""))
         self.ga = ga
         self.version = version
+        self.line_no = line_no
 
 
 class EmptyAffectedSet(DepscopeError):

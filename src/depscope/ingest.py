@@ -20,6 +20,8 @@ from datetime import date
 from itertools import chain
 
 from depscope.errors import (
+    DuplicateGa,
+    DuplicateVersion,
     EmptyAffectedSet,
     EmptyInput,
     MalformedCoordinate,
@@ -145,7 +147,7 @@ _SCOPES = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
 
 
 def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scope]:
-    if not text or any(ch.isspace() for ch in text):
+    if text.split() != [text]:  # empty, or holding whitespace
         raise MalformedTreeLine(line_no, f"bad coordinate {text!r}")
     segments = text.split(":")
     if any(not s for s in segments):
@@ -169,10 +171,12 @@ def parse_tree_text(text: str) -> DependencyTree:
     spaces, the last unit being a branch marker, followed by a coordinate.
     Node depth is the unit count; the parent is the nearest preceding node
     one level up. A leading ``[INFO] `` per line is stripped, so both raw
-    dumps and log captures parse.
+    dumps and log captures parse. A library on a second line raises
+    :class:`DuplicateGa` naming that line.
     """
     preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
     ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
+    seen: set[Ga] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw
         if line.startswith(_INFO_PREFIX):
@@ -191,22 +195,19 @@ def parse_tree_text(text: str) -> DependencyTree:
         if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
             raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
 
-        if not preorder:
-            if depth != 0:
-                raise MalformedTreeLine(line_no, "first content line must be the unindented root")
-            gav, scope = _parse_coordinate(coordinate, line_no, is_root=True)
-            preorder.append((gav, scope, -1))
-            ancestors = [0]
-            continue
-
-        if depth == 0:
+        if not preorder and depth:
+            raise MalformedTreeLine(line_no, "first content line must be the unindented root")
+        if preorder and not depth:
             raise MalformedTreeLine(line_no, "second root line")
-        gav, scope = _parse_coordinate(coordinate, line_no, is_root=False)
+        gav, scope = _parse_coordinate(coordinate, line_no, is_root=not preorder)
+        if gav.ga in seen:
+            raise DuplicateGa(gav.ga, line_no)
+        seen.add(gav.ga)
         del ancestors[depth:]
         if len(ancestors) != depth:
             raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
         ancestors.append(len(preorder))
-        preorder.append((gav, scope, ancestors[-2]))
+        preorder.append((gav, scope, ancestors[-2] if depth else -1))
 
     if not preorder:
         raise EmptyInput()
@@ -319,11 +320,13 @@ def load_release_history(doc: str) -> ReleaseHistories:
 
     Rows are grouped by library and sorted ascending by date; equal dates
     keep file order. Header must be exactly
-    ``group_id,artifact_id,version,release_date``. The result keeps its
-    lifecycle verdict table (see :class:`ReleaseHistories`).
+    ``group_id,artifact_id,version,release_date``. A repeated release
+    raises :class:`DuplicateVersion` naming its second row. The result is
+    read-only and keeps its lifecycle verdict tables (see
+    :class:`ReleaseHistories`).
     """
     reader = csv.reader(io.StringIO(doc))
-    rows: dict[Ga, list[Release]] = {}
+    rows: dict[Ga, dict[str, Release]] = {}  # by library, then version
     try:
         header = next(reader, None)
         if header is None:
@@ -345,12 +348,15 @@ def load_release_history(doc: str) -> ReleaseHistories:
                 ga = Ga(group, artifact)
             except ValueError as exc:  # a ':' inside group_id or artifact_id
                 raise MalformedRow(line_no, str(exc)) from None
-            rows.setdefault(ga, []).append(Release(version, released))
+            releases = rows.setdefault(ga, {})
+            if version in releases:
+                raise DuplicateVersion(ga, version, line_no)
+            releases[version] = Release(version, released)
     except csv.Error as exc:  # a record the reader cannot split, e.g. one over its field limit
         raise MalformedRow(reader.line_num, str(exc)) from None
 
     return ReleaseHistories(
-        (ga, ReleaseHistory(ga, tuple(sorted(releases, key=lambda r: r.released))))
+        (ga, ReleaseHistory(ga, tuple(sorted(releases.values(), key=lambda r: r.released))))
         for ga, releases in rows.items()
     )
 

@@ -66,9 +66,12 @@ def last_release_interval(history: ReleaseHistory, cfg: SmoothingConfig) -> floa
 
 
 def expected_release_date(history: ReleaseHistory, cfg: SmoothingConfig) -> date:
-    """Last release date plus the smoothed interval, rounded half-up to days."""
-    interval = last_release_interval(history, cfg)
-    return history.last_release.released + timedelta(days=math.floor(interval + 0.5))
+    """Last release date plus the smoothed interval, rounded half-up to days;
+    ``date.max`` when that lies past it, so such a library is alive at every
+    date there is."""
+    last = history.last_release.released
+    days = math.floor(last_release_interval(history, cfg) + 0.5)
+    return last + timedelta(days=days) if days <= (date.max - last).days else date.max
 
 
 class LibraryVerdict(NamedTuple):
@@ -145,7 +148,7 @@ def verdict_table(
     """
     if not isinstance(histories, ReleaseHistories):
         return VerdictTable(histories, time, cfg)
-    tables = histories.verdicts = histories.verdicts or {}
+    tables = histories.verdicts
     if (time, cfg) not in tables:
         tables[time, cfg] = VerdictTable(histories, time, cfg)
     return tables[time, cfg]

@@ -6,6 +6,7 @@ function over them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -286,33 +287,31 @@ class ReleaseHistory:
         return self.releases[-1]
 
 
-def _drops_verdicts(method):
-    def changing(self, *args, **kwargs):
-        self.verdicts = None
-        return method(self, *args, **kwargs)
-
-    return changing
-
-
-class ReleaseHistories(dict):
+class ReleaseHistories(Mapping):
     """Release histories keyed by library, as the loader returns them.
 
-    The mapping also keeps a lifecycle verdict table per analysis time and
-    smoothing config asked of it (:func:`depscope.lifecycle.verdict_table`),
-    so the scans of a run share one table per date. Every change to the
-    mapping drops them all, so no verdict outlives its history.
+    The mapping is read-only, like the KB, and keeps a lifecycle verdict
+    table per analysis time and smoothing config asked of it
+    (:func:`depscope.lifecycle.verdict_table`), so the scans of a run share
+    one table per date and no verdict outlives its history. Other histories
+    make a new mapping: ``ReleaseHistories({**histories, ga: history})``.
     """
 
-    verdicts = None
+    def __init__(self, histories=()):
+        self._histories = dict(histories)
+        self.verdicts = {}
 
-    __setitem__ = _drops_verdicts(dict.__setitem__)
-    __delitem__ = _drops_verdicts(dict.__delitem__)
-    __ior__ = _drops_verdicts(dict.__ior__)
-    clear = _drops_verdicts(dict.clear)
-    pop = _drops_verdicts(dict.pop)
-    popitem = _drops_verdicts(dict.popitem)
-    setdefault = _drops_verdicts(dict.setdefault)
-    update = _drops_verdicts(dict.update)
+    def __getitem__(self, ga):
+        return self._histories[ga]
+
+    def __iter__(self):
+        return iter(self._histories)
+
+    def __len__(self):
+        return len(self._histories)
+
+    def __repr__(self):
+        return repr(self._histories)
 
 
 @dataclass(frozen=True)

@@ -319,12 +319,8 @@ def _aggregate_text(report: AggregateReport) -> str:
 
     lines.append("scope filtering (dependency instances)")
     header = ["", "safe:direct", "safe:transitive", "vuln:direct", "vuln:transitive"]
-    rows = []
-    for label, key in (("deployed", "deployed"), ("all", "all")):
-        rows.append(
-            [label]
-            + [str(c(f"{key}/{v}/{p}")) for v in _VULN_AXES[::-1] for p in _POSITION_AXES]
-        )
+    rows = [[key] + [str(c(f"{key}/{v}/{p}")) for v in ("safe", "vuln") for p in _POSITION_AXES]
+            for key in ("deployed", "all")]
     lines += _table(header, rows)
     lines.append("")
 
@@ -334,19 +330,13 @@ def _aggregate_text(report: AggregateReport) -> str:
         "safe:direct", "safe:transitive", "safe:own", "safe:3rd-party",
         "vuln:direct", "vuln:transitive", "vuln:own", "vuln:3rd-party",
     ]
-    grouped_row = ["grouped"]
-    ungrouped_row = ["ungrouped"]
+    grouped_row, ungrouped_row = ["grouped"], ["ungrouped"]
     for v in ("safe", "vuln"):
         direct = c(f"grouped/{v}/direct")
         transitive = c(f"grouped/{v}/transitive")
         own = c(f"grouped/{v}/own")
         grouped_row += [str(direct), str(transitive), str(own), str(direct + transitive)]
-        ungrouped_row += [
-            str(c(f"deployed/{v}/direct")),
-            str(c(f"deployed/{v}/transitive")),
-            "n/a",
-            "n/a",
-        ]
+        ungrouped_row += [str(c(f"deployed/{v}/direct")), str(c(f"deployed/{v}/transitive")), "n/a", "n/a"]
     lines += _table(header, [grouped_row, ungrouped_row])
     lines.append("")
 
@@ -356,12 +346,8 @@ def _aggregate_text(report: AggregateReport) -> str:
         "safe:halted", "safe:outdated", "safe:up-to-date",
         "vuln:halted", "vuln:outdated", "vuln:up-to-date",
     ]
-    rows = []
-    for label, key in (("via-halted", "via_halted"), ("all", "lifecycle")):
-        rows.append(
-            [label]
-            + [str(c(f"{key}/{v}/{s}")) for v in ("safe", "vuln") for s in _LIFE_AXES]
-        )
+    rows = [[label] + [str(c(f"{key}/{v}/{s}")) for v in ("safe", "vuln") for s in _LIFE_AXES]
+            for label, key in (("via-halted", "via_halted"), ("all", "lifecycle"))]
     lines += _table(header, rows)
     lines.append("")
 

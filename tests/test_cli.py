@@ -175,6 +175,54 @@ def test_status_json_and_csv(tmp_path, capsys):
     assert len(lines) == 2
 
 
+_HISTORY_HEADER = "group_id,artifact_id,version,release_date\n"
+# expected next releases past 9999-12-31: a smoothed one, and a default interval
+# past the calendar (3e6 days) or past what a timedelta holds (1e30 days)
+_PAST_DATE_MAX = [
+    ("g,a,1,2020-01-01\ng,a,2,9990-01-01\ng,a,3,9999-12-01\n", ()),
+    ("g,a,1,2020-01-01\n", ("--default-interval-days", "3000000")),
+    ("g,a,1,2020-01-01\n", ("--default-interval-days", str(10**30))),
+]
+
+
+@pytest.mark.parametrize("rows, flags", _PAST_DATE_MAX, ids=["smoothed", "default", "huge-default"])
+def test_status_expected_release_past_date_max_is_alive(tmp_path, capsys, rows, flags):
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + rows)
+    code = main(["status", "--history", str(tmp_path / "history.csv"), "--time", "2020-06-01", *flags])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "g:a: alive" in out and "expected next 9999-12-31" in out
+
+
+@pytest.mark.parametrize("rows, flags", _PAST_DATE_MAX, ids=["smoothed", "default", "huge-default"])
+def test_scan_expected_release_past_date_max_is_alive(tmp_path, capsys, rows, flags):
+    (tmp_path / "tree.txt").write_text("org.app:root:1\n+- g:a:jar:1:compile\n|  \\- h:b:jar:1:compile\n")
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + rows + "h,b,1,2020-01-01\n")
+    (tmp_path / "kb.json").write_text("[]")
+    code = main(["scan", "--tree", str(tmp_path / "tree.txt"), "--history", str(tmp_path / "history.csv"),
+                 "--kb", str(tmp_path / "kb.json"), "--time", "2020-06-01", "--format", "json", *flags])
+    census = json.loads(capsys.readouterr().out)["census"]
+    assert code == 0
+    assert [(row["gav"], row["library_status"], row["via_halted"]) for row in census] == [
+        ("g:a:1", "alive", False),
+        ("h:b:1", "alive" if flags else "halted", False),
+    ]
+
+
+def test_duplicates_name_their_line(tmp_path, capsys):
+    (tmp_path / "tree.txt").write_text("g:root:1\n+- g:a:jar:1:compile\n+- g:a:jar:2:compile\n")
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1.0,2020-01-01\ng,a,1.0,2020-02-01\n")
+    (tmp_path / "kb.json").write_text("[]")
+    args = ["scan", "--tree", str(tmp_path / "tree.txt"), "--history", str(tmp_path / "history.csv"),
+            "--kb", str(tmp_path / "kb.json"), "--time", "2020-06-01"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert "history.csv: duplicate release g:a:1.0 in history at line 3" in err
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1,2020-01-01\ng,a,2,2020-02-01\n")
+    assert main(args) == 1
+    assert "tree.txt: library g:a appears more than once in the tree, again at line 3" in capsys.readouterr().err
+
+
 def test_simulate_cli_deterministic(tmp_path, capsys):
     from conftest import build_synthetic_pool
 

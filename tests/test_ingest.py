@@ -4,7 +4,7 @@ import json
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from depscope.errors import (
     DuplicateGa,
@@ -118,6 +118,33 @@ def test_parse_rejects_duplicate_library():
     with pytest.raises(DuplicateGa) as exc:
         parse_tree_text(doc)
     assert exc.value.ga == Ga("g", "a")
+
+
+@pytest.mark.parametrize("tail", ["", "+- bad line\n"], ids=["alone", "before-bad-line"])
+def test_parse_duplicate_library_names_its_line(tail):
+    # the first error in file order, as the JSON parser reports the first in document order
+    doc = "g:root:1\n+- g:a:jar:1:compile\n+- g:a:jar:2:compile\n" + tail
+    with pytest.raises(DuplicateGa) as exc:
+        parse_tree_text(doc)
+    assert (exc.value.ga, exc.value.line_no) == (Ga("g", "a"), 3)
+    assert str(exc.value) == "library g:a appears more than once in the tree, again at line 3"
+
+
+def test_parse_duplicate_of_the_root_library_names_its_line():
+    with pytest.raises(DuplicateGa) as exc:
+        parse_tree_text("[INFO] g:a:1\n[INFO] +- h:b:jar:1:compile\n\n[INFO] |  \\- g:a:jar:2:compile\n")
+    assert (exc.value.ga, exc.value.line_no) == (Ga("g", "a"), 4)
+
+
+@given(st.text())
+@example("")
+@example("g:a:jar:1:compile")
+@example("g:a\x1cb")  # separators that str.isspace also counts
+@example("\u2028")
+@example("g:a\x85")
+@example("g:a\u200b")  # a zero-width space is no whitespace
+def test_coordinate_whitespace_check_equals_per_character_scan(text):
+    assert (text.split() != [text]) == (not text or any(ch.isspace() for ch in text))
 
 
 def test_parse_empty_input():
@@ -264,8 +291,24 @@ def test_load_history_duplicate_version():
         "g,a,1.0,2020-01-01\n"
         "g,a,1.0,2020-02-01\n"
     )
-    with pytest.raises(DuplicateVersion):
+    with pytest.raises(DuplicateVersion) as exc:
         load_release_history(doc)
+    assert (exc.value.ga, exc.value.version, exc.value.line_no) == (Ga("g", "a"), "1.0", 3)
+    assert str(exc.value) == "duplicate release g:a:1.0 in history at line 3"
+
+
+def test_load_history_duplicate_version_names_its_later_row():
+    doc = (
+        "group_id,artifact_id,version,release_date\n"
+        "g,a,1.0,2020-01-01\n"
+        "h,b,1.0,2020-01-01\n"
+        "g,a,2.0,2020-03-01\n"
+        "h,b,1.0,2019-01-01\n"
+        "g,a,1.0,2020-02-01\n"
+    )
+    with pytest.raises(DuplicateVersion) as exc:
+        load_release_history(doc)
+    assert (exc.value.ga, exc.value.version, exc.value.line_no) == (Ga("h", "b"), "1.0", 5)
 
 
 def test_conftest_histories_round_trip_through_csv(sample_histories, halted_fixture):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import copy
 import math
+import operator
+import pickle
 from datetime import date, timedelta
 
 import pytest
@@ -336,6 +339,20 @@ def test_verdict_table_named_cases(dates, time):
     _check_verdict_against_reference(dates, time, CFG)
 
 
+@pytest.mark.parametrize("days, expected", [
+    (9, date.max - timedelta(days=1)),
+    (10, date.max),
+    (11, date.max),  # past the calendar: saturates
+    (10**30, date.max),  # past what a timedelta holds
+])
+def test_expected_release_date_saturates_at_date_max(days, expected):
+    history = history_from_dates([date.max - timedelta(days=10)])
+    cfg = SmoothingConfig(default_interval_days=days)
+    assert expected_release_date(history, cfg) == expected
+    halted = expected < date.max
+    assert library_status(history, date.max, cfg) is (LibraryStatus.HALTED if halted else LibraryStatus.ALIVE)
+
+
 _LEGACY = Ga("org.legacy", "old-parser")  # the halted direct dependency of the fixture
 _FRESH_LEGACY = alive_history(Gav("org.legacy", "old-parser", "3.0"))
 
@@ -369,25 +386,54 @@ def test_loaded_histories_keep_one_table_per_time_and_config():
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "change",
     [
-        lambda h: h.__setitem__(_LEGACY, _FRESH_LEGACY),
-        lambda h: h.update({_LEGACY: _FRESH_LEGACY}),
-        lambda h: h.__ior__({_LEGACY: _FRESH_LEGACY}),
-        lambda h: h.__delitem__(_LEGACY),
-        lambda h: h.pop(_LEGACY),
-        lambda h: h.clear(),
-        lambda h: h.popitem(),
+        lambda h: operator.setitem(h, _LEGACY, _FRESH_LEGACY),
+        lambda h: operator.delitem(h, _LEGACY),
+        lambda h: operator.ior(h, {_LEGACY: _FRESH_LEGACY}),
+        # dict's own methods, which skip whatever a dict subclass overrides
+        lambda h: dict.update(h, {_LEGACY: _FRESH_LEGACY}),
+        lambda h: dict.__setitem__(h, _LEGACY, _FRESH_LEGACY),
     ],
-    ids=["setitem", "update", "ior", "delitem", "pop", "clear", "popitem"],
+    ids=["setitem", "delitem", "ior", "dict.update", "dict.setitem"],
 )
-def test_mutated_loaded_histories_serve_no_stale_verdict(mutate):
+def test_loaded_histories_are_read_only(change):
     histories = _loaded_halted_fixture()
-    _scan_rows(histories, lenient=True)
-    mutate(histories)
-    fresh = ReleaseHistories(histories)  # what a fresh load of the changed mapping holds
-    assert histories.verdicts is None
-    assert _scan_rows(histories, lenient=True) == _scan_rows(fresh, lenient=True)
+    halted = _scan_rows(histories)
+    with pytest.raises(TypeError):
+        change(histories)
+    assert histories[_LEGACY] == stalled_history(_LEGACY)
+    assert _scan_rows(histories) == halted
+
+
+def test_loaded_histories_have_no_mutators():
+    histories = _loaded_halted_fixture()
+    for name in ("clear", "pop", "popitem", "setdefault", "update"):
+        assert not hasattr(histories, name), name
+
+
+def test_loaded_histories_equal_their_dict_and_copies():
+    histories = _loaded_halted_fixture()
+    halted = _scan_rows(histories)
+    assert histories == dict(histories) and dict(histories) == histories
+    assert repr(histories) == repr(dict(histories))
+    for copied in (pickle.loads(pickle.dumps(histories)), copy.deepcopy(histories)):
+        assert isinstance(copied, ReleaseHistories)
+        assert copied == histories
+        assert _scan_rows(copied) == halted
+
+
+def test_new_mapping_over_loaded_histories_gets_new_verdicts():
+    histories = _loaded_halted_fixture()
+    halted = _scan_rows(histories)
+    table = histories.verdicts[ANALYSIS_TIME, CFG]
+    changed = ReleaseHistories({**histories, _LEGACY: _FRESH_LEGACY})
+    assert verdict_table(changed, ANALYSIS_TIME, CFG)[_LEGACY].status is LibraryStatus.ALIVE
+    assert _scan_rows(changed) != halted
+    # the loaded mapping keeps its histories and its table
+    assert _scan_rows(histories) == halted
+    assert histories.verdicts[ANALYSIS_TIME, CFG] is table
+    assert table[_LEGACY].status is LibraryStatus.HALTED
 
 
 def test_plain_mapping_gets_a_fresh_table_each_scan(halted_fixture):
