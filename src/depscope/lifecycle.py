@@ -13,6 +13,7 @@ fixed default interval.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -39,8 +40,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0, 1)")
-        if self.default_interval_days <= 0:
-            raise ValueError("default_interval_days must be positive")
+        if not 0 < self.default_interval_days <= sys.float_info.max:  # so float() of it works
+            raise ValueError("default_interval_days must be positive and within the float range")
         if self.min_releases <= 0:
             raise ValueError("min_releases must be positive")
 
@@ -69,8 +70,11 @@ def expected_release_date(history: ReleaseHistory, cfg: SmoothingConfig) -> date
     """Last release date plus the smoothed interval, rounded half-up to days;
     ``date.max`` when that lies past it, so such a library is alive at every
     date there is."""
-    last = history.last_release.released
-    days = math.floor(last_release_interval(history, cfg) + 0.5)
+    return _expected_date(history.last_release.released, last_release_interval(history, cfg))
+
+
+def _expected_date(last: date, interval: float) -> date:
+    days = math.floor(interval + 0.5)
     return last + timedelta(days=days) if days <= (date.max - last).days else date.max
 
 
@@ -99,12 +103,13 @@ def library_verdict(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -
     The library is halted when its expected next release date lies strictly
     before ``time``. Releases dated after ``time`` are invisible: an
     instance is judged against what had been published by then."""
-    expected = expected_release_date(history, cfg)
+    interval = last_release_interval(history, cfg)
+    expected = _expected_date(history.last_release.released, interval)
     dates = [release.released for release in history.releases]
     visible = bisect_right(dates, time)  # the releases are sorted by date
     return LibraryVerdict(
         status=LibraryStatus.HALTED if expected < time else LibraryStatus.ALIVE,
-        interval=last_release_interval(history, cfg),
+        interval=interval,
         expected=expected,
         dates={release.version: release.released for release in history.releases},
         last_visible=dates[visible - 1] if visible else date.min,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
-from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
+from depscope.errors import DepscopeError, EmptyPool, InsufficientLibraries, ReservedGroup
 from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig
 from depscope.model import (
@@ -30,14 +30,16 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
+    LibraryStatus,
     ReleaseHistories,
     ReleaseHistory,
+    Responsibility,
     Scope,
     VulnerabilityKb,
     prune,
     same_project,
 )
-from depscope.report import ScanResult, aggregate, scan
+from depscope.report import CensusRow, scan
 
 #: group id reserved for synthetic roots so they never share a project with
 #: pool libraries
@@ -54,7 +56,8 @@ class SimulationPool:
     for each pool library in sorted order, the roots of its pool trees in
     version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
     raises :class:`ReservedGroup`: grouping would absorb the synthetic root
-    into it and count its third-party findings as ``own``.
+    into it and count its third-party findings as ``own``. Each pool root's
+    census rows are cached too, per ``(time, smoothing, lenient)``.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -63,6 +66,7 @@ class SimulationPool:
     libraries: tuple[tuple[DependencyNode, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    _censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -144,55 +148,86 @@ def _synthesize(index: int, picks: Sequence[DependencyNode]) -> DependencyTree:
     return DependencyTree(prune(root, first_of_library))
 
 
-def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
-    """The synthetic tree the given project iteration analyzes.
-
-    Deterministic in (pool, cfg, index); exposed so results can be replayed
-    against a direct run of the analysis pipeline.
-    """
+def _picks(pool: SimulationPool, cfg: SimulationConfig, index: int) -> list[DependencyNode]:
+    """The pool roots project ``index`` draws, in draw order."""
     if not pool.libraries:
         raise EmptyPool()
     if cfg.deps_per_project > len(pool.libraries):
         raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
     rng = _sub_rng(cfg.seed, index)
     drawn = rng.sample(pool.libraries, cfg.deps_per_project)
-    return _synthesize(index, [rng.choice(versions) for versions in drawn])
+    return [rng.choice(versions) for versions in drawn]
 
 
-def _outcome(index: int, result: ScanResult) -> ProjectOutcome:
-    count = aggregate([result]).get
+def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
+    """The synthetic tree the given project iteration analyzes.
+
+    Deterministic in (pool, cfg, index); exposed so results can be replayed
+    against a direct run of the analysis pipeline.
+    """
+    return _synthesize(index, _picks(pool, cfg, index))
+
+
+def _outcome(index: int, censuses: Sequence[Sequence[CensusRow]]) -> ProjectOutcome:
+    """Project ``index``'s counts from its picks' census rows in draw order, less
+    those mediation drops: a library seen before, and the deeper rows after it."""
+    seen, vulnerable = set(), []
+    for census in censuses:
+        dropped = 0  # the depth of the dropped row whose subtree is skipped, else 0
+        for row in census:
+            if dropped and row.depth > dropped:
+                continue
+            ga = row.gav.ga
+            dropped = row.depth if ga in seen else 0
+            if not dropped:
+                seen.add(ga)
+                if row.vuln_ids:
+                    vulnerable.append(row)
+    deployed = [row for row in vulnerable if row.deployed]
     return ProjectOutcome(
         index=index,
-        root=result.root,
-        all_vulnerable=count("all/vuln/direct") + count("all/vuln/transitive"),
-        deployed_vulnerable=count("deployed/vuln/direct") + count("deployed/vuln/transitive"),
-        controlled_standard=count("all/vuln/direct"),
-        controlled_proposed=count("grouped/vuln/own") + count("grouped/vuln/direct"),
-        halted_vulnerable=count("lifecycle/vuln/halted"),
+        root=Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"),
+        all_vulnerable=len(vulnerable),
+        deployed_vulnerable=len(deployed),
+        controlled_standard=sum(row.depth == 1 for row in vulnerable),
+        controlled_proposed=sum(row.responsibility is not Responsibility.TRANSITIVE for row in deployed),
+        halted_vulnerable=sum(row.library_status is LibraryStatus.HALTED for row in deployed),
     )
 
 
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
-    Each project is scanned with non-deployed instances matched too, so
-    that both methodologies are counted from one census: the standard
-    counts ignore deployment and grouping, the proposed counts honor both.
+    Each project counts its tree's census, scanned with non-deployed
+    instances matched: the standard counts ignore deployment and grouping,
+    the proposed ones honor both. A kept node's row is the same in every
+    project that draws its pool root: the synthetic root shares a project
+    with no pool library, pool roots have compile scope and mediation drops
+    whole subtrees. So each pool root is scanned once, on its first draw, and
+    its rows are cached on the pool. A pick whose own scan raises caches
+    ``None``, and a project that draws it scans its whole tree instead.
     """
     time = cfg.time or date.today()
+    censuses = pool._censuses.setdefault((time, cfg.smoothing, cfg.lenient), {})
+
+    def census(tree: DependencyTree) -> tuple[CensusRow, ...]:
+        return scan(tree, pool.kb, pool.histories, time=time, cfg=cfg.smoothing,
+                    lenient=cfg.lenient, include_non_deployed=True).census
+
     outcomes = []
     for index in range(cfg.projects):
-        tree = project_tree(pool, cfg, index)
-        result = scan(
-            tree,
-            pool.kb,
-            pool.histories,
-            time=time,
-            cfg=cfg.smoothing,
-            lenient=cfg.lenient,
-            include_non_deployed=True,
-        )
-        outcomes.append(_outcome(index, result))
+        picks = _picks(pool, cfg, index)
+        for pick in picks:
+            if pick.gav not in censuses:
+                try:
+                    censuses[pick.gav] = census(DependencyTree(
+                        DependencyNode(Gav(SYNTHETIC_GROUP, "pool", "1.0"), Scope.COMPILE, (pick,))))
+                except DepscopeError:
+                    censuses[pick.gav] = None
+        rows = [censuses[pick.gav] for pick in picks]
+        if None in rows:
+            rows = [census(_synthesize(index, picks))]
+        outcomes.append(_outcome(index, rows))
     return outcomes
 
 

@@ -209,6 +209,16 @@ def test_scan_expected_release_past_date_max_is_alive(tmp_path, capsys, rows, fl
     ]
 
 
+def test_default_interval_past_the_float_range_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1,2020-01-01\n")
+    code = main(["status", "--history", str(tmp_path / "history.csv"),
+                 "--default-interval-days", "1" + "0" * 400])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == ("depscope: error: default_interval_days must be positive "
+                            "and within the float range\n")
+
+
 def test_duplicates_name_their_line(tmp_path, capsys):
     (tmp_path / "tree.txt").write_text("g:root:1\n+- g:a:jar:1:compile\n+- g:a:jar:2:compile\n")
     (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1.0,2020-01-01\ng,a,1.0,2020-02-01\n")

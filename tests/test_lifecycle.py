@@ -4,11 +4,13 @@ import copy
 import math
 import operator
 import pickle
+import sys
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
 
+import depscope.lifecycle
 from depscope.errors import MissingHistory, UnknownVersion
 from depscope.ingest import load_release_history
 from depscope.lifecycle import (
@@ -17,6 +19,7 @@ from depscope.lifecycle import (
     instance_status,
     last_release_interval,
     library_status,
+    library_verdict,
     release_intervals,
     verdict_table,
 )
@@ -351,6 +354,32 @@ def test_expected_release_date_saturates_at_date_max(days, expected):
     assert expected_release_date(history, cfg) == expected
     halted = expected < date.max
     assert library_status(history, date.max, cfg) is (LibraryStatus.HALTED if halted else LibraryStatus.ALIVE)
+
+
+@pytest.mark.parametrize("days", [10**400, 2**1024], ids=["1e400", "2**1024"])
+def test_default_interval_past_the_float_range_is_rejected(days):
+    # float(days) would raise OverflowError in the smoothing
+    with pytest.raises(ValueError, match="default_interval_days must be positive and within the float range"):
+        SmoothingConfig(default_interval_days=days)
+    largest = SmoothingConfig(default_interval_days=int(sys.float_info.max))
+    assert last_release_interval(history_from_dates([date(2010, 1, 1)]), largest) == sys.float_info.max
+
+
+@pytest.mark.parametrize("dates", [[date(2010, 1, 1)],  # the default interval
+                                   [date(2010, 1, 1), date(2010, 2, 9), date(2010, 3, 1)]])
+def test_library_verdict_smooths_once(monkeypatch, dates):
+    history = history_from_dates(dates)
+    calls = []
+
+    def counted(history, cfg):
+        calls.append(history)
+        return last_release_interval(history, cfg)
+
+    monkeypatch.setattr(depscope.lifecycle, "last_release_interval", counted)
+    verdict = library_verdict(history, ANALYSIS_TIME, CFG)
+    assert calls == [history]
+    assert (verdict.interval, verdict.expected) == (
+        last_release_interval(history, CFG), expected_release_date(history, CFG))
 
 
 _LEGACY = Ga("org.legacy", "old-parser")  # the halted direct dependency of the fixture

@@ -2,22 +2,31 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import replace
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
+from depscope.errors import DepscopeError, EmptyPool, InsufficientLibraries, ReservedGroup, UnknownVersion
 from depscope.model import (
     DependencyNode,
     DependencyTree,
     Ga,
     Gav,
+    LibraryStatus,
+    Release,
+    ReleaseHistory,
+    Responsibility,
     Scope,
     VulnerabilityKb,
     VulnerabilityRecord,
+    build_tree,
 )
-from depscope.report import scan
+from depscope.report import aggregate, scan
 from depscope.simulate import (
     SYNTHETIC_GROUP,
+    ProjectOutcome,
     SimulationConfig,
     SimulationPool,
     project_tree,
@@ -141,6 +150,162 @@ def test_replay_against_direct_pipeline():
         assert outcome.controlled_standard == sum(
             1 for r in result.census if r.vulnerable and r.direct
         )
+        deployed = [r for r in result.census if r.vulnerable and r.deployed]
+        assert outcome.controlled_proposed == sum(
+            1 for r in deployed if r.responsibility is not Responsibility.TRANSITIVE
+        )
+        assert outcome.halted_vulnerable == sum(
+            1 for r in deployed if r.library_status is LibraryStatus.HALTED
+        )
+    assert sum(o.controlled_proposed for o in outcomes) and sum(o.halted_vulnerable for o in outcomes)
+
+
+def test_outcomes_do_not_depend_on_the_order_the_cache_fills_in():
+    cfgs = [SimulationConfig(projects=3, deps_per_project=8, seed=seed, time=ANALYSIS_TIME, lenient=lenient)
+            for seed in range(12) for lenient in (False, True)]
+    warm = build_synthetic_pool()
+    first = [simulate(warm, cfg) for cfg in cfgs]
+    assert [simulate(warm, cfg) for cfg in cfgs] == first
+    fresh = build_synthetic_pool()
+    assert [simulate(fresh, cfg) for cfg in reversed(cfgs)] == first[::-1]
+
+
+# --- simulate against a scan of each project tree --------------------------------
+
+# same-project (org.a, org.a.sub) and string-prefix (org.ab) relatives
+_GROUPS = ("org.a", "org.a.sub", "org.ab", "com.b", "com.b.x")
+_LIBRARIES = tuple(Ga(group, artifact) for group in _GROUPS for artifact in ("x", "y"))
+_VERSIONS = ("1", "2", "3")
+_EDGE_SCOPES = (Scope.COMPILE, Scope.RUNTIME, Scope.TEST, Scope.PROVIDED)
+
+
+@st.composite
+def _pool_trees(draw):
+    """Pool trees of distinct libraries, each node under a random earlier
+    one; trees share libraries, and their roots are distinct instances."""
+    trees, roots = [], set()
+    for _ in range(draw(st.integers(1, 6))):
+        libraries = draw(st.lists(st.sampled_from(_LIBRARIES), min_size=1, max_size=6, unique=True))
+        gavs = [Gav(*ga, draw(st.sampled_from(_VERSIONS))) for ga in libraries]
+        if gavs[0] in roots:
+            continue
+        roots.add(gavs[0])
+        # a node comes after its parent, which is all build_tree needs
+        preorder = [(gavs[0], Scope.COMPILE, -1)] + [
+            (gav, draw(st.sampled_from(_EDGE_SCOPES)), draw(st.integers(0, i - 1)))
+            for i, gav in enumerate(gavs) if i]
+        trees.append(DependencyTree(build_tree(preorder)))
+    return trees
+
+
+@st.composite
+def _history(draw, ga: Ga) -> ReleaseHistory | None:
+    """No history, or one that lacks some versions, or a full one; stalled
+    or recent."""
+    kind = draw(st.sampled_from(["full", "full", "full", "partial", "missing"]))
+    if kind == "missing":
+        return None
+    versions = _VERSIONS if kind == "full" else draw(
+        st.lists(st.sampled_from(_VERSIONS), min_size=1, max_size=2, unique=True))
+    start = draw(st.sampled_from([date(2017, 9, 1), date(2005, 1, 1)]))
+    step = draw(st.integers(0, 120))
+    return ReleaseHistory(ga, tuple(Release(v, start + timedelta(days=step * k))
+                                    for k, v in enumerate(versions)))
+
+
+@st.composite
+def _pools(draw) -> SimulationPool:
+    histories = {ga: history for ga in _LIBRARIES if (history := draw(_history(ga))) is not None}
+    gavs = [Gav(*ga, version) for ga in _LIBRARIES for version in _VERSIONS]
+    kb = draw(st.lists(st.builds(VulnerabilityRecord, st.sampled_from(["V1", "V2", "V3"]),
+                                 st.frozensets(st.sampled_from(gavs), min_size=1, max_size=8)),
+                       max_size=4))
+    return SimulationPool(trees=draw(_pool_trees()), histories=histories, kb=kb)
+
+
+def _scanned_outcomes(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
+    """``simulate``'s outcomes, each from a scan of its project tree, as
+    aggregated cells."""
+    outcomes = []
+    for index in range(cfg.projects):
+        tree = project_tree(pool, cfg, index)
+        result = scan(tree, pool.kb, pool.histories, time=cfg.time, cfg=cfg.smoothing,
+                      lenient=cfg.lenient, include_non_deployed=True)
+        count = aggregate([result]).get
+        outcomes.append(ProjectOutcome(
+            index=index,
+            root=tree.root.gav,
+            all_vulnerable=count("all/vuln/direct") + count("all/vuln/transitive"),
+            deployed_vulnerable=count("deployed/vuln/direct") + count("deployed/vuln/transitive"),
+            controlled_standard=count("all/vuln/direct"),
+            controlled_proposed=count("grouped/vuln/own") + count("grouped/vuln/direct"),
+            halted_vulnerable=count("lifecycle/vuln/halted"),
+        ))
+    return outcomes
+
+
+def _outcomes_or_error(run, pool, cfg):
+    try:
+        return run(pool, cfg)
+    except DepscopeError as exc:
+        return type(exc), exc.args
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool=_pools(), data=st.data())
+def test_simulate_equals_a_scan_of_each_project_tree(pool, data):
+    deps = data.draw(st.integers(1, len(pool.libraries)))
+    for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
+        # one pool throughout, so a run reads what runs in another mode or at
+        # another time have cached; lenient first, whose rows strict must not read
+        for lenient in (True, False):
+            cfg = SimulationConfig(projects=data.draw(st.integers(1, 4)), deps_per_project=deps, seed=seed,
+                                   time=data.draw(st.sampled_from([ANALYSIS_TIME, date(2006, 6, 1)])),
+                                   lenient=lenient)
+            expected = _outcomes_or_error(_scanned_outcomes, pool, cfg)
+            assert _outcomes_or_error(simulate, pool, cfg) == expected
+
+
+def _pool_with_an_unknown_version() -> tuple[SimulationPool, Gav]:
+    """Pool trees ``org.a:first:1 -> org.s:shared:1`` and
+    ``org.b:second:1 -> org.s:shared:2``, where version 2 of the shared
+    library has no release: a project fails only when it keeps that node."""
+    from conftest import alive_history
+
+    shared, unknown = Gav("org.s", "shared", "1"), Gav("org.s", "shared", "2")
+    trees = tuple(
+        DependencyTree(DependencyNode(root, Scope.COMPILE, (DependencyNode(child, Scope.COMPILE),)))
+        for root, child in ((Gav("org.a", "first", "1"), shared), (Gav("org.b", "second", "1"), unknown))
+    )
+    histories = {gav.ga: alive_history(gav) for gav in (trees[0].root.gav, trees[1].root.gav, shared)}
+    kb = (VulnerabilityRecord("V1", frozenset({shared})),)
+    return SimulationPool(trees=trees, histories=histories, kb=kb), unknown
+
+
+def _seed_drawing_first(pool: SimulationPool, artifact: str, lenient: bool) -> SimulationConfig:
+    cfg = SimulationConfig(projects=1, deps_per_project=2, time=ANALYSIS_TIME, lenient=lenient)
+    return next(c for c in (replace(cfg, seed=seed) for seed in range(100))
+                if project_tree(pool, c, 0).root.children[0].gav.artifact_id == artifact)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_simulate_succeeds_when_mediation_drops_the_unknown_version(lenient):
+    pool, _ = _pool_with_an_unknown_version()
+    cfg = _seed_drawing_first(pool, "first", lenient)
+    with pytest.raises(UnknownVersion):  # the second pick on its own
+        scan(DependencyTree(pool.libraries[1][0]), pool.kb, pool.histories, time=ANALYSIS_TIME)
+    (outcome,) = simulate(pool, cfg)
+    assert [outcome] == _scanned_outcomes(pool, cfg)
+    assert (outcome.all_vulnerable, outcome.controlled_standard, outcome.controlled_proposed) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_simulate_raises_when_the_unknown_version_is_kept(lenient):
+    pool, unknown = _pool_with_an_unknown_version()
+    cfg = _seed_drawing_first(pool, "second", lenient)
+    with pytest.raises(UnknownVersion) as raised:
+        simulate(pool, cfg)
+    assert raised.value.args == UnknownVersion(unknown).args
 
 
 def test_conflicting_libraries_keep_first_drawn():
