@@ -28,8 +28,9 @@ from depscope.ingest import (
     parse_gav_at,
     parse_json,
 )
-from depscope.lifecycle import SmoothingConfig, verdict_table
+from depscope.lifecycle import SmoothingConfig, VerdictTable, verdict_table
 from depscope.model import (
+    DependencyNode,
     DependencyTree,
     Ga,
     Gav,
@@ -174,46 +175,17 @@ def scan(
     root = tree.root.gav
     if not isinstance(kb, VulnerabilityKb):
         kb = VulnerabilityKb(kb)
-    ids_by_gav = kb.ids_by_gav
-    verdicts = verdict_table(histories, time, cfg)
-
-    rows, paths = [], []
-    for node, chain, deployed in tree.chains():
-        gav = node.gav
-        depth = len(chain) - 1
-        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
-        # a path needs the whole grouped chain; the class depends only on the
-        # first grouped member and on whether there are exactly two
-        grouped = tuple(islice(iter_group_path(chain), None if vuln_ids else 3))
-        responsibility = classify_responsibility(grouped, root)
-        via_halted = False
-        if depth:  # the root has no census row and needs no history
-            verdict = verdicts[gav.ga]
-            if verdict is not None:
-                lib_status = verdict.status
-                inst_status = verdict.instance_status(gav)
-            elif lenient:
-                lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
-            else:
-                raise MissingHistory(gav.ga)
-            # chain[-2] is the node's depth-1 ancestor, whose verdict is made by now
-            direct = verdicts[chain[-2].ga] if deployed and depth > 1 else None
-            via_halted = direct is not None and direct.status is LibraryStatus.HALTED
-            rows.append(
-                CensusRow(
-                    gav=gav,
-                    depth=depth,
-                    deployed=deployed,
-                    vuln_ids=vuln_ids,
-                    responsibility=responsibility,
-                    library_status=lib_status,
-                    instance_status=inst_status,
-                    via_halted=via_halted,
-                    unknown_history=verdict is None,
-                )
-            )
-        for vuln_id in vuln_ids:
-            paths.append(VulnerablePath(chain, grouped, vuln_id, responsibility, via_halted))
+    # the root ships, so it is matched in both modes; its paths are own
+    paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
+             for vuln_id in kb.ids_by_gav.get(root, ())]
+    rows = []
+    walk = tree.chains()
+    next(walk)  # the root, which has no census row
+    for row, chain, grouped in census_rows(walk, root, kb, verdict_table(histories, time, cfg),
+                                           lenient=lenient, include_non_deployed=include_non_deployed):
+        rows.append(row)
+        for vuln_id in row.vuln_ids:
+            paths.append(VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted))
 
     return ScanResult(
         root=root,
@@ -222,6 +194,47 @@ def scan(
         paths=tuple(paths),
         census=tuple(rows),
     )
+
+
+def census_rows(
+    walk: Iterable[tuple[DependencyNode, tuple[Gav, ...], bool]],
+    root: Gav,
+    kb: VulnerabilityKb,
+    verdicts: VerdictTable,
+    *,
+    lenient: bool,
+    include_non_deployed: bool,
+) -> Iterator[tuple[CensusRow, tuple[Gav, ...], tuple[Gav, ...]]]:
+    """``(row, chain, grouped)`` for each dependency of a preorder walk below
+    ``root`` shaped like :meth:`DependencyTree.chains`; raises as :func:`scan`
+    does, at the first offending node. ``grouped`` is whole for a vulnerable
+    node and cut after three members otherwise: the class depends only on the
+    first grouped member and on whether there are exactly two."""
+    ids_by_gav = kb.ids_by_gav
+    for node, chain, deployed in walk:
+        gav = node.gav
+        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
+        grouped = tuple(islice(iter_group_path(chain), None if vuln_ids else 3))
+        verdict = verdicts[gav.ga]
+        if verdict is not None:
+            lib_status, inst_status = verdict.status, verdict.instance_status(gav)
+        elif lenient:
+            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
+        else:
+            raise MissingHistory(gav.ga)
+        # chain[-2] is the node's depth-1 ancestor, whose verdict is made by now
+        direct = verdicts[chain[-2].ga] if deployed and len(chain) > 2 else None
+        yield CensusRow(
+            gav=gav,
+            depth=len(chain) - 1,
+            deployed=deployed,
+            vuln_ids=vuln_ids,
+            responsibility=classify_responsibility(grouped, root),
+            library_status=lib_status,
+            instance_status=inst_status,
+            via_halted=direct is not None and direct.status is LibraryStatus.HALTED,
+            unknown_history=verdict is None,
+        ), chain, grouped
 
 
 def _lifecycle_bucket(row: CensusRow) -> str:

@@ -20,11 +20,11 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from depscope.errors import DepscopeError, EmptyPool, InsufficientLibraries, ReservedGroup
+from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
 from depscope.ingest import csv_text, json_text
-from depscope.lifecycle import SmoothingConfig
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -39,7 +39,7 @@ from depscope.model import (
     prune,
     same_project,
 )
-from depscope.report import CensusRow, scan
+from depscope.report import census_rows
 
 #: group id reserved for synthetic roots so they never share a project with
 #: pool libraries
@@ -56,8 +56,7 @@ class SimulationPool:
     for each pool library in sorted order, the roots of its pool trees in
     version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
     raises :class:`ReservedGroup`: grouping would absorb the synthetic root
-    into it and count its third-party findings as ``own``. Each pool root's
-    census rows are cached too, per ``(time, smoothing, lenient)``.
+    into it and count its third-party findings as ``own``.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -66,7 +65,6 @@ class SimulationPool:
     libraries: tuple[tuple[DependencyNode, ...], ...] = field(
         init=False, repr=False, compare=False
     )
-    _censuses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
@@ -168,66 +166,54 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
     return _synthesize(index, _picks(pool, cfg, index))
 
 
-def _outcome(index: int, censuses: Sequence[Sequence[CensusRow]]) -> ProjectOutcome:
-    """Project ``index``'s counts from its picks' census rows in draw order, less
-    those mediation drops: a library seen before, and the deeper rows after it."""
-    seen, vulnerable = set(), []
-    for census in censuses:
-        dropped = 0  # the depth of the dropped row whose subtree is skipped, else 0
-        for row in census:
-            if dropped and row.depth > dropped:
-                continue
-            ga = row.gav.ga
-            dropped = row.depth if ga in seen else 0
-            if not dropped:
-                seen.add(ga)
-                if row.vuln_ids:
-                    vulnerable.append(row)
-    deployed = [row for row in vulnerable if row.deployed]
-    return ProjectOutcome(
-        index=index,
-        root=Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"),
-        all_vulnerable=len(vulnerable),
-        deployed_vulnerable=len(deployed),
-        controlled_standard=sum(row.depth == 1 for row in vulnerable),
-        controlled_proposed=sum(row.responsibility is not Responsibility.TRANSITIVE for row in deployed),
-        halted_vulnerable=sum(row.library_status is LibraryStatus.HALTED for row in deployed),
-    )
+def _walk(
+    root: Gav, picks: Sequence[DependencyNode]
+) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
+    """What ``chains()`` of the project tree yields below ``root``, walked
+    from the picks without building the tree: a library met before in
+    preorder is dropped with its subtree, as :func:`_synthesize` drops it."""
+    seen = {root.ga}
+    stack = [(pick, (pick.gav, root), pick.scope.deployed) for pick in reversed(picks)]
+    while stack:
+        node, chain, deployed = stack.pop()
+        ga = node.gav.ga
+        if ga in seen:
+            continue
+        seen.add(ga)
+        yield node, chain, deployed
+        stack.extend(
+            (child, (child.gav,) + chain, deployed and child.scope.deployed)
+            for child in reversed(node.children)
+        )
 
 
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
-    Each project counts its tree's census, scanned with non-deployed
-    instances matched: the standard counts ignore deployment and grouping,
-    the proposed ones honor both. A kept node's row is the same in every
-    project that draws its pool root: the synthetic root shares a project
-    with no pool library, pool roots have compile scope and mediation drops
-    whole subtrees. So each pool root is scanned once, on its first draw, and
-    its rows are cached on the pool. A pick whose own scan raises caches
-    ``None``, and a project that draws it scans its whole tree instead.
+    Each project counts the census of its tree (:func:`project_tree`),
+    scanned with non-deployed instances matched: the standard counts ignore
+    deployment and grouping, the proposed ones honor both. The census rows
+    come from one walk over the picks that drops what mediation drops, so no
+    project tree is built, and the walk raises where a scan of the tree would.
     """
     time = cfg.time or date.today()
-    censuses = pool._censuses.setdefault((time, cfg.smoothing, cfg.lenient), {})
-
-    def census(tree: DependencyTree) -> tuple[CensusRow, ...]:
-        return scan(tree, pool.kb, pool.histories, time=time, cfg=cfg.smoothing,
-                    lenient=cfg.lenient, include_non_deployed=True).census
-
+    verdicts = verdict_table(pool.histories, time, cfg.smoothing)
     outcomes = []
     for index in range(cfg.projects):
-        picks = _picks(pool, cfg, index)
-        for pick in picks:
-            if pick.gav not in censuses:
-                try:
-                    censuses[pick.gav] = census(DependencyTree(
-                        DependencyNode(Gav(SYNTHETIC_GROUP, "pool", "1.0"), Scope.COMPILE, (pick,))))
-                except DepscopeError:
-                    censuses[pick.gav] = None
-        rows = [censuses[pick.gav] for pick in picks]
-        if None in rows:
-            rows = [census(_synthesize(index, picks))]
-        outcomes.append(_outcome(index, rows))
+        root = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
+        walk = _walk(root, _picks(pool, cfg, index))
+        vulnerable = [row for row, _, _ in census_rows(walk, root, pool.kb, verdicts, lenient=cfg.lenient,
+                                                       include_non_deployed=True) if row.vuln_ids]
+        deployed = [row for row in vulnerable if row.deployed]
+        outcomes.append(ProjectOutcome(
+            index=index,
+            root=root,
+            all_vulnerable=len(vulnerable),
+            deployed_vulnerable=len(deployed),
+            controlled_standard=sum(row.depth == 1 for row in vulnerable),
+            controlled_proposed=sum(row.responsibility is not Responsibility.TRANSITIVE for row in deployed),
+            halted_vulnerable=sum(row.library_status is LibraryStatus.HALTED for row in deployed),
+        ))
     return outcomes
 
 

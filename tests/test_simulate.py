@@ -160,12 +160,13 @@ def test_replay_against_direct_pipeline():
     assert sum(o.controlled_proposed for o in outcomes) and sum(o.halted_vulnerable for o in outcomes)
 
 
-def test_outcomes_do_not_depend_on_the_order_the_cache_fills_in():
+def test_outcomes_do_not_depend_on_the_order_of_calls():
+    # the pool's histories keep their verdict tables from call to call
     cfgs = [SimulationConfig(projects=3, deps_per_project=8, seed=seed, time=ANALYSIS_TIME, lenient=lenient)
             for seed in range(12) for lenient in (False, True)]
-    warm = build_synthetic_pool()
-    first = [simulate(warm, cfg) for cfg in cfgs]
-    assert [simulate(warm, cfg) for cfg in cfgs] == first
+    used = build_synthetic_pool()
+    first = [simulate(used, cfg) for cfg in cfgs]
+    assert [simulate(used, cfg) for cfg in cfgs] == first
     fresh = build_synthetic_pool()
     assert [simulate(fresh, cfg) for cfg in reversed(cfgs)] == first[::-1]
 
@@ -256,8 +257,8 @@ def _outcomes_or_error(run, pool, cfg):
 def test_simulate_equals_a_scan_of_each_project_tree(pool, data):
     deps = data.draw(st.integers(1, len(pool.libraries)))
     for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
-        # one pool throughout, so a run reads what runs in another mode or at
-        # another time have cached; lenient first, whose rows strict must not read
+        # one pool throughout, so runs in both modes and at two dates, and
+        # the reference scans, share the verdict tables its histories keep
         for lenient in (True, False):
             cfg = SimulationConfig(projects=data.draw(st.integers(1, 4)), deps_per_project=deps, seed=seed,
                                    time=data.draw(st.sampled_from([ANALYSIS_TIME, date(2006, 6, 1)])),
