@@ -39,6 +39,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    chains,
     parse_gav,
     same_project,
 )

@@ -13,6 +13,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    chains,
     prune,
     same_project,
 )
@@ -71,7 +72,7 @@ def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
     """
     root = annotated.tree.root.gav
     paths = []
-    for node, raw, _ in annotated.tree.chains():
+    for node, raw, _ in chains(annotated.tree.root):
         ids = annotated.vulnerable.get(node.gav)
         if not ids:
             continue

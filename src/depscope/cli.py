@@ -72,10 +72,10 @@ def _smoothing(args) -> SmoothingConfig:
 
 
 def _load(path: Path, parse):
-    """``parse`` applied to the file's text; its errors, and text that is not
-    UTF-8, name the file."""
+    """``parse`` applied to the file's text, without a leading UTF-8 byte-order
+    mark; its errors, and text that is not UTF-8, name the file."""
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8-sig"))
     except (DepscopeError, UnicodeDecodeError) as exc:
         raise InputFileError(path, exc) from exc
 

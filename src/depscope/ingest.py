@@ -142,8 +142,10 @@ def json_typed(obj, key, kind: type, pointer: str):
 _INFO_PREFIX = "[INFO] "
 _INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
 _BRANCH_UNITS = ("+- ", "\\- ")
-# scope names both tree formats accept; the text form maps any other to UNKNOWN
-_SCOPES = {s.value: s for s in Scope if s is not Scope.UNKNOWN}
+# scope names both tree formats accept, ``unknown`` included so that a parsed
+# text tree renders to JSON that parses back; the text form maps any other
+# name to UNKNOWN
+_SCOPES = {s.value: s for s in Scope}
 
 
 def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scope]:

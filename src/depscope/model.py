@@ -236,20 +236,29 @@ class DependencyTree:
     def gavs(self) -> set[Gav]:
         return {node.gav for node, _ in self.nodes()}
 
-    def chains(self) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
-        """Depth-first preorder walk yielding ``(node, chain, deployed)``.
 
-        ``chain`` runs from the node up to the root, inclusive; ``deployed``
-        is true when every edge on it ships.
-        """
-        stack = [(self.root, (self.root.gav,), True)]
-        while stack:
-            node, chain, deployed = stack.pop()
-            yield node, chain, deployed
-            stack.extend(
-                (child, (child.gav,) + chain, deployed and child.scope.deployed)
-                for child in reversed(node.children)
-            )
+def chains(root: DependencyNode) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
+    """Depth-first preorder walk from ``root`` yielding ``(node, chain, deployed)``.
+
+    ``chain`` runs from the node up to the root, inclusive; ``deployed`` is
+    true when every edge on it ships. A library met before in preorder is
+    skipped with its subtree, as a build tool mediates duplicates, so the
+    walk of a :class:`DependencyTree`'s root, whose libraries are distinct,
+    skips nothing. The root is never skipped.
+    """
+    seen = set()  # group and artifact as plain tuples: cheaper than building Ga
+    stack = [(root, (root.gav,), True)]
+    while stack:
+        node, chain, deployed = stack.pop()
+        ga = node.gav[:2]
+        if ga in seen:
+            continue
+        seen.add(ga)
+        yield node, chain, deployed
+        stack.extend(
+            (child, (child.gav,) + chain, deployed and child.scope.deployed)
+            for child in reversed(node.children)
+        )
 
 
 @dataclass(frozen=True, order=True)

@@ -41,6 +41,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    chains,
 )
 
 _VULN_AXES = ("vuln", "safe")
@@ -179,9 +180,7 @@ def scan(
     paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
              for vuln_id in kb.ids_by_gav.get(root, ())]
     rows = []
-    walk = tree.chains()
-    next(walk)  # the root, which has no census row
-    for row, chain, grouped in census_rows(walk, root, kb, verdict_table(histories, time, cfg),
+    for row, chain, grouped in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
                                            lenient=lenient, include_non_deployed=include_non_deployed):
         rows.append(row)
         for vuln_id in row.vuln_ids:
@@ -197,21 +196,22 @@ def scan(
 
 
 def census_rows(
-    walk: Iterable[tuple[DependencyNode, tuple[Gav, ...], bool]],
-    root: Gav,
+    root: DependencyNode,
     kb: VulnerabilityKb,
     verdicts: VerdictTable,
     *,
     lenient: bool,
     include_non_deployed: bool,
 ) -> Iterator[tuple[CensusRow, tuple[Gav, ...], tuple[Gav, ...]]]:
-    """``(row, chain, grouped)`` for each dependency of a preorder walk below
-    ``root`` shaped like :meth:`DependencyTree.chains`; raises as :func:`scan`
-    does, at the first offending node. ``grouped`` is whole for a vulnerable
-    node and cut after three members otherwise: the class depends only on the
-    first grouped member and on whether there are exactly two."""
+    """``(row, chain, grouped)`` for each dependency below ``root`` in the
+    order of :func:`depscope.model.chains`, which drops a repeated library
+    with its subtree; raises as :func:`scan` does, at the first offending
+    node. ``grouped`` is whole for a vulnerable node and cut after three
+    members otherwise: the class depends only on the first grouped member and
+    on whether there are exactly two."""
     ids_by_gav = kb.ids_by_gav
-    for node, chain, deployed in walk:
+    root_gav = root.gav
+    for node, chain, deployed in islice(chains(root), 1, None):  # the root has no row
         gav = node.gav
         vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
         grouped = tuple(islice(iter_group_path(chain), None if vuln_ids else 3))
@@ -229,7 +229,7 @@ def census_rows(
             depth=len(chain) - 1,
             deployed=deployed,
             vuln_ids=vuln_ids,
-            responsibility=classify_responsibility(grouped, root),
+            responsibility=classify_responsibility(grouped, root_gav),
             library_status=lib_status,
             instance_status=inst_status,
             via_halted=direct is not None and direct.status is LibraryStatus.HALTED,
@@ -534,10 +534,9 @@ def render(obj, format: str = "text") -> str:
 _RESULT_KEYS = frozenset({"root", "analysis_time", "include_non_deployed", "paths", "census"})
 _PATH_KEYS = frozenset({"raw_path", "grouped_path", "vuln_id", "responsibility", "via_halted"})
 _ROW_KEYS = frozenset(
-    {"gav", "depth", "deployed", "vuln_ids", "own", "responsibility", "library_status",
+    {"gav", "depth", "direct", "deployed", "vuln_ids", "own", "responsibility", "library_status",
      "instance_status", "via_halted", "unknown_history"}
 )
-_ROW_WRITTEN_ONLY = frozenset({"direct"})  # rendered, but derived from depth
 
 
 # value -> member per enum: a dict lookup costs a tenth of an Enum call
@@ -571,11 +570,12 @@ def _path_from_dict(entry, p: str) -> VulnerablePath:
 
 
 def _row_from_dict(entry, p: str) -> CensusRow:
-    json_object(entry, p, _ROW_KEYS, _ROW_WRITTEN_ONLY)
+    json_object(entry, p, _ROW_KEYS)
     vuln_ids = tuple(json_typed(entry, "vuln_ids", list, p))
     if not all(type(vuln_id) is str for vuln_id in vuln_ids):
         raise SchemaViolation(f"{p}/vuln_ids", "must be an array of strings")
     own = json_typed(entry, "own", bool, p)
+    direct = json_typed(entry, "direct", bool, p)
     row = CensusRow(
         gav=parse_gav_at(entry["gav"], f"{p}/gav"),
         depth=json_typed(entry, "depth", int, p),
@@ -587,6 +587,11 @@ def _row_from_dict(entry, p: str) -> CensusRow:
         via_halted=json_typed(entry, "via_halted", bool, p),
         unknown_history=json_typed(entry, "unknown_history", bool, p),
     )
+    # a row is a dependency, so below the root; own and direct are derived
+    if row.depth < 1:
+        raise SchemaViolation(f"{p}/depth", f"{row.depth} is not a dependency's depth")
+    if direct is not row.direct:
+        raise SchemaViolation(f"{p}/direct", f"{direct} disagrees with depth {row.depth}")
     if own is not row.own:
         raise SchemaViolation(f"{p}/own", f"{own} disagrees with responsibility {row.responsibility.value!r}")
     return row

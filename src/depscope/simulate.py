@@ -20,7 +20,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
 from depscope.ingest import csv_text, json_text
@@ -166,43 +166,23 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
     return _synthesize(index, _picks(pool, cfg, index))
 
 
-def _walk(
-    root: Gav, picks: Sequence[DependencyNode]
-) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
-    """What ``chains()`` of the project tree yields below ``root``, walked
-    from the picks without building the tree: a library met before in
-    preorder is dropped with its subtree, as :func:`_synthesize` drops it."""
-    seen = {root.ga}
-    stack = [(pick, (pick.gav, root), pick.scope.deployed) for pick in reversed(picks)]
-    while stack:
-        node, chain, deployed = stack.pop()
-        ga = node.gav.ga
-        if ga in seen:
-            continue
-        seen.add(ga)
-        yield node, chain, deployed
-        stack.extend(
-            (child, (child.gav,) + chain, deployed and child.scope.deployed)
-            for child in reversed(node.children)
-        )
-
-
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
     Each project counts the census of its tree (:func:`project_tree`),
     scanned with non-deployed instances matched: the standard counts ignore
     deployment and grouping, the proposed ones honor both. The census rows
-    come from one walk over the picks that drops what mediation drops, so no
-    project tree is built, and the walk raises where a scan of the tree would.
+    come from the walk of a root over the picks, which drops what mediation
+    drops, so no project tree is built, and it raises where a scan of the
+    tree would.
     """
     time = cfg.time or date.today()
     verdicts = verdict_table(pool.histories, time, cfg.smoothing)
     outcomes = []
     for index in range(cfg.projects):
         root = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
-        walk = _walk(root, _picks(pool, cfg, index))
-        vulnerable = [row for row, _, _ in census_rows(walk, root, pool.kb, verdicts, lenient=cfg.lenient,
+        node = DependencyNode(root, Scope.COMPILE, _picks(pool, cfg, index))
+        vulnerable = [row for row, _, _ in census_rows(node, pool.kb, verdicts, lenient=cfg.lenient,
                                                        include_non_deployed=True) if row.vuln_ids]
         deployed = [row for row in vulnerable if row.deployed]
         outcomes.append(ProjectOutcome(

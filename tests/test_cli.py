@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import tracemalloc
 from datetime import date
@@ -13,6 +14,7 @@ from depscope.report import CensusRow, ScanResult, aggregate, render, scan
 from conftest import (
     ANALYSIS_TIME,
     SAMPLE_KB_JSON,
+    SAMPLE_TREE_JSON,
     SAMPLE_TREE_TEXT,
     alive_history,
     halted_direct_tree,
@@ -505,6 +507,30 @@ def test_input_not_utf8_names_file(workspace, capsys, flag):
     err = capsys.readouterr().err
     assert "latin1.txt" in err and "can't decode" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["text tree", "json tree", "history", "kb", "result"])
+def test_byte_order_mark_changes_no_output(workspace, capsys, kind):
+    (workspace / "app-core.json").write_text(SAMPLE_TREE_JSON)
+    (workspace / "results").mkdir()
+    main(_scan_args(workspace, "--format", "json"))
+    (workspace / "results" / "r.json").write_text(capsys.readouterr().out)
+    args = _scan_args(workspace, "--format", "json")
+    if kind == "json tree":
+        args[args.index("--tree") + 1] = str(workspace / "app-core.json")
+    if kind == "result":
+        args = ["report", "--input", str(workspace / "results"), "--format", "json"]
+    file = workspace / {"text tree": "app-core.txt", "json tree": "app-core.json",
+                        "history": "releases.csv", "kb": "kb.json", "result": "results/r.json"}[kind]
+
+    def run():
+        code = main(args)
+        return (code, *capsys.readouterr())
+
+    plain = run()
+    assert plain[0] == (0 if kind == "result" else 2) and not plain[2]
+    file.write_bytes(codecs.BOM_UTF8 + file.read_bytes())
+    assert run() == plain
 
 
 def test_report_rejects_unknown_result_key(workspace, capsys):

@@ -234,6 +234,18 @@ def test_tree_json_round_trip(sample_tree):
     assert render_tree_json(parse_tree_json(rendered)) == rendered
 
 
+@settings(deadline=None)
+@given(tree=trees())
+def test_parse_tree_json_inverts_render_tree_json(tree):
+    assert parse_tree_json(render_tree_json(tree)) == tree
+
+
+def test_unknown_scope_survives_the_json_round_trip():
+    tree = parse_tree_text("com.acme:m:1.0\n+- g2:b:jar:1:exotic\n")
+    assert parse_tree_json(render_tree_json(tree)) == tree
+    assert tree.root.children[0].scope is Scope.UNKNOWN
+
+
 def _node_to_dict(node) -> dict:
     return {
         "gav": str(node.gav),

@@ -19,11 +19,12 @@ from depscope.model import (
     ReleaseHistory,
     Scope,
     build_tree,
+    chains,
     parse_gav,
     same_project,
 )
 
-from conftest import deep_chain_tree
+from conftest import deep_chain_tree, trees
 
 
 def test_parse_gav_three_segments():
@@ -212,18 +213,18 @@ def test_tree_rejects_non_compile_root():
 
 
 def test_ancestor_chains(sample_tree):
-    walk = list(sample_tree.chains())
+    walk = list(chains(sample_tree.root))
     assert [node for node, _, _ in walk] == [node for node, _ in sample_tree.nodes()]
-    chains = {node.gav: chain for node, chain, _ in walk}
+    chain_of = {node.gav: chain for node, chain, _ in walk}
     compress = Gav("org.ziplib", "compress", "1.4")
-    assert chains[compress] == (
+    assert chain_of[compress] == (
         compress,
         Gav("org.dataflow", "stream-codec", "5.1"),
         Gav("org.dataflow", "stream-core", "5.1"),
         Gav("com.acme", "app-core", "1.0"),
     )
     root = sample_tree.root.gav
-    assert chains[root] == (root,)
+    assert chain_of[root] == (root,)
     assert all(deployed for _, _, deployed in walk)
 
 
@@ -234,14 +235,48 @@ def test_chains_deployed_needs_every_edge_to_ship():
     tree = DependencyTree(
         DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (tested, runtime))
     )
-    deployed = {node.gav.artifact_id: flag for node, _, flag in tree.chains()}
+    deployed = {node.gav.artifact_id: flag for node, _, flag in chains(tree.root)}
     assert deployed == {"root": True, "tested": False, "leaf": False, "runtime": True}
+
+
+def _node(artifact: str, *children: DependencyNode, version: str = "1") -> DependencyNode:
+    return DependencyNode(Gav("g", artifact, version), Scope.COMPILE, children)
+
+
+def test_chains_skips_a_repeated_library_with_its_subtree():
+    # b's second occurrence (another version) brings c, which must not be walked
+    root = _node("root", _node("a", _node("b")), _node("b", _node("c"), version="2"), _node("d"))
+    walk = [(node.gav.artifact_id, node.gav.version) for node, _, _ in chains(root)]
+    assert walk == [("root", "1"), ("a", "1"), ("b", "1"), ("d", "1")]
+
+
+def test_chains_never_skips_the_root():
+    # the root's library recurs below it; the root is walked, the repeat is not
+    root = _node("root", _node("a", _node("root", _node("x"), version="2")))
+    assert [(n.gav.artifact_id, chain) for n, chain, _ in chains(root)] == [
+        ("root", (root.gav,)),
+        ("a", (Gav("g", "a", "1"), root.gav)),
+    ]
+
+
+def test_chains_is_preorder_with_children_in_order():
+    root = _node("r", _node("a", _node("a1"), _node("a2", _node("a21"))), _node("b"),
+                 _node("c", _node("c1")))
+    order = [node.gav.artifact_id for node, _, _ in chains(root)]
+    assert order == ["r", "a", "a1", "a2", "a21", "b", "c", "c1"]
+
+
+@given(trees())
+def test_chains_of_a_tree_yields_every_node(tree):
+    walk = list(chains(tree.root))
+    assert [node for node, _, _ in walk] == [node for node, _ in tree.nodes()]
+    assert [len(chain) - 1 for _, chain, _ in walk] == [depth for _, depth in tree.nodes()]
 
 
 def test_build_tree_inverts_the_preorder_walk(sample_tree):
     positions = {}
     preorder = []
-    for node, chain, _ in sample_tree.chains():
+    for node, chain, _ in chains(sample_tree.root):
         positions[node.gav] = len(preorder)
         parent = positions[chain[1]] if len(chain) > 1 else -1
         preorder.append((node.gav, node.scope, parent))

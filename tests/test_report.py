@@ -20,6 +20,7 @@ from depscope.model import (
     Responsibility,
     Scope,
     VulnerablePath,
+    chains,
 )
 from depscope.report import (
     CELL_KEYS,
@@ -227,13 +228,12 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
     monkeypatch.setattr(DependencyTree, "__post_init__", forbidden)
     monkeypatch.setattr(DependencyTree, "nodes", forbidden)
     walks = []
-    chains = DependencyTree.chains
-    monkeypatch.setattr(DependencyTree, "chains", lambda tree: walks.append(tree) or chains(tree))
+    monkeypatch.setattr("depscope.report.chains", lambda root: walks.append(root) or chains(root))
 
     got = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
            for t, kb, h in cases for include in (False, True)]
     assert got == expected
-    assert walks == [t for t, _, _ in cases for _ in (False, True)]
+    assert walks == [t.root for t, _, _ in cases for _ in (False, True)]
 
 
 @pytest.mark.parametrize("include", [False, True])
@@ -398,6 +398,29 @@ def test_saved_own_must_agree_with_responsibility(sample_tree, sample_kb, sample
     with pytest.raises(SchemaViolation) as exc:
         parse_scan_results_json(json.dumps(data))
     assert exc.value.pointer == "/census/0/own"
+
+
+@pytest.mark.parametrize("fields, key", [
+    ({"depth": 1, "direct": False}, "direct"),
+    ({"depth": 2, "direct": True}, "direct"),
+    ({"depth": 0, "direct": False}, "depth"),
+    ({"depth": -3, "direct": False}, "depth"),
+], ids=["depth-1-not-direct", "depth-2-direct", "depth-0", "negative-depth"])
+def test_saved_direct_must_agree_with_a_dependency_depth(sample_tree, sample_kb, sample_histories,
+                                                         fields, key):
+    data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
+    data["census"][0].update(fields)
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert exc.value.pointer == f"/census/0/{key}"
+
+
+def test_saved_row_needs_direct(sample_tree, sample_kb, sample_histories):
+    data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
+    del data["census"][0]["direct"]
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert (exc.value.pointer, exc.value.reason) == ("/census/0", "missing key 'direct'")
 
 
 @pytest.mark.parametrize("value", [["own"], {}, 1, None, "OWN"])
