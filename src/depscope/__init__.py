@@ -18,7 +18,6 @@ from depscope.ingest import (
 from depscope.lifecycle import (
     SmoothingConfig,
     expected_release_date,
-    instance_status,
     last_release_interval,
     library_status,
     release_intervals,

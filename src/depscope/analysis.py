@@ -119,7 +119,7 @@ def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsib
     two-element grouped path means the fix is one version bump away, hence
     direct; anything longer is controlled by another project upstream.
     """
-    if same_project(grouped_path[0], root):
+    if same_project(grouped_path[0].group_id, root.group_id):
         return Responsibility.OWN
     if len(grouped_path) == 2:
         return Responsibility.DIRECT

@@ -14,9 +14,8 @@ class MalformedCoordinate(DepscopeError):
 
 
 class MalformedTreeLine(DepscopeError):
-    def __init__(self, line_no: int, reason: str = ""):
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"malformed tree line {line_no}{detail}")
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"malformed tree line {line_no}: {reason}")
         self.line_no = line_no
 
 
@@ -41,9 +40,8 @@ class SchemaViolation(DepscopeError):
 
 
 class MalformedRow(DepscopeError):
-    def __init__(self, line_no: int, reason: str = ""):
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"malformed CSV row at line {line_no}{detail}")
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"malformed CSV row at line {line_no}: {reason}")
         self.line_no = line_no
 
 

@@ -340,16 +340,15 @@ def load_release_history(doc: str) -> ReleaseHistories:
             if len(row) != 4:
                 raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
             group, artifact, version, date_text = row
-            if not group or not artifact or not version:
-                raise MalformedRow(line_no, "empty field")
+            try:
+                gav = Gav(group, artifact, version)
+            except ValueError as exc:  # an empty segment or one holding ':'
+                raise MalformedRow(line_no, str(exc)) from None
             try:
                 released = parse_date_at(date_text, "")
             except SchemaViolation:
                 raise MalformedRow(line_no, f"bad date {date_text!r}") from None
-            try:
-                ga = Ga(group, artifact)
-            except ValueError as exc:  # a ':' inside group_id or artifact_id
-                raise MalformedRow(line_no, str(exc)) from None
+            ga = gav.ga
             releases = rows.setdefault(ga, {})
             if version in releases:
                 raise DuplicateVersion(ga, version, line_no)

@@ -121,12 +121,6 @@ def library_status(history: ReleaseHistory, time: date, cfg: SmoothingConfig) ->
     return library_verdict(history, time, cfg).status
 
 
-def instance_status(gav: Gav, history: ReleaseHistory, time: date) -> InstanceStatus:
-    """Outdated when a strictly newer release exists and is visible at ``time``."""
-    # the smoothing config plays no part in the instance status
-    return library_verdict(history, time, SmoothingConfig()).instance_status(gav)
-
-
 class VerdictTable(dict):
     """``Ga -> LibraryVerdict`` over one mapping of histories at one time and
     config, ``None`` for a library without history. A library's verdict is

@@ -110,17 +110,14 @@ def parse_gav(text: str) -> Gav:
     return Gav(*segments)
 
 
-def same_project(a, b) -> bool:
-    """Whether two group ids (or Ga/Gav carriers) name the same project.
+def same_project(a: str, b: str) -> bool:
+    """Whether two group ids name the same project.
 
-    A string argument is the group id itself; anything else gives its
-    ``group_id``. Groups are the same project when equal or when one is a
-    dot-boundary prefix of the other (``org.apache.activemq`` vs
+    Groups are the same project when equal or when one is a dot-boundary
+    prefix of the other (``org.apache.activemq`` vs
     ``org.apache.activemq.tooling``). Plain string prefixes do not match:
     ``com.foo`` and ``com.foobar`` are distinct projects.
     """
-    a = a if isinstance(a, str) else a.group_id
-    b = b if isinstance(b, str) else b.group_id
     if a == b:
         return True
     return a.startswith(b + ".") or b.startswith(a + ".")
@@ -261,7 +258,7 @@ def chains(root: DependencyNode) -> Iterator[tuple[DependencyNode, tuple[Gav, ..
         )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Release:
     version: str
     released: date

@@ -111,11 +111,7 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Cross-tabulated counts over any number of scan results.
-
-    Merging is plain cell-wise addition, so partial aggregates may be
-    combined in any order.
-    """
+    """Cross-tabulated counts over any number of scan results."""
 
     cells: Mapping[str, int]
 
@@ -129,11 +125,6 @@ class AggregateReport:
 
     def get(self, key: str) -> int:
         return self.cells[key]
-
-    def merge(self, other: "AggregateReport") -> "AggregateReport":
-        return AggregateReport(
-            {key: self.cells[key] + other.cells[key] for key in CELL_KEYS}
-        )
 
 
 def scan(
@@ -286,7 +277,7 @@ def _pct(numerator: int, denominator: int) -> str:
     return f"{100.0 * numerator / denominator:.1f}%"
 
 
-def _table(header: list[str], rows: list[list[str]], indent: str = "  ") -> list[str]:
+def _table(header: list[str], rows: list[list[str]]) -> list[str]:
     widths = [len(cell) for cell in header]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
@@ -295,7 +286,7 @@ def _table(header: list[str], rows: list[list[str]], indent: str = "  ") -> list
         padded = [cells[0].ljust(widths[0])] + [
             cell.rjust(width) for cell, width in zip(cells[1:], widths[1:])
         ]
-        lines.append(indent + "  ".join(padded).rstrip())
+        lines.append("  " + "  ".join(padded).rstrip())
     return lines
 
 

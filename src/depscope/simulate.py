@@ -126,26 +126,6 @@ def _sub_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _synthesize(index: int, picks: Sequence[DependencyNode]) -> DependencyTree:
-    """Attach the drawn subtrees under a fresh synthetic root.
-
-    When two drawn subtrees share a library, the first-drawn occurrence wins
-    and the later node is dropped with its subtree, mirroring how a build
-    tool mediates duplicate libraries in a resolved tree.
-    """
-    root_gav = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
-    seen = {root_gav.ga}
-
-    def first_of_library(node: DependencyNode) -> bool:
-        if node.gav.ga in seen:
-            return False
-        seen.add(node.gav.ga)
-        return True
-
-    root = DependencyNode(root_gav, Scope.COMPILE, tuple(picks))
-    return DependencyTree(prune(root, first_of_library))
-
-
 def _picks(pool: SimulationPool, cfg: SimulationConfig, index: int) -> list[DependencyNode]:
     """The pool roots project ``index`` draws, in draw order."""
     if not pool.libraries:
@@ -158,12 +138,26 @@ def _picks(pool: SimulationPool, cfg: SimulationConfig, index: int) -> list[Depe
 
 
 def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
-    """The synthetic tree the given project iteration analyzes.
+    """The synthetic tree the given project iteration analyzes: the drawn
+    subtrees under a fresh synthetic root.
 
-    Deterministic in (pool, cfg, index); exposed so results can be replayed
-    against a direct run of the analysis pipeline.
+    When two drawn subtrees share a library, the first-drawn occurrence wins
+    and the later node is dropped with its subtree, mirroring how a build
+    tool mediates duplicate libraries in a resolved tree. Deterministic in
+    (pool, cfg, index); exposed so results can be replayed against a direct
+    run of the analysis pipeline.
     """
-    return _synthesize(index, _picks(pool, cfg, index))
+    root_gav = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
+    seen = {root_gav.ga}
+
+    def first_of_library(node: DependencyNode) -> bool:
+        if node.gav.ga in seen:
+            return False
+        seen.add(node.gav.ga)
+        return True
+
+    root = DependencyNode(root_gav, Scope.COMPILE, tuple(_picks(pool, cfg, index)))
+    return DependencyTree(prune(root, first_of_library))
 
 
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:

@@ -256,7 +256,7 @@ def _reference_group_path(raw_path):
     project with any member kept before it."""
     kept = []
     for gav in raw_path:
-        if any(same_project(anchor, gav) for anchor in kept):
+        if any(same_project(anchor.group_id, gav.group_id) for anchor in kept):
             continue
         kept.append(gav)
     return kept

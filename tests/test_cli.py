@@ -211,6 +211,14 @@ def test_scan_expected_release_past_date_max_is_alive(tmp_path, capsys, rows, fl
     ]
 
 
+def test_status_rejects_a_version_no_coordinate_can_have(tmp_path, capsys):
+    (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1.0,2018-01-01\ng,a,1:0,2018-01-01\n")
+    code = main(["status", "--history", str(tmp_path / "history.csv"), "--time", "2020-06-01"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "history.csv: malformed CSV row at line 3: version must not contain ':'" in captured.err
+
+
 def test_default_interval_past_the_float_range_is_a_usage_error(tmp_path, capsys):
     (tmp_path / "history.csv").write_text(_HISTORY_HEADER + "g,a,1,2020-01-01\n")
     code = main(["status", "--history", str(tmp_path / "history.csv"),

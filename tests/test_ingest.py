@@ -358,6 +358,18 @@ def test_load_history_malformed_row_line_number():
     assert exc.value.line_no == 3
 
 
+@pytest.mark.parametrize("row, reason", [
+    ("g,a,1:0,2018-01-01", "version must not contain ':'"),
+    ("g,a,,2018-01-01", "version must be a non-empty string"),
+    (",a,1.0,2018-01-01", "group_id must be a non-empty string"),
+])
+def test_load_history_checks_each_segment_as_a_coordinate(row, reason):
+    doc = "group_id,artifact_id,version,release_date\ng,b,1.0,2018-01-01\n" + row + "\n"
+    with pytest.raises(MalformedRow) as exc:
+        load_release_history(doc)
+    assert (exc.value.line_no, str(exc.value)) == (3, f"malformed CSV row at line 3: {reason}")
+
+
 def test_load_history_bad_date():
     doc = "group_id,artifact_id,version,release_date\ng,a,1.0,01/02/2020\n"
     with pytest.raises(MalformedRow):

@@ -16,7 +16,6 @@ from depscope.ingest import load_release_history
 from depscope.lifecycle import (
     SmoothingConfig,
     expected_release_date,
-    instance_status,
     last_release_interval,
     library_status,
     library_verdict,
@@ -167,7 +166,7 @@ def test_halting_is_monotone_in_time():
 def test_latest_release_up_to_date():
     history = history_from_dates([date(2020, 1, 1), date(2021, 1, 1)])
     latest = Gav("g", "a", "1")
-    assert instance_status(latest, history, date(2024, 1, 1)) is InstanceStatus.UP_TO_DATE
+    assert library_verdict(history, date(2024, 1, 1), CFG).instance_status(latest) is InstanceStatus.UP_TO_DATE
 
 
 def test_superseded_release_outdated():
@@ -176,7 +175,7 @@ def test_superseded_release_outdated():
         (Release("1.1.1", date(2007, 11, 26)), Release("1.1.2", date(2013, 3, 16))),
     )
     gav = Gav("commons-logging", "commons-logging", "1.1.1")
-    assert instance_status(gav, history, date(2014, 1, 1)) is InstanceStatus.OUTDATED
+    assert library_verdict(history, date(2014, 1, 1), CFG).instance_status(gav) is InstanceStatus.OUTDATED
 
 
 def test_future_releases_invisible():
@@ -185,13 +184,13 @@ def test_future_releases_invisible():
         (Release("1.1.1", date(2007, 11, 26)), Release("1.1.2", date(2013, 3, 16))),
     )
     gav = Gav("commons-logging", "commons-logging", "1.1.1")
-    assert instance_status(gav, history, date(2012, 1, 1)) is InstanceStatus.UP_TO_DATE
+    assert library_verdict(history, date(2012, 1, 1), CFG).instance_status(gav) is InstanceStatus.UP_TO_DATE
 
 
 def test_unknown_version_raises():
     history = history_from_dates([date(2020, 1, 1)])
     with pytest.raises(UnknownVersion):
-        instance_status(Gav("g", "a", "nope"), history, date(2024, 1, 1))
+        library_verdict(history, date(2024, 1, 1), CFG).instance_status(Gav("g", "a", "nope"))
 
 
 @given(
@@ -208,7 +207,8 @@ def test_last_visible_release_always_up_to_date(dates, probe):
     visible = [r for r in history.releases if r.released <= probe]
     if not visible:
         return
-    assert instance_status(Gav("g", "a", visible[-1].version), history, probe) is InstanceStatus.UP_TO_DATE
+    latest_visible = Gav("g", "a", visible[-1].version)
+    assert library_verdict(history, probe, CFG).instance_status(latest_visible) is InstanceStatus.UP_TO_DATE
 
 
 # --- reached through a halted direct dependency ---------------------------------------------

@@ -75,10 +75,6 @@ def test_same_project_needs_dot_boundary():
     assert not same_project("com.foo", "com.foobar")
 
 
-def test_same_project_accepts_ga_and_gav():
-    assert same_project(Ga("com.a", "x"), Gav("com.a.sub", "y", "1"))
-
-
 _group_text = st.text(
     alphabet=st.sampled_from("abc."), min_size=1, max_size=12
 ).filter(lambda s: "." != s[0] and "." != s[-1])

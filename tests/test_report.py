@@ -255,17 +255,6 @@ def test_aggregate_empty_is_all_zero():
     assert all(report.get(key) == 0 for key in CELL_KEYS)
 
 
-def test_aggregate_merge_commutative_associative(sample_tree, sample_kb, sample_histories):
-    result = _scan_sample(sample_tree, sample_kb, sample_histories)
-    single = aggregate([result])
-    double = aggregate([result, result])
-    assert single.merge(single).cells == double.cells
-    assert single.merge(double).cells == double.merge(single).cells
-    merged_left = single.merge(single).merge(single)
-    merged_right = single.merge(single.merge(single))
-    assert merged_left.cells == merged_right.cells
-
-
 def test_aggregate_matches_flat_recount():
     rng = random.Random(40404)
     results = []
