@@ -83,6 +83,11 @@ def parse_json(doc: str):
     return value
 
 
+def json_pointer(pointer: str, key) -> str:
+    """``pointer`` extended by the key or index ``key``, escaped as RFC 6901 asks."""
+    return f"{pointer}/{str(key).replace('~', '~0').replace('/', '~1')}"
+
+
 def _check_surrogates(text: str, pointer: str) -> None:
     found = not text.isascii() and _SURROGATE.search(text)
     if found:
@@ -103,7 +108,7 @@ def _reject_lone_surrogates(value) -> None:
         elif isinstance(value, dict):
             for name in value:
                 _check_surrogates(name, pointer)
-            stack.extend((f"{pointer}/{name.replace('~', '~0').replace('/', '~1')}", child)
+            stack.extend((json_pointer(pointer, name), child)
                          for name, child in reversed(value.items()))
         elif isinstance(value, list):
             stack.extend((f"{pointer}/{i}", value[i]) for i in reversed(range(len(value))))
@@ -130,10 +135,10 @@ _JSON_TYPE_NAMES = {bool: "a boolean", int: "an integer", str: "a string", list:
 
 def json_typed(obj, key, kind: type, pointer: str):
     """``obj[key]`` when it has exactly the JSON type ``kind``; ``obj`` is an
-    object or an array. Failures name ``pointer/key``."""
+    object or an array. Failures name ``pointer`` extended by ``key``."""
     value = obj[key]
     if type(value) is not kind:
-        raise SchemaViolation(f"{pointer}/{key}", f"must be {_JSON_TYPE_NAMES[kind]}")
+        raise SchemaViolation(json_pointer(pointer, key), f"must be {_JSON_TYPE_NAMES[kind]}")
     return value
 
 

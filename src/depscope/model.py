@@ -104,10 +104,10 @@ class Gav(_GavFields):
 
 def parse_gav(text: str) -> Gav:
     """Parse exactly ``g:a:v``; the inverse of ``str(gav)``."""
-    segments = text.split(":")
-    if len(segments) != 3 or not all(segments):
-        raise MalformedCoordinate(text)
-    return Gav(*segments)
+    try:
+        return Gav(*text.split(":"))
+    except (TypeError, ValueError):  # not three segments, or an empty one
+        raise MalformedCoordinate(text) from None
 
 
 def same_project(a: str, b: str) -> bool:

@@ -22,6 +22,7 @@ from depscope.ingest import (
     csv_rows,
     csv_text,
     json_object,
+    json_pointer,
     json_text,
     json_typed,
     parse_date_at,
@@ -111,20 +112,17 @@ class ScanResult:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Cross-tabulated counts over any number of scan results."""
+    """Cross-tabulated counts: exactly the cells of :data:`CELL_KEYS`, in order, as given."""
 
     cells: Mapping[str, int]
 
     def __post_init__(self):
-        full = {key: 0 for key in CELL_KEYS}
-        for key, value in self.cells.items():
-            if key not in full:
-                raise ValueError(f"unknown cell {key!r}")
-            full[key] = int(value)
-        object.__setattr__(self, "cells", full)
-
-    def get(self, key: str) -> int:
-        return self.cells[key]
+        unknown, missing = self.cells.keys() - CELL_KEYS, set(CELL_KEYS).difference(self.cells)
+        if unknown:
+            raise ValueError(f"unknown cell {min(unknown)!r}")
+        if missing:
+            raise ValueError(f"missing cell {min(missing)!r}")
+        object.__setattr__(self, "cells", {key: self.cells[key] for key in CELL_KEYS})
 
 
 def scan(
@@ -315,15 +313,15 @@ def _result_text(result: ScanResult) -> str:
 
 
 def _aggregate_text(report: AggregateReport) -> str:
-    c = report.get
-    lines = [f"aggregate report over {c('trees')} tree(s)"]
-    if c("trees_include_non_deployed"):
-        lines[0] += f" ({c('trees_include_non_deployed')} scanned including non-deployed)"
+    c = report.cells
+    lines = [f"aggregate report over {c['trees']} tree(s)"]
+    if c["trees_include_non_deployed"]:
+        lines[0] += f" ({c['trees_include_non_deployed']} scanned including non-deployed)"
     lines.append("")
 
     lines.append("scope filtering (dependency instances)")
     header = ["", "safe:direct", "safe:transitive", "vuln:direct", "vuln:transitive"]
-    rows = [[key] + [str(c(f"{key}/{v}/{p}")) for v in ("safe", "vuln") for p in _POSITION_AXES]
+    rows = [[key] + [str(c[f"{key}/{v}/{p}"]) for v in ("safe", "vuln") for p in _POSITION_AXES]
             for key in ("deployed", "all")]
     lines += _table(header, rows)
     lines.append("")
@@ -336,11 +334,11 @@ def _aggregate_text(report: AggregateReport) -> str:
     ]
     grouped_row, ungrouped_row = ["grouped"], ["ungrouped"]
     for v in ("safe", "vuln"):
-        direct = c(f"grouped/{v}/direct")
-        transitive = c(f"grouped/{v}/transitive")
-        own = c(f"grouped/{v}/own")
+        direct = c[f"grouped/{v}/direct"]
+        transitive = c[f"grouped/{v}/transitive"]
+        own = c[f"grouped/{v}/own"]
         grouped_row += [str(direct), str(transitive), str(own), str(direct + transitive)]
-        ungrouped_row += [str(c(f"deployed/{v}/direct")), str(c(f"deployed/{v}/transitive")), "n/a", "n/a"]
+        ungrouped_row += [str(c[f"deployed/{v}/direct"]), str(c[f"deployed/{v}/transitive"]), "n/a", "n/a"]
     lines += _table(header, [grouped_row, ungrouped_row])
     lines.append("")
 
@@ -350,7 +348,7 @@ def _aggregate_text(report: AggregateReport) -> str:
         "safe:halted", "safe:outdated", "safe:up-to-date",
         "vuln:halted", "vuln:outdated", "vuln:up-to-date",
     ]
-    rows = [[label] + [str(c(f"{key}/{v}/{s}")) for v in ("safe", "vuln") for s in _LIFE_AXES]
+    rows = [[label] + [str(c[f"{key}/{v}/{s}"]) for v in ("safe", "vuln") for s in _LIFE_AXES]
             for label, key in (("via-halted", "via_halted"), ("all", "lifecycle"))]
     lines += _table(header, rows)
     lines.append("")
@@ -359,9 +357,9 @@ def _aggregate_text(report: AggregateReport) -> str:
     header = ["", "own", "direct", "transitive", "controlled"]
     rows = []
     for stage in ("grouped", "ungrouped"):
-        own = c(f"paths/{stage}/own")
-        direct = c(f"paths/{stage}/direct")
-        transitive = c(f"paths/{stage}/transitive")
+        own = c[f"paths/{stage}/own"]
+        direct = c[f"paths/{stage}/direct"]
+        transitive = c[f"paths/{stage}/transitive"]
         total = own + direct + transitive
         rows.append(
             [stage, str(own), str(direct), str(transitive),
@@ -370,11 +368,11 @@ def _aggregate_text(report: AggregateReport) -> str:
     lines += _table(header, rows)
     lines.append("")
 
-    all_vuln = sum(c(f"all/vuln/{p}") for p in _POSITION_AXES)
-    deployed_vuln = sum(c(f"deployed/vuln/{p}") for p in _POSITION_AXES)
-    deployed_total = sum(c(f"deployed/{v}/{p}") for v in _VULN_AXES for p in _POSITION_AXES)
-    halted_total = sum(c(f"lifecycle/{v}/halted") for v in _VULN_AXES)
-    controlled_grouped = c("grouped/vuln/own") + c("grouped/vuln/direct")
+    all_vuln = sum(c[f"all/vuln/{p}"] for p in _POSITION_AXES)
+    deployed_vuln = sum(c[f"deployed/vuln/{p}"] for p in _POSITION_AXES)
+    deployed_total = sum(c[f"deployed/{v}/{p}"] for v in _VULN_AXES for p in _POSITION_AXES)
+    halted_total = sum(c[f"lifecycle/{v}/halted"] for v in _VULN_AXES)
+    controlled_grouped = c["grouped/vuln/own"] + c["grouped/vuln/direct"]
     lines.append("shares")
     lines.append(
         f"  non-deployed among vulnerable instances: "
@@ -386,14 +384,14 @@ def _aggregate_text(report: AggregateReport) -> str:
     )
     lines.append(
         f"  controlled by developers, ungrouped (of deployed vulnerable): "
-        f"{_pct(c('deployed/vuln/direct'), deployed_vuln)} ({c('deployed/vuln/direct')} of {deployed_vuln})"
+        f"{_pct(c['deployed/vuln/direct'], deployed_vuln)} ({c['deployed/vuln/direct']} of {deployed_vuln})"
     )
     lines.append(
         f"  halted among deployed instances: "
         f"{_pct(halted_total, deployed_total)} ({halted_total} of {deployed_total})"
     )
-    if c("unknown_history"):
-        lines.append(f"  instances without release history: {c('unknown_history')}")
+    if c["unknown_history"]:
+        lines.append(f"  instances without release history: {c['unknown_history']}")
     return "\n".join(lines) + "\n"
 
 
@@ -427,54 +425,51 @@ def _json_list(items, pad: str) -> str:
     it when the array's own line starts with ``pad``."""
     if not items:
         return "[]"
-    inner = f",\n{pad}  "
-    return f"[\n{pad}  " + inner.join(items) + f"\n{pad}]"
+    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
 
 
-def _result_json(result: ScanResult, pad: str = "") -> str:
+_ROW_JSON = (
+    '{\n      "deployed": %s,\n      "depth": %d,\n      "direct": %s,\n      "gav": %s,\n'
+    '      "instance_status": "%s",\n      "library_status": "%s",\n      "own": %s,\n'
+    '      "responsibility": "%s",\n      "unknown_history": %s,\n      "via_halted": %s,\n'
+    '      "vuln_ids": %s\n    }'
+)
+_PATH_JSON = (
+    '{\n      "grouped_path": %s,\n      "raw_path": %s,\n      "responsibility": "%s",\n'
+    '      "via_halted": %s,\n      "vuln_id": %s\n    }'
+)
+_RESULT_JSON = (
+    '{\n  "analysis_time": "%s",\n  "census": %s,\n  "include_non_deployed": %s,\n  "paths": %s,\n'
+    '  "root": %s\n}'
+)
+
+
+def _result_json(result: ScanResult) -> str:
     """The result as :func:`json_text` writes its JSON object, without the
-    final newline and with every line after the first indented by ``pad``.
-
-    It is written straight from the result with fixed templates, because
-    with an indent ``json.dumps`` runs its pure-Python encoder. Keys are in
-    sorted order. Strings that may hold any character go through the C
-    string encoder that ``json.dumps`` uses; enum values and dates need no
-    escaping.
-    """
-    p1, p2, p3 = pad + "  ", pad + "    ", pad + "      "
-    row_json = (
-        f'{{\n{p3}"deployed": %s,\n{p3}"depth": %d,\n{p3}"direct": %s,\n{p3}"gav": %s,\n'
-        f'{p3}"instance_status": "%s",\n{p3}"library_status": "%s",\n{p3}"own": %s,\n'
-        f'{p3}"responsibility": "%s",\n{p3}"unknown_history": %s,\n{p3}"via_halted": %s,\n'
-        f'{p3}"vuln_ids": %s\n{p2}}}'
-    )
-    path_json = (
-        f'{{\n{p3}"grouped_path": %s,\n{p3}"raw_path": %s,\n{p3}"responsibility": "%s",\n'
-        f'{p3}"via_halted": %s,\n{p3}"vuln_id": %s\n{p2}}}'
-    )
+    final newline: from the fixed templates above, because with an indent
+    ``json.dumps`` runs its pure-Python encoder. Keys are in sorted order.
+    Strings that may hold any character go through the C string encoder
+    that ``json.dumps`` uses; enum values and dates need no escaping."""
     census = [
-        row_json % (
+        _ROW_JSON % (
             _bool(row.deployed), row.depth, _bool(row.direct), _encode(str(row.gav)),
             row.instance_status.value, row.library_status.value, _bool(row.own),
             row.responsibility.value, _bool(row.unknown_history), _bool(row.via_halted),
-            _json_list([_encode(vuln_id) for vuln_id in row.vuln_ids], p3),
+            _json_list([_encode(vuln_id) for vuln_id in row.vuln_ids], "      "),
         )
         for row in result.census
     ]
     paths = [
-        path_json % (
-            _json_list([_encode(str(gav)) for gav in path.grouped_path], p3),
-            _json_list([_encode(str(gav)) for gav in path.raw_path], p3),
+        _PATH_JSON % (
+            _json_list([_encode(str(gav)) for gav in path.grouped_path], "      "),
+            _json_list([_encode(str(gav)) for gav in path.raw_path], "      "),
             path.responsibility.value, _bool(path.via_halted), _encode(path.vuln_id),
         )
         for path in result.paths
     ]
-    return (
-        f'{{\n{p1}"analysis_time": "{result.analysis_time.isoformat()}",\n'
-        f'{p1}"census": {_json_list(census, p1)},\n'
-        f'{p1}"include_non_deployed": {_bool(result.include_non_deployed)},\n'
-        f'{p1}"paths": {_json_list(paths, p1)},\n'
-        f'{p1}"root": {_encode(str(result.root))}\n{pad}}}'
+    return _RESULT_JSON % (
+        result.analysis_time.isoformat(), _json_list(census, "  "),
+        _bool(result.include_non_deployed), _json_list(paths, "  "), _encode(str(result.root)),
     )
 
 
@@ -487,9 +482,9 @@ def render_chunks(obj, format: str = "text") -> Iterator[str]:
         if format == "text":
             yield _aggregate_text(obj)
         elif format == "csv":
-            yield csv_text(["cell", "count"], ([key, obj.get(key)] for key in CELL_KEYS))
+            yield csv_text(["cell", "count"], obj.cells.items())
         else:
-            yield json_text({"cells": dict(obj.cells)})
+            yield json_text({"cells": obj.cells})
         return
     results = (obj,) if isinstance(obj, ScanResult) else obj
     if format == "text":
@@ -502,10 +497,11 @@ def render_chunks(obj, format: str = "text") -> Iterator[str]:
     elif isinstance(obj, ScanResult):
         yield _result_json(obj) + "\n"
     else:
-        # an element of an indented array is its own document indented one level
+        # each element is its own document indented one level; the string
+        # encoder escapes every newline inside a string, so each raw one is layout
         opener = "[\n"
         for result in results:
-            yield opener + "  " + _result_json(result, "  ")
+            yield opener + "  " + _result_json(result).replace("\n", "\n  ")
             opener = ",\n"
         yield "[]\n" if opener == "[\n" else "\n]\n"
 
@@ -612,7 +608,8 @@ def parse_scan_results_json(doc: str) -> list[ScanResult]:
 def parse_aggregate_json(doc: str) -> AggregateReport:
     cells = json_typed(json_object(parse_json(doc), "", frozenset({"cells"})), "cells", dict, "")
     for key in cells:
-        json_typed(cells, key, int, "/cells")
+        if json_typed(cells, key, int, "/cells") < 0:
+            raise SchemaViolation(json_pointer("/cells", key), "must not be negative")
     try:
         return AggregateReport(cells)
     except ValueError as exc:

@@ -31,7 +31,6 @@ from depscope.model import (
     Ga,
     Gav,
     LibraryStatus,
-    ReleaseHistories,
     ReleaseHistory,
     Responsibility,
     Scope,
@@ -51,8 +50,9 @@ class SimulationPool:
     """The corpus a simulation draws from: trees, histories, vulnerabilities.
 
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
-    for all projects, and ``histories`` as :class:`ReleaseHistories`, so
-    their lifecycle verdicts are too. ``libraries`` is derived once as well:
+    for all projects, and ``histories`` as given: loaded histories keep
+    their lifecycle verdict tables from call to call, and any other mapping
+    gets a fresh table per call. ``libraries`` is derived once as well:
     for each pool library in sorted order, the roots of its pool trees in
     version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
     raises :class:`ReservedGroup`: grouping would absorb the synthetic root
@@ -70,8 +70,6 @@ class SimulationPool:
         object.__setattr__(self, "trees", tuple(self.trees))
         if not isinstance(self.kb, VulnerabilityKb):
             object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
-        if not isinstance(self.histories, ReleaseHistories):
-            object.__setattr__(self, "histories", ReleaseHistories(self.histories))
         by_library: dict[Ga, dict[str, DependencyNode]] = {}
         library_of_group: dict[str, Gav] = {}  # each distinct pool group, checked once
         for tree in self.trees:
@@ -126,15 +124,16 @@ def _sub_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _picks(pool: SimulationPool, cfg: SimulationConfig, index: int) -> list[DependencyNode]:
-    """The pool roots project ``index`` draws, in draw order."""
+def _project_root(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyNode:
+    """The synthetic root of project ``index`` over the pool roots it draws,
+    in draw order."""
     if not pool.libraries:
         raise EmptyPool()
     if cfg.deps_per_project > len(pool.libraries):
         raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
     rng = _sub_rng(cfg.seed, index)
-    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
-    return [rng.choice(versions) for versions in drawn]
+    picks = [rng.choice(versions) for versions in rng.sample(pool.libraries, cfg.deps_per_project)]
+    return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
 
 
 def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
@@ -147,8 +146,8 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
     (pool, cfg, index); exposed so results can be replayed against a direct
     run of the analysis pipeline.
     """
-    root_gav = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
-    seen = {root_gav.ga}
+    root = _project_root(pool, cfg, index)
+    seen = {root.gav.ga}
 
     def first_of_library(node: DependencyNode) -> bool:
         if node.gav.ga in seen:
@@ -156,7 +155,6 @@ def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> Dep
         seen.add(node.gav.ga)
         return True
 
-    root = DependencyNode(root_gav, Scope.COMPILE, tuple(_picks(pool, cfg, index)))
     return DependencyTree(prune(root, first_of_library))
 
 
@@ -174,14 +172,13 @@ def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome
     verdicts = verdict_table(pool.histories, time, cfg.smoothing)
     outcomes = []
     for index in range(cfg.projects):
-        root = Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0")
-        node = DependencyNode(root, Scope.COMPILE, _picks(pool, cfg, index))
-        vulnerable = [row for row, _, _ in census_rows(node, pool.kb, verdicts, lenient=cfg.lenient,
+        root = _project_root(pool, cfg, index)
+        vulnerable = [row for row, _, _ in census_rows(root, pool.kb, verdicts, lenient=cfg.lenient,
                                                        include_non_deployed=True) if row.vuln_ids]
         deployed = [row for row in vulnerable if row.deployed]
         outcomes.append(ProjectOutcome(
             index=index,
-            root=root,
+            root=root.gav,
             all_vulnerable=len(vulnerable),
             deployed_vulnerable=len(deployed),
             controlled_standard=sum(row.depth == 1 for row in vulnerable),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import pathlib
 import tracemalloc
 from datetime import date
 
@@ -13,6 +14,7 @@ from depscope.report import CensusRow, ScanResult, aggregate, render, scan
 
 from conftest import (
     ANALYSIS_TIME,
+    SAMPLE_GAVS,
     SAMPLE_KB_JSON,
     SAMPLE_TREE_JSON,
     SAMPLE_TREE_TEXT,
@@ -670,3 +672,20 @@ def test_scan_directory_of_alternating_dates_fills_each_library_once_per_date(
             "--kb", str(tmp_path / "kb.json")]
     assert main(args) == 0
     assert sorted(made) == sorted((gav.ga, time) for gav in libraries for time in times)
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    (tmp_path / "app.txt").write_text(SAMPLE_TREE_TEXT)
+    (tmp_path / "kb.json").write_text(SAMPLE_KB_JSON)
+    (tmp_path / "releases.csv").write_text(history_csv(alive_history(gav) for gav in SAMPLE_GAVS))
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "VULN-0001 direct org.webkit:http-client:2.3 -> com.acme:app-core:1.0",
+        "VULN-0002 transitive org.ziplib:compress:1.4 -> org.dataflow:stream-codec:5.1 -> com.acme:app-core:1.0",
+        "aggregate report over 1 tree(s)",
+    ]

@@ -1,5 +1,6 @@
-"""Fuzzing of the four input parsers: whatever the document, the only
-exception that escapes is a DepscopeError."""
+"""Fuzzing of the four input parsers and of the two parsers of saved
+output: whatever the document, the only exception that escapes is a
+DepscopeError."""
 
 from __future__ import annotations
 
@@ -9,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from depscope.errors import DepscopeError
 from depscope.ingest import load_release_history, load_vuln_kb, parse_tree_json, parse_tree_text
+from depscope.report import aggregate, parse_aggregate_json, parse_scan_results_json, render, scan
 
 from conftest import (
+    ANALYSIS_TIME,
     SAMPLE_GAVS,
     SAMPLE_KB_JSON,
     SAMPLE_TREE_JSON,
@@ -25,19 +28,27 @@ PARSERS = {
     "tree JSON": parse_tree_json,
     "KB": load_vuln_kb,
     "history": load_release_history,
+    "scan results": parse_scan_results_json,
+    "aggregate": parse_aggregate_json,
 }
+_HISTORY = history_csv(alive_history(gav) for gav in SAMPLE_GAVS)
+# the worked example's scan, whose renders are the valid saved outputs
+_RESULT = scan(parse_tree_text(SAMPLE_TREE_TEXT), load_vuln_kb(SAMPLE_KB_JSON),
+               load_release_history(_HISTORY), time=ANALYSIS_TIME)
 VALID = {
     "tree text": SAMPLE_TREE_TEXT,
     "tree JSON": SAMPLE_TREE_JSON,
     "KB": SAMPLE_KB_JSON,
-    "history": history_csv(alive_history(gav) for gav in SAMPLE_GAVS),
+    "history": _HISTORY,
+    "scan results": render(_RESULT, "json"),
+    "aggregate": render(aggregate([_RESULT]), "json"),
 }
 # a JSON integer literal longer than the decoder converts, and a CSV field
 # longer than the reader's field limit
 HUGE_INT = "1" * 5000
 HUGE_FIELD = "x" * 131073
 
-# any text, and text made of the characters the four formats give meaning to
+# any text, and text made of the characters the formats give meaning to
 _DOCUMENT_TEXT = st.text(max_size=200) | st.text(',:."\\|+- \n\r[]{}01gav', max_size=200)
 
 
@@ -73,7 +84,7 @@ def test_spliced_valid_document_raises_only_depscope_errors(name, position, cut,
 
 
 @settings(deadline=None)
-@given(name=st.sampled_from(["tree JSON", "KB"]), data=st.data())
+@given(name=st.sampled_from(["tree JSON", "KB", "scan results", "aggregate"]), data=st.data())
 def test_mutated_valid_json_raises_only_depscope_errors(name, data):
     doc = json.loads(VALID[name])
     mutate_json(doc, data)

@@ -17,6 +17,7 @@ from depscope.errors import (
 )
 from depscope.ingest import (
     json_text,
+    json_typed,
     load_release_history,
     load_vuln_kb,
     parse_json,
@@ -437,6 +438,13 @@ def test_parse_json_rejects_lone_surrogate_at_its_pointer(doc, pointer):
         parse_json(doc)
     assert exc.value.pointer == pointer
     assert "surrogate" in exc.value.reason
+
+
+def test_json_typed_names_the_escaped_key():
+    # the same escaping as a lone surrogate's pointer, so one value has one pointer
+    with pytest.raises(SchemaViolation) as exc:
+        json_typed({"a/b~c": 1}, "a/b~c", str, "/x")
+    assert (exc.value.pointer, exc.value.reason) == ("/x/a~1b~0c", "must be a string")
 
 
 def test_parse_json_accepts_paired_surrogates():

@@ -252,7 +252,7 @@ def test_repeated_id_on_one_instance_gives_one_census_id_and_one_path(
 
 def test_aggregate_empty_is_all_zero():
     report = aggregate([])
-    assert all(report.get(key) == 0 for key in CELL_KEYS)
+    assert all(report.cells[key] == 0 for key in CELL_KEYS)
 
 
 def test_aggregate_matches_flat_recount():
@@ -303,15 +303,15 @@ def test_aggregate_directional_invariants():
     report = aggregate(results)
     for vuln in ("vuln", "safe"):
         for pos in ("direct", "transitive"):
-            assert report.get(f"deployed/{vuln}/{pos}") <= report.get(f"all/{vuln}/{pos}")
-    grouped_controlled = report.get("paths/grouped/own") + report.get("paths/grouped/direct")
-    raw_controlled = report.get("paths/ungrouped/own") + report.get("paths/ungrouped/direct")
+            assert report.cells[f"deployed/{vuln}/{pos}"] <= report.cells[f"all/{vuln}/{pos}"]
+    grouped_controlled = report.cells["paths/grouped/own"] + report.cells["paths/grouped/direct"]
+    raw_controlled = report.cells["paths/ungrouped/own"] + report.cells["paths/ungrouped/direct"]
     assert grouped_controlled >= raw_controlled
-    assert report.get("paths/grouped/direct") >= report.get("paths/ungrouped/direct")
+    assert report.cells["paths/grouped/direct"] >= report.cells["paths/ungrouped/direct"]
     # grouped classification partitions the deployed dependencies
     for vuln in ("vuln", "safe"):
-        grouped_total = sum(report.get(f"grouped/{vuln}/{r}") for r in ("own", "direct", "transitive"))
-        deployed_total = sum(report.get(f"deployed/{vuln}/{p}") for p in ("direct", "transitive"))
+        grouped_total = sum(report.cells[f"grouped/{vuln}/{r}"] for r in ("own", "direct", "transitive"))
+        deployed_total = sum(report.cells[f"deployed/{vuln}/{p}"] for p in ("direct", "transitive"))
         assert grouped_total == deployed_total
 
 
@@ -432,6 +432,41 @@ def test_saved_aggregate_cells_must_be_integers():
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json('{"cells": {"trees": [1]}}')
     assert exc.value.pointer == "/cells/trees"
+
+
+def _saved_aggregate(cell: str, value) -> str:
+    """The saved aggregate of no results, with ``cell`` set to ``value``."""
+    return json.dumps({"cells": {**aggregate([]).cells, cell: value}})
+
+
+@pytest.mark.parametrize("cell, pointer", [
+    ("trees", "/cells/trees"),
+    ("paths/grouped/own", "/cells/paths~1grouped~1own"),
+])
+def test_saved_aggregate_cells_must_not_be_negative(cell, pointer):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json(_saved_aggregate(cell, -4))
+    assert (exc.value.pointer, exc.value.reason) == (pointer, "must not be negative")
+
+
+def test_saved_aggregate_cell_pointers_are_escaped():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json(_saved_aggregate("deployed/vuln/direct", "1"))
+    assert exc.value.pointer == "/cells/deployed~1vuln~1direct"
+
+
+def test_saved_aggregate_must_hold_every_cell():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json('{"cells": {"trees": 3}}')
+    assert (exc.value.pointer, exc.value.reason) == ("/cells", "missing cell 'all/safe/direct'")
+
+
+def test_aggregate_report_holds_exactly_the_cells_it_is_given():
+    cells = {key: value for value, key in enumerate(reversed(CELL_KEYS))}
+    assert list(AggregateReport(cells).cells.items()) == [(key, cells[key]) for key in CELL_KEYS]
+    assert AggregateReport({**cells, "trees": 2.9}).cells["trees"] == 2.9
+    with pytest.raises(ValueError, match="missing cell 'via_halted/vuln/up_to_date'"):
+        AggregateReport({key: 0 for key in CELL_KEYS if key != "via_halted/vuln/up_to_date"})
 
 
 def _render_whole(results: list, format: str) -> str:

@@ -16,6 +16,7 @@ from depscope.model import (
     Gav,
     LibraryStatus,
     Release,
+    ReleaseHistories,
     ReleaseHistory,
     Responsibility,
     Scope,
@@ -171,6 +172,18 @@ def test_outcomes_do_not_depend_on_the_order_of_calls():
     assert [simulate(fresh, cfg) for cfg in reversed(cfgs)] == first[::-1]
 
 
+def test_pool_keeps_the_histories_it_is_given():
+    # loaded histories keep a verdict table per date from call to call; a
+    # plain dict is kept as it is and gets a fresh table per call
+    plain = build_synthetic_pool()
+    loaded = SimulationPool(plain.trees, ReleaseHistories(plain.histories), plain.kb)
+    assert type(plain.histories) is dict
+    cfgs = [SimulationConfig(projects=3, deps_per_project=8, seed=seed, time=time, lenient=True)
+            for seed in range(4) for time in (ANALYSIS_TIME, date(2006, 6, 1), ANALYSIS_TIME)]
+    assert [simulate(loaded, cfg) for cfg in cfgs] == [simulate(plain, cfg) for cfg in cfgs]
+    assert sorted(time for time, _ in loaded.histories.verdicts) == [date(2006, 6, 1), ANALYSIS_TIME]
+
+
 # --- simulate against a scan of each project tree --------------------------------
 
 # same-project (org.a, org.a.sub) and string-prefix (org.ab) relatives
@@ -232,7 +245,7 @@ def _scanned_outcomes(pool: SimulationPool, cfg: SimulationConfig) -> list[Proje
         tree = project_tree(pool, cfg, index)
         result = scan(tree, pool.kb, pool.histories, time=cfg.time, cfg=cfg.smoothing,
                       lenient=cfg.lenient, include_non_deployed=True)
-        count = aggregate([result]).get
+        count = aggregate([result]).cells.__getitem__
         outcomes.append(ProjectOutcome(
             index=index,
             root=tree.root.gav,
