@@ -425,7 +425,8 @@ def _json_list(items, pad: str) -> str:
     it when the array's own line starts with ``pad``."""
     if not items:
         return "[]"
-    return f"[\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}]"
+    inner = f",\n{pad}  "
+    return f"[\n{pad}  " + inner.join(items) + f"\n{pad}]"
 
 
 _ROW_JSON = (
@@ -608,7 +609,7 @@ def parse_scan_results_json(doc: str) -> list[ScanResult]:
 def parse_aggregate_json(doc: str) -> AggregateReport:
     cells = json_typed(json_object(parse_json(doc), "", frozenset({"cells"})), "cells", dict, "")
     for key in cells:
-        if json_typed(cells, key, int, "/cells") < 0:
+        if json_typed(cells, key, int, "/cells") < 0 and key in CELL_KEYS:  # else unknown, below
             raise SchemaViolation(json_pointer("/cells", key), "must not be negative")
     try:
         return AggregateReport(cells)

@@ -50,9 +50,8 @@ class SimulationPool:
     """The corpus a simulation draws from: trees, histories, vulnerabilities.
 
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
-    for all projects, and ``histories`` as given: loaded histories keep
-    their lifecycle verdict tables from call to call, and any other mapping
-    gets a fresh table per call. ``libraries`` is derived once as well:
+    for all projects, and ``histories`` as given: only loaded ones keep
+    verdict tables between calls. ``libraries`` is derived once as well:
     for each pool library in sorted order, the roots of its pool trees in
     version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
     raises :class:`ReservedGroup`: grouping would absorb the synthetic root
@@ -125,14 +124,14 @@ def _sub_rng(seed: int, index: int) -> random.Random:
 
 
 def _project_root(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyNode:
-    """The synthetic root of project ``index`` over the pool roots it draws,
-    in draw order."""
+    """Project ``index``'s synthetic root over its draws, in draw order."""
     if not pool.libraries:
         raise EmptyPool()
     if cfg.deps_per_project > len(pool.libraries):
         raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
     rng = _sub_rng(cfg.seed, index)
-    picks = [rng.choice(versions) for versions in rng.sample(pool.libraries, cfg.deps_per_project)]
+    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
+    picks = [rng.choice(versions) for versions in drawn]
     return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
 
 

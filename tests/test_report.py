@@ -439,14 +439,15 @@ def _saved_aggregate(cell: str, value) -> str:
     return json.dumps({"cells": {**aggregate([]).cells, cell: value}})
 
 
-@pytest.mark.parametrize("cell, pointer", [
-    ("trees", "/cells/trees"),
-    ("paths/grouped/own", "/cells/paths~1grouped~1own"),
+@pytest.mark.parametrize("cell, pointer, reason", [
+    ("trees", "/cells/trees", "must not be negative"),
+    ("paths/grouped/own", "/cells/paths~1grouped~1own", "must not be negative"),
+    ("bogus", "/cells", "unknown cell 'bogus'"),  # a cell that does not exist is named as such
 ])
-def test_saved_aggregate_cells_must_not_be_negative(cell, pointer):
+def test_saved_aggregate_cells_must_not_be_negative(cell, pointer, reason):
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json(_saved_aggregate(cell, -4))
-    assert (exc.value.pointer, exc.value.reason) == (pointer, "must not be negative")
+    assert (exc.value.pointer, exc.value.reason) == (pointer, reason)
 
 
 def test_saved_aggregate_cell_pointers_are_escaped():

@@ -280,6 +280,27 @@ def test_simulate_equals_a_scan_of_each_project_tree(pool, data):
             assert _outcomes_or_error(simulate, pool, cfg) == expected
 
 
+@settings(max_examples=150, deadline=None)
+@given(pool=_pools(), data=st.data())
+def test_simulate_on_loaded_histories_equals_a_scan_of_each_project_tree(pool, data):
+    # loaded histories, as the CLI passes them: one pool throughout, so runs
+    # in both modes and at two dates, and the reference scans, share the
+    # verdict tables it keeps, including the None kept for a missing history
+    loaded = SimulationPool(pool.trees, ReleaseHistories(pool.histories), pool.kb)
+    deps = data.draw(st.integers(1, len(pool.libraries)))
+    times = set()
+    for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
+        for lenient in data.draw(st.permutations([True, False])):
+            cfg = SimulationConfig(projects=data.draw(st.integers(1, 4)), deps_per_project=deps, seed=seed,
+                                   time=data.draw(st.sampled_from([ANALYSIS_TIME, date(2006, 6, 1)])),
+                                   lenient=lenient)
+            times.add(cfg.time)
+            expected = _outcomes_or_error(_scanned_outcomes, pool, cfg)
+            assert _outcomes_or_error(_scanned_outcomes, loaded, cfg) == expected
+            assert _outcomes_or_error(simulate, loaded, cfg) == expected
+    assert {time for time, _ in loaded.histories.verdicts} == times
+
+
 def _pool_with_an_unknown_version() -> tuple[SimulationPool, Gav]:
     """Pool trees ``org.a:first:1 -> org.s:shared:1`` and
     ``org.b:second:1 -> org.s:shared:2``, where version 2 of the shared
