@@ -13,9 +13,11 @@ every CSV and JSON output the package renders.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import re
+from contextlib import contextmanager
 from datetime import date
 from itertools import chain
 
@@ -59,6 +61,27 @@ def csv_text(header, rows) -> str:
 def json_text(data) -> str:
     """Indented, sorted-key JSON ending in a newline."""
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@contextmanager
+def _collector_held_off():
+    """Turn the cyclic garbage collector off while a loader runs, and restore
+    its earlier state on return or on an error.
+
+    The loaders build only values that cannot form cycles: JSON dicts and
+    lists, ``Gav`` tuples, frozensets and frozen ``Release``,
+    ``VulnerabilityRecord`` and ``ReleaseHistory`` instances. Yet CPython (up
+    to 3.13) runs a full collection over every live container each time the
+    oldest generation grows by a quarter, so a large KB would pay for many
+    walks of a heap that holds no garbage.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -322,6 +345,7 @@ def render_tree_json(tree: DependencyTree) -> str:
 _HISTORY_HEADER = ["group_id", "artifact_id", "version", "release_date"]
 
 
+@_collector_held_off()
 def load_release_history(doc: str) -> ReleaseHistories:
     """Load release histories from CSV keyed by library.
 
@@ -383,6 +407,7 @@ def _kb_text(obj, key, pointer: str, segment: bool = True) -> str:
     return value
 
 
+@_collector_held_off()
 def load_vuln_kb(doc: str) -> VulnerabilityKb:
     """Load the vulnerability knowledge base.
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import inspect
 import json
+import sys
 from datetime import date
 
 import pytest
@@ -465,3 +468,64 @@ def test_lone_surrogate_in_tree_and_kb_is_schema_violation():
 def test_load_kb_rejects_non_array():
     with pytest.raises(SchemaViolation):
         load_vuln_kb('{"id": "V1"}')
+
+
+# --- the cyclic collector during loads -------------------------------------------------
+
+_HISTORY_DOC = "group_id,artifact_id,version,release_date\ng,a,1.0,2020-01-01\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("load, doc, error", [
+    (load_release_history, _HISTORY_DOC, None),
+    (load_release_history, _HISTORY_DOC + "g,a,2.0\n", MalformedRow),
+    (load_vuln_kb, SAMPLE_KB_JSON, None),
+    (load_vuln_kb, '[{"id": "V1"}]', SchemaViolation),
+    (load_vuln_kb, '[{"id": ', SchemaViolation),
+], ids=["history", "history-malformed-row", "kb", "kb-schema-violation", "kb-invalid-json"])
+def test_loaders_restore_the_collector_state(load, doc, error, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            load(doc)
+        else:
+            with pytest.raises(error):
+                load(doc)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _large_kb_doc() -> str:
+    return json.dumps([{"id": f"V{i}", "affected": [{"group": f"g{i % 50}", "artifact": f"a{i}",
+                                                      "versions": ["1.0", "1.1"]}]}
+                       for i in range(3000)])
+
+
+def _large_history_doc() -> str:
+    return _HISTORY_DOC + "".join(f"g{i % 50},a{i // 3},1.{i % 3},2020-01-01\n" for i in range(6000))
+
+
+@pytest.mark.parametrize("load, make_doc", [(load_vuln_kb, _large_kb_doc),
+                                            (load_release_history, _large_history_doc)],
+                         ids=["kb", "history"])
+def test_no_collection_starts_while_a_loader_runs(load, make_doc):
+    # a collection may start once the loader has turned the collector back
+    # on, so only one started from within the loader's own body counts
+    doc, body = make_doc(), inspect.unwrap(load).__code__
+    started_inside = []
+
+    def on_collection(phase, info):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not body:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            started_inside.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        load(doc)
+    finally:
+        gc.callbacks.remove(on_collection)
+    assert started_inside == []

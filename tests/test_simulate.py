@@ -161,14 +161,21 @@ def test_replay_against_direct_pipeline():
     assert sum(o.controlled_proposed for o in outcomes) and sum(o.halted_vulnerable for o in outcomes)
 
 
+def _loaded_synthetic_pool() -> SimulationPool:
+    """The synthetic pool over loaded histories, as the CLI passes them."""
+    plain = build_synthetic_pool()
+    return SimulationPool(plain.trees, ReleaseHistories(plain.histories), plain.kb)
+
+
 def test_outcomes_do_not_depend_on_the_order_of_calls():
     # the pool's histories keep their verdict tables from call to call
     cfgs = [SimulationConfig(projects=3, deps_per_project=8, seed=seed, time=ANALYSIS_TIME, lenient=lenient)
             for seed in range(12) for lenient in (False, True)]
-    used = build_synthetic_pool()
+    used = _loaded_synthetic_pool()
     first = [simulate(used, cfg) for cfg in cfgs]
+    assert [time for time, _ in used.histories.verdicts] == [ANALYSIS_TIME]
     assert [simulate(used, cfg) for cfg in cfgs] == first
-    fresh = build_synthetic_pool()
+    fresh = _loaded_synthetic_pool()
     assert [simulate(fresh, cfg) for cfg in reversed(cfgs)] == first[::-1]
 
 
@@ -270,8 +277,9 @@ def _outcomes_or_error(run, pool, cfg):
 def test_simulate_equals_a_scan_of_each_project_tree(pool, data):
     deps = data.draw(st.integers(1, len(pool.libraries)))
     for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
-        # one pool throughout, so runs in both modes and at two dates, and
-        # the reference scans, share the verdict tables its histories keep
+        # the pool's histories are a plain dict, so every run and reference
+        # scan fills a fresh verdict table; the loaded-histories variant
+        # below covers the tables that loaded histories keep
         for lenient in (True, False):
             cfg = SimulationConfig(projects=data.draw(st.integers(1, 4)), deps_per_project=deps, seed=seed,
                                    time=data.draw(st.sampled_from([ANALYSIS_TIME, date(2006, 6, 1)])),
