@@ -206,7 +206,7 @@ def parse_tree_text(text: str) -> DependencyTree:
     """
     preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
     ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
-    seen: set[Ga] = set()
+    seen = set()  # group and artifact as plain tuples; a Ga only for the error
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw
         if line.startswith(_INFO_PREFIX):
@@ -230,9 +230,10 @@ def parse_tree_text(text: str) -> DependencyTree:
         if preorder and not depth:
             raise MalformedTreeLine(line_no, "second root line")
         gav, scope = _parse_coordinate(coordinate, line_no, is_root=not preorder)
-        if gav.ga in seen:
+        ga = gav[:2]
+        if ga in seen:
             raise DuplicateGa(gav.ga, line_no)
-        seen.add(gav.ga)
+        seen.add(ga)
         del ancestors[depth:]
         if len(ancestors) != depth:
             raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
@@ -286,15 +287,16 @@ def parse_tree_json(doc: str) -> DependencyTree:
     if "analysis_time" in data:
         analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
     preorder: list[tuple[Gav, Scope, int]] = []
-    seen: set[Ga] = set()
+    seen = set()  # group and artifact as plain tuples; a Ga only for the error
     stack = [(data["root"], "/root", -1)]
     while stack:
         obj, pointer, parent = stack.pop()
         json_object(obj, pointer, _NODE_KEYS)
         gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
-        if gav.ga in seen:
+        ga = gav[:2]
+        if ga in seen:
             raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
-        seen.add(gav.ga)
+        seen.add(ga)
         scope_text = obj["scope"]
         if not isinstance(scope_text, str) or scope_text not in _SCOPES:
             raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")

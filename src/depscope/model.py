@@ -120,7 +120,9 @@ def same_project(a: str, b: str) -> bool:
     """
     if a == b:
         return True
-    return a.startswith(b + ".") or b.startswith(a + ".")
+    if len(a) > len(b):
+        a, b = b, a
+    return len(a) < len(b) and b[len(a)] == "." and b.startswith(a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,12 +216,15 @@ class DependencyTree:
     def __post_init__(self):
         if self.root.scope is not Scope.COMPILE:
             raise ValueError("tree root must have compile scope")
-        seen: set[Ga] = set()
-        for node, _ in self.nodes():
-            ga = node.gav.ga
+        seen = set()  # group and artifact as plain tuples; a Ga only for the error
+        stack = [self.root]
+        while stack:  # preorder, so the first repeat in it is the one named
+            node = stack.pop()
+            ga = node.gav[:2]
             if ga in seen:
-                raise DuplicateGa(ga)
+                raise DuplicateGa(node.gav.ga)
             seen.add(ga)
+            stack.extend(reversed(node.children))
 
     def nodes(self) -> Iterator[tuple[DependencyNode, int]]:
         """Depth-first preorder walk yielding (node, depth)."""
@@ -234,28 +239,76 @@ class DependencyTree:
         return {node.gav for node, _ in self.nodes()}
 
 
-def chains(root: DependencyNode) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
-    """Depth-first preorder walk from ``root`` yielding ``(node, chain, deployed)``.
+def walk(root: DependencyNode) -> Iterator[tuple]:
+    """Depth-first preorder walk from ``root`` yielding one step
+    ``(node, depth, deployed, parent, above)`` per node.
 
-    ``chain`` runs from the node up to the root, inclusive; ``deployed`` is
-    true when every edge on it ships. A library met before in preorder is
-    skipped with its subtree, as a build tool mediates duplicates, so the
-    walk of a :class:`DependencyTree`'s root, whose libraries are distinct,
-    skips nothing. The root is never skipped.
+    ``deployed`` is true when every edge from the node up to the root ships.
+    ``parent`` is the step of the node's parent (``None`` for the root), so
+    :func:`chain_of` rebuilds the chain only when it is asked for. ``above``
+    holds the distinct group ids of the node's ancestors, each at its
+    nearest occurrence, nearest first, as links ``(group, rest)`` ending in
+    ``()``. A library met before in preorder is skipped with its subtree, as
+    a build tool mediates duplicates, so the walk of a
+    :class:`DependencyTree`'s root, whose libraries are distinct, skips
+    nothing. The root is never skipped.
+
+    A step costs O(1) at any depth, except when a node's group already
+    occurs higher up but not at the front of ``above``: then the groups met
+    since its previous occurrence are relinked.
     """
     seen = set()  # group and artifact as plain tuples: cheaper than building Ga
-    stack = [(root, (root.gav,), True)]
+    present = set()  # the groups in ``above`` of the node being expanded
+    firsts = []  # (depth, group) where each of those first occurs, root first
+    stack = [(root, 0, True, None, ())]
     while stack:
-        node, chain, deployed = stack.pop()
+        step = stack.pop()
+        node, depth, deployed, _, above = step
         ga = node.gav[:2]
         if ga in seen:
             continue
         seen.add(ga)
-        yield node, chain, deployed
+        yield step
+        if not node.children:
+            continue
+        # whatever was entered at this depth or deeper lies off the path now
+        while firsts and firsts[-1][0] >= depth:
+            present.discard(firsts.pop()[1])
+        group = node.gav[0]
+        if group not in present:
+            present.add(group)
+            firsts.append((depth, group))
+            above = (group, above)
+        elif above[0] != group:
+            nearer = []
+            while above[0] != group:
+                head, above = above
+                nearer.append(head)
+            above = above[1]
+            for head in reversed(nearer):
+                above = (head, above)
+            above = (group, above)
+        depth += 1
         stack.extend(
-            (child, (child.gav,) + chain, deployed and child.scope.deployed)
+            (child, depth, deployed and child.scope.deployed, step, above)
             for child in reversed(node.children)
         )
+
+
+def chain_of(step: tuple) -> tuple[Gav, ...]:
+    """The coordinates from a :func:`walk` step's node up to the root, inclusive."""
+    gavs = []
+    while step is not None:
+        gavs.append(step[0].gav)
+        step = step[3]
+    return tuple(gavs)
+
+
+def chains(root: DependencyNode) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
+    """:func:`walk` from ``root``, yielding ``(node, chain, deployed)``:
+    ``chain`` runs from the node up to the root, inclusive."""
+    for step in walk(root):
+        yield step[0], chain_of(step), step[2]
 
 
 @dataclass(frozen=True)

@@ -42,7 +42,9 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chains,
+    chain_of,
+    same_project,
+    walk,
 )
 
 _VULN_AXES = ("vuln", "safe")
@@ -193,17 +195,19 @@ def census_rows(
     include_non_deployed: bool,
 ) -> Iterator[tuple[CensusRow, tuple[Gav, ...], tuple[Gav, ...]]]:
     """``(row, chain, grouped)`` for each dependency below ``root`` in the
-    order of :func:`depscope.model.chains`, which drops a repeated library
+    order of :func:`depscope.model.walk`, which drops a repeated library
     with its subtree; raises as :func:`scan` does, at the first offending
-    node. ``grouped`` is whole for a vulnerable node and cut after three
-    members otherwise: the class depends only on the first grouped member and
-    on whether there are exactly two."""
+    node. For a vulnerable node, ``chain`` runs from it up to the root and
+    ``grouped`` is :func:`depscope.analysis.group_path` of it; for a safe
+    node both are empty. Every row's class comes from the group ids the walk
+    carries, looked at up to the third member kept."""
     ids_by_gav = kb.ids_by_gav
-    root_gav = root.gav
-    for node, chain, deployed in islice(chains(root), 1, None):  # the root has no row
+    root_group = root.gav.group_id
+    direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
+    for step in islice(walk(root), 1, None):  # the root has no row
+        node, depth, deployed, _, above = step
         gav = node.gav
         vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
-        grouped = tuple(islice(iter_group_path(chain), None if vuln_ids else 3))
         verdict = verdicts[gav.ga]
         if verdict is not None:
             lib_status, inst_status = verdict.status, verdict.instance_status(gav)
@@ -211,19 +215,46 @@ def census_rows(
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
             raise MissingHistory(gav.ga)
-        # chain[-2] is the node's depth-1 ancestor, whose verdict is made by now
-        direct = verdicts[chain[-2].ga] if deployed and len(chain) > 2 else None
+        if depth == 1:
+            direct = verdict
+        chain = grouped = ()
+        if vuln_ids:
+            chain = chain_of(step)
+            grouped = tuple(iter_group_path(chain))
         yield CensusRow(
             gav=gav,
-            depth=len(chain) - 1,
+            depth=depth,
             deployed=deployed,
             vuln_ids=vuln_ids,
-            responsibility=classify_responsibility(grouped, root_gav),
+            responsibility=_responsibility(gav.group_id, above, root_group),
             library_status=lib_status,
             instance_status=inst_status,
-            via_halted=direct is not None and direct.status is LibraryStatus.HALTED,
+            via_halted=deployed and depth > 1 and direct is not None
+            and direct.status is LibraryStatus.HALTED,
             unknown_history=verdict is None,
         ), chain, grouped
+
+
+def _responsibility(group: str, above: tuple, root_group: str) -> Responsibility:
+    """:func:`classify_responsibility` of the grouped chain of a node in
+    ``group`` below the distinct group ids ``above`` (links, nearest first,
+    as :func:`depscope.model.walk` carries them). A group met again farther
+    up a chain is absorbed, by its nearer occurrence or by whatever absorbed
+    that, so grouping the distinct ids keeps as many members as grouping the
+    chain; only up to three matter."""
+    if same_project(group, root_group):
+        return Responsibility.OWN
+    kept = [group]
+    while above:
+        other, above = above
+        for anchor in kept:
+            if same_project(anchor, other):
+                break
+        else:
+            kept.append(other)
+            if len(kept) == 3:
+                return Responsibility.TRANSITIVE
+    return Responsibility.DIRECT if len(kept) == 2 else Responsibility.TRANSITIVE
 
 
 def _lifecycle_bucket(row: CensusRow) -> str:

@@ -376,6 +376,34 @@ def trees(draw, max_nodes: int = 15) -> DependencyTree:
     return DependencyTree(node, draw(st.none() | st.dates()))
 
 
+# org.a shares a project with org.a.b and with org.a.c, which share none
+NON_TRANSITIVE = ["org.a", "org.a.b", "org.a.c"]
+
+
+@st.composite
+def grouped_trees(draw):
+    """A tree and a KB that marks some of its nodes. The groups come from a
+    few of the pool's, so groups repeat on a chain and non-transitive
+    relatives meet."""
+    pool = draw(st.lists(st.sampled_from(GROUP_POOL + NON_TRANSITIVE), min_size=1, max_size=5,
+                         unique=True))
+    n = draw(st.integers(1, 20))
+    groups = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    scopes = [Scope.COMPILE] + draw(st.lists(st.sampled_from(list(Scope)), min_size=n - 1,
+                                             max_size=n - 1))
+    # parents near the node, so chains run deep
+    parents = [draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, n)]
+    children: list[list[DependencyNode]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), scopes[i], children[i][::-1])
+        if i:
+            children[parents[i - 1]].append(node)
+    vulnerable = draw(st.sets(st.integers(0, n - 1)))
+    kb = [VulnerabilityRecord("V1", frozenset(Gav(groups[i], f"lib{i}", "1.0") for i in vulnerable))
+          ] if vulnerable else []
+    return DependencyTree(node), kb
+
+
 _CENSUS_ROWS = st.builds(
     CensusRow,
     gav=GAVS,

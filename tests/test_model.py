@@ -19,12 +19,14 @@ from depscope.model import (
     ReleaseHistory,
     Scope,
     build_tree,
+    chain_of,
     chains,
     parse_gav,
     same_project,
+    walk,
 )
 
-from conftest import deep_chain_tree, trees
+from conftest import deep_chain_tree, grouped_trees, trees
 
 
 def test_parse_gav_three_segments():
@@ -267,6 +269,20 @@ def test_chains_of_a_tree_yields_every_node(tree):
     walk = list(chains(tree.root))
     assert [node for node, _, _ in walk] == [node for node, _ in tree.nodes()]
     assert [len(chain) - 1 for _, chain, _ in walk] == [depth for _, depth in tree.nodes()]
+
+
+@given(grouped_trees())
+def test_walk_carries_each_distinct_group_above_a_node_at_its_nearest(case):
+    tree, _ = case
+    for step in walk(tree.root):
+        _, depth, _, _, above = step
+        chain = chain_of(step)
+        groups = []
+        while above:
+            group, above = above
+            groups.append(group)
+        assert groups == list(dict.fromkeys(gav.group_id for gav in chain[1:]))
+        assert depth == len(chain) - 1
 
 
 def test_build_tree_inverts_the_preorder_walk(sample_tree):

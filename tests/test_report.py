@@ -8,10 +8,18 @@ from datetime import date
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from depscope.analysis import extract_vulnerable_paths, filter_non_deployed, match_vulnerabilities
+from depscope.analysis import (
+    classify_responsibility,
+    extract_vulnerable_paths,
+    filter_non_deployed,
+    group_path,
+    match_vulnerabilities,
+)
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
+    DependencyNode,
     DependencyTree,
     Ga,
     Gav,
@@ -19,8 +27,11 @@ from depscope.model import (
     LibraryStatus,
     Responsibility,
     Scope,
+    VulnerabilityKb,
+    VulnerabilityRecord,
     VulnerablePath,
-    chains,
+    same_project,
+    walk,
 )
 from depscope.report import (
     CELL_KEYS,
@@ -28,6 +39,7 @@ from depscope.report import (
     CensusRow,
     ScanResult,
     aggregate,
+    census_rows,
     parse_aggregate_json,
     parse_scan_results_json,
     render,
@@ -43,6 +55,8 @@ from conftest import (
     SAMPLE_TREE_TEXT,
     SCAN_RESULTS,
     alive_history,
+    deep_chain_tree,
+    grouped_trees,
     mutate_json,
     random_tree_case,
     result_to_dict,
@@ -173,6 +187,93 @@ def test_census_consistency_on_random_corpus():
         assert vulnerable_deployed <= deployed_rows
 
 
+def _chain_tree(groups) -> DependencyTree:
+    """A chain with one node per group id, root first, built without recursion."""
+    node = None
+    for i in reversed(range(len(groups))):
+        node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), Scope.COMPILE, (node,) if node else ())
+    return DependencyTree(node)
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=grouped_trees())
+# the leaf's class needs the third grouped member: org.a.c survives grouping
+@example(case=(_chain_tree(["com.app", "org.a.c", "org.a", "org.a.b"]), []))
+# the leaf's class needs each repeated group at its nearest occurrence: org.a
+# absorbs org.a.c and org.a.b only when it is met before them (direct);
+# taken where each group first occurs from the root, org.a.b and org.a.c
+# both survive (transitive)
+@example(case=(_chain_tree(["org.a.c", "org.gamma", "org.a", "org.a.b", "org.a.c", "org.a",
+                            "org.gamma"]), []))
+def test_every_census_row_is_classified_as_its_grouped_chain(case):
+    # safe rows are classified without building their chain; the stepwise
+    # definition groups the whole chain and classifies the result
+    tree, kb = case
+    root = tree.root.gav
+    chain_of, path = {}, []
+    for node, depth in tree.nodes():
+        path[depth:] = [node.gav]
+        chain_of[node.gav] = tuple(reversed(path))
+    for include in (False, True):
+        result = scan(tree, kb, {}, time=ANALYSIS_TIME, lenient=True, include_non_deployed=include)
+        assert len(result.census) == len(chain_of) - 1
+        for row in result.census:
+            expected = classify_responsibility(group_path(chain_of[row.gav]), root)
+            assert row.responsibility is expected
+
+
+@pytest.fixture
+def same_project_budget(monkeypatch):
+    """Counts ``same_project`` calls from every depscope module; a call past
+    ``budget[0]`` fails at once, so a quadratic walk fails fast."""
+    budget, calls = [0], [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        if calls[0] > budget[0]:
+            raise AssertionError(f"more than {budget[0]} same_project calls")
+        return same_project(a, b)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "depscope"]:
+        if hasattr(module, "same_project"):
+            monkeypatch.setattr(module, "same_project", counted)
+
+    def set_budget(limit):
+        budget[0], calls[0] = limit, 0
+
+    return set_budget
+
+
+def test_same_project_calls_grow_linearly_in_depth_on_one_project(same_project_budget):
+    # a chain of one project (two alternating groups) under a root of
+    # another: each node's class needs the root, so grouping that rescans
+    # the chain per node makes about depth**2 / 2 calls
+    for depth in (5_000, 10_000):
+        tree = _chain_tree(["com.app"] + ["org.one" if i % 2 else "org.one.sub" for i in range(depth)])
+        same_project_budget(5 * depth)
+        result = scan(tree, [], {}, time=ANALYSIS_TIME, lenient=True)
+        assert len(result.census) == depth
+        assert {row.responsibility for row in result.census} == {Responsibility.DIRECT}
+
+
+def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(same_project_budget):
+    # only a vulnerable node's chain is built, here one at depth 2; a walk
+    # that copies each node's whole chain builds about depth**2 / 2 elements
+    for depth in (5_000, 10_000):
+        tree = deep_chain_tree(depth)
+        kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset({Gav("org.deep2", "lib2", "1.0")}))])
+        verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
+        same_project_budget(5 * depth)
+        elements = rows = 0
+        for row, chain, grouped in census_rows(tree.root, kb, verdicts, lenient=True,
+                                               include_non_deployed=False):
+            rows += 1
+            elements += len(chain) + len(grouped)
+            assert elements <= depth, f"over {depth} chain elements by row {rows}"
+        assert rows == depth
+        assert elements == 6  # the chain up from org.deep2, and its grouping, which keeps all three
+
+
 def _random_case(seed: int):
     """A random tree and KB, with histories that halt about a third of the
     libraries, so rows below a halted direct dependency occur."""
@@ -228,7 +329,7 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
     monkeypatch.setattr(DependencyTree, "__post_init__", forbidden)
     monkeypatch.setattr(DependencyTree, "nodes", forbidden)
     walks = []
-    monkeypatch.setattr("depscope.report.chains", lambda root: walks.append(root) or chains(root))
+    monkeypatch.setattr("depscope.report.walk", lambda root: walks.append(root) or walk(root))
 
     got = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
            for t, kb, h in cases for include in (False, True)]
