@@ -38,7 +38,6 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chains,
     parse_gav,
     same_project,
 )

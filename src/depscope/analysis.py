@@ -4,7 +4,7 @@ extraction, project grouping and responsibility attribution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from depscope.model import (
     DependencyTree,
@@ -13,9 +13,10 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chains,
+    chain_of,
     prune,
     same_project,
+    walk,
 )
 
 
@@ -72,10 +73,11 @@ def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
     """
     root = annotated.tree.root.gav
     paths = []
-    for node, raw, _ in chains(annotated.tree.root):
-        ids = annotated.vulnerable.get(node.gav)
+    for step in walk(annotated.tree.root):
+        ids = annotated.vulnerable.get(step[0].gav)
         if not ids:
             continue
+        raw = chain_of(step)
         grouped = tuple(group_path(raw))
         responsibility = classify_responsibility(grouped, root)
         for vuln_id in sorted(ids):
@@ -94,21 +96,15 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
     deterministically). Members need not be adjacent to be grouped. The
     first element is always preserved and the operation is idempotent.
     """
-    return list(iter_group_path(raw_path))
-
-
-def iter_group_path(raw_path: Iterable[Gav]) -> Iterator[Gav]:
-    """The members :func:`group_path` keeps, yielded as they are found, so a
-    caller that needs only the first few stops the scan early."""
-    kept: list[str] = []  # the group ids of the members kept so far
+    kept: dict[str, Gav] = {}  # the members kept so far, by group id
     for gav in raw_path:
         group = gav.group_id
         for anchor in kept:
             if same_project(anchor, group):
                 break
         else:
-            kept.append(group)
-            yield gav
+            kept[group] = gav
+    return list(kept.values())
 
 
 def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsibility:

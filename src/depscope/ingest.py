@@ -200,9 +200,10 @@ def parse_tree_text(text: str) -> DependencyTree:
     three-character units drawn from ``+- ``, ``\\- ``, ``|  `` and three
     spaces, the last unit being a branch marker, followed by a coordinate.
     Node depth is the unit count; the parent is the nearest preceding node
-    one level up. A leading ``[INFO] `` per line is stripped, so both raw
-    dumps and log captures parse. A library on a second line raises
-    :class:`DuplicateGa` naming that line.
+    one level up. A leading ``[INFO] `` per line is stripped and a bare
+    ``[INFO]`` line is blank; any other log line, such as ``[INFO] Scanning
+    for projects...``, raises :class:`MalformedTreeLine`. A library on a
+    second line raises :class:`DuplicateGa` naming that line.
     """
     preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
     ancestors: list[int] = []  # preorder positions of the open nodes, one per depth

@@ -304,13 +304,6 @@ def chain_of(step: tuple) -> tuple[Gav, ...]:
     return tuple(gavs)
 
 
-def chains(root: DependencyNode) -> Iterator[tuple[DependencyNode, tuple[Gav, ...], bool]]:
-    """:func:`walk` from ``root``, yielding ``(node, chain, deployed)``:
-    ``chain`` runs from the node up to the root, inclusive."""
-    for step in walk(root):
-        yield step[0], chain_of(step), step[2]
-
-
 @dataclass(frozen=True)
 class Release:
     version: str

@@ -16,7 +16,7 @@ from datetime import date
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from depscope.analysis import classify_responsibility, iter_group_path
+from depscope.analysis import classify_responsibility, group_path
 from depscope.errors import MissingHistory, SchemaViolation
 from depscope.ingest import (
     csv_rows,
@@ -171,11 +171,14 @@ def scan(
     paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
              for vuln_id in kb.ids_by_gav.get(root, ())]
     rows = []
-    for row, chain, grouped in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
-                                           lenient=lenient, include_non_deployed=include_non_deployed):
+    for row, step in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
+                                 lenient=lenient, include_non_deployed=include_non_deployed):
         rows.append(row)
-        for vuln_id in row.vuln_ids:
-            paths.append(VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted))
+        if row.vuln_ids:
+            chain = chain_of(step)
+            grouped = tuple(group_path(chain))
+            for vuln_id in row.vuln_ids:
+                paths.append(VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted))
 
     return ScanResult(
         root=root,
@@ -193,14 +196,14 @@ def census_rows(
     *,
     lenient: bool,
     include_non_deployed: bool,
-) -> Iterator[tuple[CensusRow, tuple[Gav, ...], tuple[Gav, ...]]]:
-    """``(row, chain, grouped)`` for each dependency below ``root`` in the
-    order of :func:`depscope.model.walk`, which drops a repeated library
+) -> Iterator[tuple[CensusRow, tuple]]:
+    """``(row, step)`` for each dependency below ``root``, ``step`` being
+    its step of :func:`depscope.model.walk`, which drops a repeated library
     with its subtree; raises as :func:`scan` does, at the first offending
-    node. For a vulnerable node, ``chain`` runs from it up to the root and
-    ``grouped`` is :func:`depscope.analysis.group_path` of it; for a safe
-    node both are empty. Every row's class comes from the group ids the walk
-    carries, looked at up to the third member kept."""
+    node. No chain is built here: a caller that prints a row's path follows
+    the step's parent links (:func:`depscope.model.chain_of`). Every row's
+    class comes from the group ids the walk carries, looked at up to the
+    third member kept."""
     ids_by_gav = kb.ids_by_gav
     root_group = root.gav.group_id
     direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
@@ -217,10 +220,6 @@ def census_rows(
             raise MissingHistory(gav.ga)
         if depth == 1:
             direct = verdict
-        chain = grouped = ()
-        if vuln_ids:
-            chain = chain_of(step)
-            grouped = tuple(iter_group_path(chain))
         yield CensusRow(
             gav=gav,
             depth=depth,
@@ -232,7 +231,7 @@ def census_rows(
             via_halted=deployed and depth > 1 and direct is not None
             and direct.status is LibraryStatus.HALTED,
             unknown_history=verdict is None,
-        ), chain, grouped
+        ), step
 
 
 def _responsibility(group: str, above: tuple, root_group: str) -> Responsibility:

@@ -172,8 +172,8 @@ def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome
     outcomes = []
     for index in range(cfg.projects):
         root = _project_root(pool, cfg, index)
-        vulnerable = [row for row, _, _ in census_rows(root, pool.kb, verdicts, lenient=cfg.lenient,
-                                                       include_non_deployed=True) if row.vuln_ids]
+        vulnerable = [row for row, _ in census_rows(root, pool.kb, verdicts, lenient=cfg.lenient,
+                                                    include_non_deployed=True) if row.vuln_ids]
         deployed = [row for row in vulnerable if row.deployed]
         outcomes.append(ProjectOutcome(
             index=index,

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import islice
 
 from hypothesis import example, given, strategies as st
 
@@ -11,7 +10,6 @@ from depscope.analysis import (
     extract_vulnerable_paths,
     filter_non_deployed,
     group_path,
-    iter_group_path,
     match_vulnerabilities,
 )
 from depscope.ingest import load_vuln_kb, parse_tree_text
@@ -281,19 +279,6 @@ def test_group_path_keeps_string_prefix_decoys_apart():
                             Gav("com.foo.sub", "z", "1"))
     assert group_path([foobar, foo, foo_sub]) == [foobar, foo]
     assert group_path([foo, foobar, foo_sub]) == [foo, foobar]
-
-
-def test_iter_group_path_stops_at_the_members_taken():
-    path = [Gav(f"org.p{i}", "a", "1") for i in range(5)]
-    scanned = []
-
-    def tracked():
-        for gav in path:
-            scanned.append(gav)
-            yield gav
-
-    assert list(islice(iter_group_path(tracked()), 3)) == path[:3]
-    assert scanned == path[:3]
 
 
 # --- responsibility ------------------------------------------------------------------

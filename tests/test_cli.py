@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import codecs
 import json
+import os
 import pathlib
+import random
+import subprocess
+import sys
 import tracemalloc
 from datetime import date
 
@@ -21,6 +25,7 @@ from conftest import (
     alive_history,
     halted_direct_tree,
     history_csv,
+    random_tree_case,
     stalled_history,
 )
 from depscope import lifecycle
@@ -31,6 +36,8 @@ from depscope.model import (
     Gav,
     InstanceStatus,
     LibraryStatus,
+    Release,
+    ReleaseHistory,
     Responsibility,
     Scope,
 )
@@ -689,3 +696,58 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
         "VULN-0002 transitive org.ziplib:compress:1.4 -> org.dataflow:stream-codec:5.1 -> com.acme:app-core:1.0",
         "aggregate report over 1 tree(s)",
     ]
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # sets and frozensets iterate in an order that moves with PYTHONHASHSEED;
+    # a leak of that order into any output would break byte-identical reruns
+    rng = random.Random(8080)
+    trees_dir = tmp_path / "trees"
+    trees_dir.mkdir()
+    affected: dict[str, set[Gav]] = {}
+    libraries, roots = set(), set()
+    while len(roots) < 12:
+        tree, kb = random_tree_case(rng)
+        if tree.root.gav in roots or len(tree.gavs()) < 4:
+            continue
+        roots.add(tree.root.gav)
+        (trees_dir / f"tree{len(roots)}.json").write_text(render_tree_json(tree))
+        libraries |= {gav.ga for gav in tree.gavs()}
+        for record in kb:
+            affected.setdefault(record.vuln_id, set()).update(record.affected)
+    kb_payload = [
+        {"id": vuln_id, "affected": [{"group": g.group_id, "artifact": g.artifact_id, "versions": [g.version]}
+                                     for g in sorted(gavs)]}
+        for vuln_id, gavs in sorted(affected.items())
+    ]
+    (tmp_path / "kb.json").write_text(json.dumps(kb_payload))
+    versions = ("1", "2", "3")  # every version random_tree_case draws
+    recent = (date(2018, 1, 1), date(2018, 3, 1), date(2018, 5, 20))
+    histories = [stalled_history(ga, versions) if i % 3 == 0
+                 else ReleaseHistory(ga, tuple(map(Release, versions, recent)))
+                 for i, ga in enumerate(sorted(libraries))]
+    (tmp_path / "releases.csv").write_text(history_csv(histories))
+    results_dir = tmp_path / "results"
+    results_dir.mkdir()
+    common = ["--history", str(tmp_path / "releases.csv"), "--time", "2018-06-01"]
+    commands = [
+        ["scan", "--tree", str(trees_dir), "--kb", str(tmp_path / "kb.json"), "--format", "json", *common],
+        ["simulate", "--trees", str(trees_dir), "--kb", str(tmp_path / "kb.json"), "--projects", "10",
+         "--deps", "4", "--format", "json", *common],
+        ["status", "--format", "json", *common],
+        ["report", "--input", str(results_dir), "--format", "json"],
+    ]
+    src = str(pathlib.Path(lifecycle.__file__).parent.parent)
+    for argv in commands:
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            proc = subprocess.run([sys.executable, "-m", "depscope.cli", *argv], env=env,
+                                  capture_output=True, check=False)
+            assert proc.returncode in (0, 2), proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv[0]
+        if argv[0] == "scan":
+            scan_json = json.loads(outputs[0])
+            assert any(path["grouped_path"] != path["raw_path"] for r in scan_json for path in r["paths"])
+            (results_dir / "scan.json").write_bytes(outputs[0])

@@ -17,7 +17,6 @@ from depscope.analysis import (
 )
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
-from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -30,6 +29,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    chain_of,
     same_project,
     walk,
 )
@@ -39,7 +39,6 @@ from depscope.report import (
     CensusRow,
     ScanResult,
     aggregate,
-    census_rows,
     parse_aggregate_json,
     parse_scan_results_json,
     render,
@@ -256,22 +255,27 @@ def test_same_project_calls_grow_linearly_in_depth_on_one_project(same_project_b
         assert {row.responsibility for row in result.census} == {Responsibility.DIRECT}
 
 
-def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(same_project_budget):
+def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(monkeypatch, same_project_budget):
     # only a vulnerable node's chain is built, here one at depth 2; a walk
     # that copies each node's whole chain builds about depth**2 / 2 elements
+    elements = [0]
+
+    def counted(step):
+        chain = chain_of(step)
+        elements[0] += len(chain)
+        assert elements[0] <= depth, f"over {depth} chain elements"
+        return chain
+
+    monkeypatch.setattr("depscope.report.chain_of", counted)
     for depth in (5_000, 10_000):
         tree = deep_chain_tree(depth)
         kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset({Gav("org.deep2", "lib2", "1.0")}))])
-        verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
         same_project_budget(5 * depth)
-        elements = rows = 0
-        for row, chain, grouped in census_rows(tree.root, kb, verdicts, lenient=True,
-                                               include_non_deployed=False):
-            rows += 1
-            elements += len(chain) + len(grouped)
-            assert elements <= depth, f"over {depth} chain elements by row {rows}"
-        assert rows == depth
-        assert elements == 6  # the chain up from org.deep2, and its grouping, which keeps all three
+        elements[0] = 0
+        result = scan(tree, kb, {}, time=ANALYSIS_TIME, lenient=True)
+        assert len(result.census) == depth
+        elements[0] += sum(len(path.grouped_path) for path in result.paths)
+        assert elements[0] == 6  # the chain up from org.deep2, and its grouping, which keeps all three
 
 
 def _random_case(seed: int):
@@ -335,6 +339,32 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
            for t, kb, h in cases for include in (False, True)]
     assert got == expected
     assert walks == [t.root for t, _, _ in cases for _ in (False, True)]
+
+
+def test_scan_builds_and_groups_each_vulnerable_chain_once(monkeypatch, sample_tree, sample_kb,
+                                                           sample_histories):
+    chains, groupings = [], [0]
+
+    def counted_chain_of(step):
+        chains.append(chain_of(step))
+        return chains[-1]
+
+    def counted_group_path(raw_path):
+        groupings[0] += 1
+        return group_path(raw_path)
+
+    monkeypatch.setattr("depscope.report.chain_of", counted_chain_of)
+    monkeypatch.setattr("depscope.report.group_path", counted_group_path)
+    cases = [(sample_tree, sample_kb, sample_histories)] + [_random_case(s) for s in range(40)]
+    for tree, kb, histories in cases:
+        for include in (False, True):
+            del chains[:]
+            groupings[0] = 0
+            result = scan(tree, kb, histories, time=ANALYSIS_TIME, include_non_deployed=include)
+            vulnerable = [row.gav for row in result.census if row.vuln_ids]
+            assert [chain[0] for chain in chains] == vulnerable
+            assert groupings[0] == len(vulnerable)
+            assert {path.raw_path for path in result.paths if len(path.raw_path) > 1} == set(chains)
 
 
 @pytest.mark.parametrize("include", [False, True])

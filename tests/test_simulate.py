@@ -117,6 +117,18 @@ def test_determinism_byte_identical():
     assert json_first == json_second
 
 
+def test_simulate_builds_and_groups_no_chain(monkeypatch):
+    # a project only counts its rows, so no vulnerable row's path is built
+    def forbidden(*args, **kwargs):
+        raise AssertionError("simulate must not call this")
+
+    monkeypatch.setattr("depscope.report.chain_of", forbidden)
+    monkeypatch.setattr("depscope.report.group_path", forbidden)
+    cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
+    outcomes = simulate(build_synthetic_pool(), cfg)
+    assert sum(outcome.all_vulnerable for outcome in outcomes) > 0
+
+
 def test_different_seeds_differ():
     pool = build_synthetic_pool()
     a = simulate(pool, SimulationConfig(projects=10, deps_per_project=8, seed=1, time=ANALYSIS_TIME))
