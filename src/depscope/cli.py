@@ -80,10 +80,16 @@ def _load(path: Path, parse):
         raise InputFileError(path, exc) from exc
 
 
+def _names(directory: Path, suffixes: tuple[str, ...]) -> list[str]:
+    """The sorted names of the files in ``directory`` ending in one of
+    ``suffixes``: names, not paths, so what is held per file stays small."""
+    return sorted(name for name in os.listdir(directory) if os.path.splitext(name)[1] in suffixes)
+
+
 def _load_trees(path: Path) -> list[DependencyTree]:
     files = [path]
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix in (".txt", ".json"))
+        files = [path / name for name in _names(path, (".txt", ".json"))]
         if not files:
             raise DepscopeError(f"no .txt or .json tree files in {path}")
     trees, file_of = [], {}
@@ -121,8 +127,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # names, not paths, so what is held per file stays small
-    names = sorted(name for name in os.listdir(args.input) if os.path.splitext(name)[1] == ".json")
+    names = _names(args.input, (".json",))
     if not names:
         raise DepscopeError(f"no .json scan results in {args.input}")
     # aggregate reads every file before anything is written, holding one at a time

@@ -6,8 +6,8 @@
 * the vulnerability knowledge base as JSON.
 
 All parsers are pure functions from document text to model values.
-:func:`csv_rows`, :func:`csv_text` and :func:`json_text` fix the encoding of
-every CSV and JSON output the package renders.
+:func:`csv_rows`, :func:`csv_text`, :func:`json_text` and :func:`json_string`
+fix the encoding of every CSV and JSON output the package renders.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import re
 from contextlib import contextmanager
 from datetime import date
 from itertools import chain
+from json.encoder import encode_basestring_ascii as json_string  # the string encoder json_text uses
 
 from depscope.errors import (
     DuplicateGa,
@@ -329,8 +330,8 @@ def render_tree_json(tree: DependencyTree) -> str:
             continue
         node, level = item
         pad, inner = "  " * level, "  " * (level + 1)
-        rest = (f'{inner}"gav": {json.dumps(str(node.gav))},\n'
-                f'{inner}"scope": {json.dumps(node.scope.value)}\n{pad}}}')
+        rest = (f'{inner}"gav": {json_string(str(node.gav))},\n'
+                f'{inner}"scope": {json_string(node.scope.value)}\n{pad}}}')
         if not node.children:
             out.append(f'{{\n{inner}"children": [],\n{rest}')
             continue

@@ -10,19 +10,19 @@ are kept apart and named explicitly.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date
 from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from depscope.analysis import classify_responsibility, group_path
+from depscope.analysis import classify_group_ids, classify_responsibility, group_path
 from depscope.errors import MissingHistory, SchemaViolation
 from depscope.ingest import (
     csv_rows,
     csv_text,
     json_object,
     json_pointer,
+    json_string,
     json_text,
     json_typed,
     parse_date_at,
@@ -43,7 +43,6 @@ from depscope.model import (
     VulnerabilityRecord,
     VulnerablePath,
     chain_of,
-    same_project,
     walk,
 )
 
@@ -202,8 +201,8 @@ def census_rows(
     with its subtree; raises as :func:`scan` does, at the first offending
     node. No chain is built here: a caller that prints a row's path follows
     the step's parent links (:func:`depscope.model.chain_of`). Every row's
-    class comes from the group ids the walk carries, looked at up to the
-    third member kept."""
+    class comes from the group ids the walk carries
+    (:func:`depscope.analysis.classify_group_ids`)."""
     ids_by_gav = kb.ids_by_gav
     root_group = root.gav.group_id
     direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
@@ -225,35 +224,13 @@ def census_rows(
             depth=depth,
             deployed=deployed,
             vuln_ids=vuln_ids,
-            responsibility=_responsibility(gav.group_id, above, root_group),
+            responsibility=classify_group_ids(gav.group_id, above, root_group),
             library_status=lib_status,
             instance_status=inst_status,
             via_halted=deployed and depth > 1 and direct is not None
             and direct.status is LibraryStatus.HALTED,
             unknown_history=verdict is None,
         ), step
-
-
-def _responsibility(group: str, above: tuple, root_group: str) -> Responsibility:
-    """:func:`classify_responsibility` of the grouped chain of a node in
-    ``group`` below the distinct group ids ``above`` (links, nearest first,
-    as :func:`depscope.model.walk` carries them). A group met again farther
-    up a chain is absorbed, by its nearer occurrence or by whatever absorbed
-    that, so grouping the distinct ids keeps as many members as grouping the
-    chain; only up to three matter."""
-    if same_project(group, root_group):
-        return Responsibility.OWN
-    kept = [group]
-    while above:
-        other, above = above
-        for anchor in kept:
-            if same_project(anchor, other):
-                break
-        else:
-            kept.append(other)
-            if len(kept) == 3:
-                return Responsibility.TRANSITIVE
-    return Responsibility.DIRECT if len(kept) == 2 else Responsibility.TRANSITIVE
 
 
 def _lifecycle_bucket(row: CensusRow) -> str:
@@ -342,6 +319,14 @@ def _result_text(result: ScanResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _section(title: str, header: list[str], rows: list[list[str]]) -> list[str]:
+    return [title, *_table(header, rows), ""]
+
+
+def _share(label: str, part: int, whole: int) -> str:
+    return f"  {label}: {_pct(part, whole)} ({part} of {whole})"
+
+
 def _aggregate_text(report: AggregateReport) -> str:
     c = report.cells
     lines = [f"aggregate report over {c['trees']} tree(s)"]
@@ -349,14 +334,11 @@ def _aggregate_text(report: AggregateReport) -> str:
         lines[0] += f" ({c['trees_include_non_deployed']} scanned including non-deployed)"
     lines.append("")
 
-    lines.append("scope filtering (dependency instances)")
     header = ["", "safe:direct", "safe:transitive", "vuln:direct", "vuln:transitive"]
     rows = [[key] + [str(c[f"{key}/{v}/{p}"]) for v in ("safe", "vuln") for p in _POSITION_AXES]
             for key in ("deployed", "all")]
-    lines += _table(header, rows)
-    lines.append("")
+    lines += _section("scope filtering (dependency instances)", header, rows)
 
-    lines.append("project grouping (deployed dependency instances)")
     header = [
         "",
         "safe:direct", "safe:transitive", "safe:own", "safe:3rd-party",
@@ -369,10 +351,9 @@ def _aggregate_text(report: AggregateReport) -> str:
         own = c[f"grouped/{v}/own"]
         grouped_row += [str(direct), str(transitive), str(own), str(direct + transitive)]
         ungrouped_row += [str(c[f"deployed/{v}/direct"]), str(c[f"deployed/{v}/transitive"]), "n/a", "n/a"]
-    lines += _table(header, [grouped_row, ungrouped_row])
-    lines.append("")
+    lines += _section("project grouping (deployed dependency instances)", header,
+                      [grouped_row, ungrouped_row])
 
-    lines.append("lifecycle (deployed dependency instances)")
     header = [
         "",
         "safe:halted", "safe:outdated", "safe:up-to-date",
@@ -380,10 +361,8 @@ def _aggregate_text(report: AggregateReport) -> str:
     ]
     rows = [[label] + [str(c[f"{key}/{v}/{s}"]) for v in ("safe", "vuln") for s in _LIFE_AXES]
             for label, key in (("via-halted", "via_halted"), ("all", "lifecycle"))]
-    lines += _table(header, rows)
-    lines.append("")
+    lines += _section("lifecycle (deployed dependency instances)", header, rows)
 
-    lines.append("vulnerable paths (per instance-vulnerability pair)")
     header = ["", "own", "direct", "transitive", "controlled"]
     rows = []
     for stage in ("grouped", "ungrouped"):
@@ -395,31 +374,22 @@ def _aggregate_text(report: AggregateReport) -> str:
             [stage, str(own), str(direct), str(transitive),
              f"{own + direct} ({_pct(own + direct, total)})"]
         )
-    lines += _table(header, rows)
-    lines.append("")
+    lines += _section("vulnerable paths (per instance-vulnerability pair)", header, rows)
 
     all_vuln = sum(c[f"all/vuln/{p}"] for p in _POSITION_AXES)
     deployed_vuln = sum(c[f"deployed/vuln/{p}"] for p in _POSITION_AXES)
     deployed_total = sum(c[f"deployed/{v}/{p}"] for v in _VULN_AXES for p in _POSITION_AXES)
     halted_total = sum(c[f"lifecycle/{v}/halted"] for v in _VULN_AXES)
     controlled_grouped = c["grouped/vuln/own"] + c["grouped/vuln/direct"]
-    lines.append("shares")
-    lines.append(
-        f"  non-deployed among vulnerable instances: "
-        f"{_pct(all_vuln - deployed_vuln, all_vuln)} ({all_vuln - deployed_vuln} of {all_vuln})"
-    )
-    lines.append(
-        f"  controlled by developers, grouped (of deployed vulnerable): "
-        f"{_pct(controlled_grouped, deployed_vuln)} ({controlled_grouped} of {deployed_vuln})"
-    )
-    lines.append(
-        f"  controlled by developers, ungrouped (of deployed vulnerable): "
-        f"{_pct(c['deployed/vuln/direct'], deployed_vuln)} ({c['deployed/vuln/direct']} of {deployed_vuln})"
-    )
-    lines.append(
-        f"  halted among deployed instances: "
-        f"{_pct(halted_total, deployed_total)} ({halted_total} of {deployed_total})"
-    )
+    lines += [
+        "shares",
+        _share("non-deployed among vulnerable instances", all_vuln - deployed_vuln, all_vuln),
+        _share("controlled by developers, grouped (of deployed vulnerable)",
+               controlled_grouped, deployed_vuln),
+        _share("controlled by developers, ungrouped (of deployed vulnerable)",
+               c["deployed/vuln/direct"], deployed_vuln),
+        _share("halted among deployed instances", halted_total, deployed_total),
+    ]
     if c["unknown_history"]:
         lines.append(f"  instances without release history: {c['unknown_history']}")
     return "\n".join(lines) + "\n"
@@ -445,9 +415,6 @@ def _result_csv(result: ScanResult) -> str:
         ]
         for row in result.census
     )
-
-
-_encode = json.encoder.encode_basestring_ascii  # the string encoder json_text uses
 
 
 def _json_list(items, pad: str) -> str:
@@ -479,28 +446,28 @@ def _result_json(result: ScanResult) -> str:
     """The result as :func:`json_text` writes its JSON object, without the
     final newline: from the fixed templates above, because with an indent
     ``json.dumps`` runs its pure-Python encoder. Keys are in sorted order.
-    Strings that may hold any character go through the C string encoder
-    that ``json.dumps`` uses; enum values and dates need no escaping."""
+    Strings that may hold any character go through :func:`json_string`;
+    enum values and dates need no escaping."""
     census = [
         _ROW_JSON % (
-            _bool(row.deployed), row.depth, _bool(row.direct), _encode(str(row.gav)),
+            _bool(row.deployed), row.depth, _bool(row.direct), json_string(str(row.gav)),
             row.instance_status.value, row.library_status.value, _bool(row.own),
             row.responsibility.value, _bool(row.unknown_history), _bool(row.via_halted),
-            _json_list([_encode(vuln_id) for vuln_id in row.vuln_ids], "      "),
+            _json_list([json_string(vuln_id) for vuln_id in row.vuln_ids], "      "),
         )
         for row in result.census
     ]
     paths = [
         _PATH_JSON % (
-            _json_list([_encode(str(gav)) for gav in path.grouped_path], "      "),
-            _json_list([_encode(str(gav)) for gav in path.raw_path], "      "),
-            path.responsibility.value, _bool(path.via_halted), _encode(path.vuln_id),
+            _json_list([json_string(str(gav)) for gav in path.grouped_path], "      "),
+            _json_list([json_string(str(gav)) for gav in path.raw_path], "      "),
+            path.responsibility.value, _bool(path.via_halted), json_string(path.vuln_id),
         )
         for path in result.paths
     ]
     return _RESULT_JSON % (
         result.analysis_time.isoformat(), _json_list(census, "  "),
-        _bool(result.include_non_deployed), _json_list(paths, "  "), _encode(str(result.root)),
+        _bool(result.include_non_deployed), _json_list(paths, "  "), json_string(str(result.root)),
     )
 
 
@@ -549,12 +516,10 @@ def render(obj, format: str = "text") -> str:
 # --- report JSON round trip -----------------------------------------------------
 
 
-_RESULT_KEYS = frozenset({"root", "analysis_time", "include_non_deployed", "paths", "census"})
-_PATH_KEYS = frozenset({"raw_path", "grouped_path", "vuln_id", "responsibility", "via_halted"})
-_ROW_KEYS = frozenset(
-    {"gav", "depth", "direct", "deployed", "vuln_ids", "own", "responsibility", "library_status",
-     "instance_status", "via_halted", "unknown_history"}
-)
+# the keys the JSON writer renders: each type's fields, and a row's derived flags
+_RESULT_KEYS = frozenset(f.name for f in fields(ScanResult))
+_PATH_KEYS = frozenset(f.name for f in fields(VulnerablePath))
+_ROW_KEYS = frozenset(CensusRow._fields + ("direct", "own"))
 
 
 # value -> member per enum: a dict lookup costs a tenth of an Enum call
@@ -639,8 +604,10 @@ def parse_scan_results_json(doc: str) -> list[ScanResult]:
 def parse_aggregate_json(doc: str) -> AggregateReport:
     cells = json_typed(json_object(parse_json(doc), "", frozenset({"cells"})), "cells", dict, "")
     for key in cells:
-        if json_typed(cells, key, int, "/cells") < 0 and key in CELL_KEYS:  # else unknown, below
-            raise SchemaViolation(json_pointer("/cells", key), "must not be negative")
+        count = json_typed(cells, key, int, "/cells")
+        if key in CELL_KEYS and not 0 <= count <= 2**53:  # else unknown, below; the shares are floats
+            reason = "must not be negative" if count < 0 else "must not exceed 2**53"
+            raise SchemaViolation(json_pointer("/cells", key), reason)
     try:
         return AggregateReport(cells)
     except ValueError as exc:

@@ -50,10 +50,10 @@ class SimulationPool:
     """The corpus a simulation draws from: trees, histories, vulnerabilities.
 
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
-    for all projects, and ``histories`` as given: only loaded ones keep
-    verdict tables between calls. ``libraries`` is derived once as well:
-    for each pool library in sorted order, the roots of its pool trees in
-    version order. A pool library in the project of :data:`SYNTHETIC_GROUP`
+    for all projects, and ``histories`` as given: only loaded ones keep verdict
+    tables between calls. ``libraries`` is derived once as well: for each pool
+    library in sorted order, its pool tree roots by version string (``1.10``
+    before ``1.9``). A pool library in the project of :data:`SYNTHETIC_GROUP`
     raises :class:`ReservedGroup`: grouping would absorb the synthetic root
     into it and count its third-party findings as ``own``.
     """

@@ -338,6 +338,43 @@ def test_unknown_version_fails_in_both_history_modes(workspace, capsys, lenient,
     assert captured.err == f"depscope: error: {error}\n"
 
 
+@pytest.mark.parametrize("stray", [None, "notes.md"], ids=["empty", "no tree suffix"])
+def test_scan_of_a_directory_without_trees_exits_1(workspace, capsys, stray):
+    empty = workspace / "empty"
+    empty.mkdir()
+    if stray:
+        (empty / stray).write_text(SAMPLE_TREE_TEXT)
+    args = _scan_args(workspace)
+    args[args.index("--tree") + 1] = str(empty)
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"depscope: error: no .txt or .json tree files in {empty}\n"
+
+
+@pytest.mark.parametrize("stray", [None, "r.txt"], ids=["empty", "no result suffix"])
+def test_report_of_a_directory_without_results_exits_1(tmp_path, capsys, stray):
+    if stray:
+        (tmp_path / stray).write_text("{}")
+    assert main(["report", "--input", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"depscope: error: no .json scan results in {tmp_path}\n"
+
+
+def test_out_of_range_settings_exit_1(workspace, capsys):
+    assert main(_scan_args(workspace, "--alpha", "1")) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "depscope: error: alpha must be in (0, 1)\n"
+    pool = workspace / "pool"
+    pool.mkdir()
+    (pool / "app-core.txt").write_text(SAMPLE_TREE_TEXT)
+    assert main(["simulate", "--trees", str(pool), "--history", str(workspace / "releases.csv"),
+                 "--kb", str(workspace / "kb.json"), "--projects", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "depscope: error: projects must be positive\n"
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--tree", "x"])

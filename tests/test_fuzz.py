@@ -1,6 +1,6 @@
 """Fuzzing of the four input parsers and of the two parsers of saved
 output: whatever the document, the only exception that escapes is a
-DepscopeError."""
+DepscopeError, and a saved aggregate that parses renders in every format."""
 
 from __future__ import annotations
 
@@ -23,13 +23,20 @@ from conftest import (
     mutate_json,
 )
 
+
+def _parse_and_render_aggregate(doc: str) -> None:
+    report = parse_aggregate_json(doc)
+    for format in ("text", "csv", "json"):
+        render(report, format)
+
+
 PARSERS = {
     "tree text": parse_tree_text,
     "tree JSON": parse_tree_json,
     "KB": load_vuln_kb,
     "history": load_release_history,
     "scan results": parse_scan_results_json,
-    "aggregate": parse_aggregate_json,
+    "aggregate": _parse_and_render_aggregate,
 }
 _HISTORY = history_csv(alive_history(gav) for gav in SAMPLE_GAVS)
 # the worked example's scan, whose renders are the valid saved outputs
@@ -47,6 +54,8 @@ VALID = {
 # longer than the reader's field limit
 HUGE_INT = "1" * 5000
 HUGE_FIELD = "x" * 131073
+# a saved aggregate whose cell no float holds, as the text render's shares need
+HUGE_CELL = json.dumps({"cells": {**json.loads(VALID["aggregate"])["cells"], "all/vuln/direct": 10**400}})
 
 # any text, and text made of the characters the formats give meaning to
 _DOCUMENT_TEXT = st.text(max_size=200) | st.text(',:."\\|+- \n\r[]{}01gav', max_size=200)
@@ -66,6 +75,7 @@ def _raises_only_depscope_errors(parser, doc: str) -> None:
 @example(name="history", doc="group_id,artifact_id,version,release_date\n" + HUGE_FIELD + "\n")
 @example(name="history", doc=HUGE_FIELD)
 @example(name="history", doc="group_id,artifact_id,version,release_date\ng,a\r,1,2020-01-01\n")
+@example(name="aggregate", doc=HUGE_CELL)
 def test_arbitrary_text_raises_only_depscope_errors(name, doc):
     _raises_only_depscope_errors(PARSERS[name], doc)
 

@@ -117,6 +117,22 @@ def test_parse_rejects_bad_coordinate():
         parse_tree_text("com.acme:m:1.0\n+- g:a:jar:1\n")
 
 
+def test_parse_rejects_empty_segment():
+    with pytest.raises(MalformedTreeLine, match="line 1: empty segment in 'com.a::1'"):
+        parse_tree_text("com.a::1\n")
+
+
+def test_parse_reads_a_bare_info_line_as_blank():
+    doc = "[INFO]\ncom.acme:m:1.0\n[INFO]\n+- g:a:jar:1:compile\n"
+    assert parse_tree_text(doc) == parse_tree_text("com.acme:m:1.0\n+- g:a:jar:1:compile\n")
+
+
+def test_parse_rejects_indentation_without_a_branch_marker():
+    with pytest.raises(MalformedTreeLine) as exc:
+        parse_tree_text("com.acme:m:1.0\n|  com.x:y:jar:1:compile\n")
+    assert str(exc.value) == "malformed tree line 2: indentation does not end with a branch marker"
+
+
 def test_parse_rejects_duplicate_library():
     doc = "com.acme:m:1.0\n+- g:a:jar:1:compile\n+- g:a:jar:2:compile\n"
     with pytest.raises(DuplicateGa) as exc:
@@ -178,6 +194,13 @@ def test_parse_json_analysis_time():
         }
     )
     assert parse_tree_json(doc).analysis_time == date(2018, 6, 1)
+
+
+def test_parse_json_impossible_date_names_its_pointer():
+    doc = '{"analysis_time": "2021-02-30", "root": {"gav": "g:a:1", "scope": "compile", "children": []}}'
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json(doc)
+    assert exc.value.pointer == "/analysis_time"  # the reason is the stdlib's, which varies by version
 
 
 def test_parse_json_bad_scope_pointer():

@@ -20,6 +20,7 @@ from depscope.lifecycle import (
     library_status,
     library_verdict,
     release_intervals,
+    render_status,
     verdict_table,
 )
 from depscope.model import (
@@ -363,6 +364,25 @@ def test_default_interval_past_the_float_range_is_rejected(days):
         SmoothingConfig(default_interval_days=days)
     largest = SmoothingConfig(default_interval_days=int(sys.float_info.max))
     assert last_release_interval(history_from_dates([date(2010, 1, 1)]), largest) == sys.float_info.max
+
+
+@pytest.mark.parametrize("field, value, reason", [
+    ("alpha", 0.0, "alpha must be in (0, 1)"),
+    ("alpha", 1.0, "alpha must be in (0, 1)"),
+    ("alpha", -0.5, "alpha must be in (0, 1)"),
+    ("min_releases", 0, "min_releases must be positive"),
+    ("min_releases", -3, "min_releases must be positive"),
+])
+def test_smoothing_config_rejects_out_of_range_settings(field, value, reason):
+    with pytest.raises(ValueError) as exc:
+        SmoothingConfig(**{field: value})
+    assert str(exc.value) == reason
+
+
+def test_render_status_rejects_an_unknown_format():
+    histories = {Ga("g", "a"): history_from_dates([date(2010, 1, 1)])}
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        render_status(histories, date(2011, 1, 1), CFG, "xml")
 
 
 @pytest.mark.parametrize("dates", [[date(2010, 1, 1)],  # the default interval

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import pickle
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +19,7 @@ from depscope.model import (
     Release,
     ReleaseHistory,
     Scope,
+    VulnerabilityRecord,
     build_tree,
     chain_of,
     parse_gav,
@@ -204,6 +206,27 @@ def test_history_rejects_repeated_version():
     assert (exc.value.ga, exc.value.version) == (ga, "1.0")
 
 
+@pytest.mark.parametrize("releases, reason", [
+    ((), "history of g:a has no releases"),
+    ((Release("2.0", date(2020, 2, 1)), Release("1.0", date(2020, 1, 1))),
+     "history of g:a is not sorted by date"),
+])
+def test_history_rejects_no_releases_and_unsorted_dates(releases, reason):
+    with pytest.raises(ValueError) as exc:
+        ReleaseHistory(Ga("g", "a"), releases)
+    assert str(exc.value) == reason
+
+
+@pytest.mark.parametrize("vuln_id, affected, reason", [
+    ("", {Gav("g", "a", "1")}, "vulnerability id must be non-empty"),
+    ("V-1", set(), "vulnerability V-1 affects no instances"),
+])
+def test_vulnerability_record_needs_an_id_and_an_instance(vuln_id, affected, reason):
+    with pytest.raises(ValueError) as exc:
+        VulnerabilityRecord(vuln_id, affected)
+    assert str(exc.value) == reason
+
+
 def test_tree_rejects_non_compile_root():
     with pytest.raises(ValueError):
         DependencyTree(DependencyNode(Gav("g", "a", "1"), Scope.TEST))
@@ -313,3 +336,27 @@ def test_node_equality_and_hash_deeper_than_recursion_limit():
     assert {a.root: 1}[b.root] == 1
     assert a != deep_chain_tree(1500, Scope.TEST)  # differs only at the deepest node
     assert a != deep_chain_tree(1499)
+
+
+def test_node_equality_defers_to_other_types():
+    node = DependencyNode(Gav("g", "a", "1"), Scope.COMPILE)
+    assert node.__eq__("g:a:1") is NotImplemented
+    assert node != "g:a:1"
+    assert node == mock.ANY  # only when the node defers does ANY get to answer
+
+
+class _Uncomparable(Gav):
+    """A coordinate that fails on ``!=``, the test node equality puts to each pair of nodes."""
+
+    __slots__ = ()
+
+    def __ne__(self, other):
+        raise AssertionError("a node shared by both trees was compared")
+
+
+def test_roots_sharing_a_child_node_compare_it_by_identity():
+    leaf = DependencyNode(Gav("g", "leaf", "1"), Scope.COMPILE)
+    shared = DependencyNode(_Uncomparable("g", "shared", "1"), Scope.COMPILE, (leaf,))
+    a = DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (shared,))
+    b = DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (shared,))
+    assert a is not b and a == b

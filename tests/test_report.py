@@ -471,6 +471,55 @@ def test_render_zero_report_skeleton():
     assert "n/a" in text  # shares have no denominators
 
 
+# every cell distinct, so a cell written in another's place shows
+_NUMBERED_TEXT = """\
+aggregate report over 33 tree(s) (34 scanned including non-deployed)
+
+scope filtering (dependency instances)
+            safe:direct  safe:transitive  vuln:direct  vuln:transitive
+  deployed            2                3            0                1
+  all                 6                7            4                5
+
+project grouping (deployed dependency instances)
+             safe:direct  safe:transitive  safe:own  safe:3rd-party  vuln:direct  vuln:transitive  vuln:own  vuln:3rd-party
+  grouped             12               13        11              25            9               10         8              19
+  ungrouped            2                3       n/a             n/a            0                1       n/a             n/a
+
+lifecycle (deployed dependency instances)
+              safe:halted  safe:outdated  safe:up-to-date  vuln:halted  vuln:outdated  vuln:up-to-date
+  via-halted           23             24               25           20             21               22
+  all                  17             18               19           14             15               16
+
+vulnerable paths (per instance-vulnerability pair)
+             own  direct  transitive  controlled
+  grouped     26      27          28  53 (65.4%)
+  ungrouped   29      30          31  59 (65.6%)
+
+shares
+  non-deployed among vulnerable instances: 88.9% (8 of 9)
+  controlled by developers, grouped (of deployed vulnerable): 1700.0% (17 of 1)
+  controlled by developers, ungrouped (of deployed vulnerable): 0.0% (0 of 1)
+  halted among deployed instances: 516.7% (31 of 6)
+  instances without release history: 32
+"""
+
+
+def test_render_aggregate_text_places_every_cell():
+    report = AggregateReport({key: i for i, key in enumerate(CELL_KEYS)})
+    assert render(report, "text") == _NUMBERED_TEXT
+    # the suffix and the last share line appear only when their cells count something
+    lines = render(aggregate([]), "text").splitlines()
+    assert lines[0] == "aggregate report over 0 tree(s)"
+    assert lines[-1] == "  halted among deployed instances: n/a (0 of 0)"
+
+
+@pytest.mark.parametrize("obj", [aggregate([]), ScanResult(ROOT, ANALYSIS_TIME, False, (), ())],
+                         ids=["aggregate", "scan result"])
+def test_render_rejects_an_unknown_format(obj):
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        list(render_chunks(obj, "xml"))
+
+
 def test_render_text_shows_paths(sample_tree, sample_kb, sample_histories):
     result = _scan_sample(sample_tree, sample_kb, sample_histories)
     text = render(result, "text")
@@ -579,6 +628,22 @@ def test_saved_aggregate_cells_must_not_be_negative(cell, pointer, reason):
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json(_saved_aggregate(cell, -4))
     assert (exc.value.pointer, exc.value.reason) == (pointer, reason)
+
+
+@pytest.mark.parametrize("value", [10**400, 2**53 + 1], ids=["1e400", "2**53+1"])
+def test_saved_aggregate_cells_must_be_exact_as_floats(value):
+    # the text render's shares convert counts to float, exact only up to 2**53
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json(_saved_aggregate("all/vuln/direct", value))
+    assert (exc.value.pointer, exc.value.reason) == ("/cells/all~1vuln~1direct", "must not exceed 2**53")
+
+
+def test_saved_aggregate_cell_of_2_to_the_53_renders_in_every_format():
+    report = parse_aggregate_json(_saved_aggregate("all/vuln/direct", 2**53))
+    assert report.cells["all/vuln/direct"] == 2**53
+    assert "non-deployed among vulnerable instances: 100.0% (9007199254740992 of 9007199254740992)" in render(report, "text")
+    assert "all/vuln/direct,9007199254740992\n" in render(report, "csv")
+    assert parse_aggregate_json(render(report, "json")) == report
 
 
 def test_saved_aggregate_cell_pointers_are_escaped():

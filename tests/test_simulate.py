@@ -107,6 +107,24 @@ def test_insufficient_libraries_raises():
         simulate(pool, SimulationConfig(projects=1, deps_per_project=4, time=ANALYSIS_TIME))
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("projects", 0, "projects must be positive"),
+    ("projects", -1, "projects must be positive"),
+    ("deps_per_project", 0, "deps_per_project must be positive"),
+])
+def test_config_rejects_no_projects_and_no_dependencies(field, value, reason):
+    with pytest.raises(ValueError) as exc:
+        SimulationConfig(**{field: value})
+    assert str(exc.value) == reason
+
+
+def test_render_simulation_has_no_text_format():
+    cfg = SimulationConfig(projects=1, deps_per_project=1, time=ANALYSIS_TIME)
+    outcomes = simulate(_tiny_pool(1), cfg)
+    with pytest.raises(ValueError, match="unknown format 'text'"):
+        render_simulation(outcomes, cfg, "text")
+
+
 def test_determinism_byte_identical():
     cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
     first = render_simulation(simulate(build_synthetic_pool(), cfg), cfg, "csv")
