@@ -85,9 +85,14 @@ class Gav(_GavFields):
     __slots__ = ()
 
     def __new__(cls, group_id: str, artifact_id: str, version: str):
-        _check_segment("group_id", group_id)
-        _check_segment("artifact_id", artifact_id)
-        _check_segment("version", version)
+        # the common case in one expression; the segment checks name a
+        # failure, and pass a non-empty ``str`` subclass without ':'
+        if not (type(group_id) is type(artifact_id) is type(version) is str
+                and group_id and artifact_id and version
+                and ":" not in group_id and ":" not in artifact_id and ":" not in version):
+            _check_segment("group_id", group_id)
+            _check_segment("artifact_id", artifact_id)
+            _check_segment("version", version)
         return tuple.__new__(cls, (group_id, artifact_id, version))
 
     @classmethod

@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from datetime import date
+from fnmatch import fnmatchcase
 from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from depscope.analysis import classify_group_ids, classify_responsibility, group_path
-from depscope.errors import MissingHistory, SchemaViolation
+from depscope.errors import MalformedCoordinate, MissingHistory, SchemaViolation
 from depscope.ingest import (
     csv_rows,
     csv_text,
@@ -43,6 +45,7 @@ from depscope.model import (
     VulnerabilityRecord,
     VulnerablePath,
     chain_of,
+    parse_gav,
     walk,
 )
 
@@ -524,6 +527,8 @@ _ROW_KEYS = frozenset(CensusRow._fields + ("direct", "own"))
 
 # value -> member per enum: a dict lookup costs a tenth of an Enum call
 _MEMBERS = {cls: {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus)}
+_RESPONSIBILITIES, _LIBRARY_STATUSES, _INSTANCE_STATUSES = _MEMBERS.values()
+_OWN = Responsibility.OWN  # a global costs a tenth of an Enum attribute
 
 
 def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
@@ -534,8 +539,8 @@ def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
 
 
 def _gavs(obj: dict, key: str, pointer: str) -> tuple[Gav, ...]:
-    field = f"{pointer}/{key}"
-    return tuple(parse_gav_at(text, field) for text in json_typed(obj, key, list, pointer))
+    return tuple(parse_gav_at(text, f"{pointer}/{key}/{i}")
+                 for i, text in enumerate(json_typed(obj, key, list, pointer)))
 
 
 def _path_from_dict(entry, p: str) -> VulnerablePath:
@@ -580,25 +585,107 @@ def _row_from_dict(entry, p: str) -> CensusRow:
     return row
 
 
-def _result_from_dict(data, pointer: str = "") -> ScanResult:
+class _Gavs(dict):
+    """A document's coordinates by their text, each parsed on its first
+    lookup, which takes a ``str`` only and raises :class:`MalformedCoordinate`."""
+
+    def __missing__(self, text: str) -> Gav:
+        gav = self[text] = parse_gav(text)
+        return gav
+
+
+# the values of a well-formed entry, in field order, and their JSON types
+_path_values = itemgetter(*(f.name for f in fields(VulnerablePath)))
+_PATH_TYPES = (list, list, str, str, bool)
+_row_values = itemgetter(*CensusRow._fields, "direct", "own")
+_ROW_TYPES = (str, int, bool, list, str, str, str, bool, bool, bool, bool)
+
+
+def _decoded_path(entry, gavs: _Gavs) -> VulnerablePath | None:
+    """The path a well-formed ``entry`` holds, else None: the same value as
+    :func:`_path_from_dict`, which alone names a fault."""
+    if type(entry) is not dict or entry.keys() != _PATH_KEYS:
+        return None
+    values = _path_values(entry)
+    if tuple(map(type, values)) != _PATH_TYPES:
+        return None
+    raw_path, grouped_path, vuln_id, responsibility, via_halted = values
+    responsibility = _RESPONSIBILITIES.get(responsibility)
+    if responsibility is None or {*map(type, raw_path), *map(type, grouped_path)} != {str}:
+        return None
+    try:
+        return VulnerablePath(tuple(map(gavs.__getitem__, raw_path)),
+                              tuple(map(gavs.__getitem__, grouped_path)),
+                              vuln_id, responsibility, via_halted)
+    except (MalformedCoordinate, ValueError):  # a bad coordinate, or a path VulnerablePath rejects
+        return None
+
+
+def _decoded_row(entry, gavs: _Gavs) -> CensusRow | None:
+    """The row a well-formed ``entry`` holds, else None: the same value as
+    :func:`_row_from_dict`, which alone names a fault."""
+    if type(entry) is not dict or entry.keys() != _ROW_KEYS:
+        return None
+    values = _row_values(entry)
+    if tuple(map(type, values)) != _ROW_TYPES:
+        return None
+    gav, depth, deployed, vuln_ids, responsibility, library_status, instance_status, \
+        via_halted, unknown_history, direct, own = values
+    responsibility = _RESPONSIBILITIES.get(responsibility)
+    library_status = _LIBRARY_STATUSES.get(library_status)
+    instance_status = _INSTANCE_STATUSES.get(instance_status)
+    if (responsibility is None or library_status is None or instance_status is None
+            or depth < 1 or direct is not (depth == 1)
+            or own is not (responsibility is _OWN)
+            or not {*map(type, vuln_ids)} <= {str}):
+        return None
+    try:
+        gav = gavs[gav]
+    except MalformedCoordinate:
+        return None
+    # the tuple's own constructor: NamedTuple's __new__ is a Python call
+    return tuple.__new__(CensusRow, (gav, depth, deployed, tuple(vuln_ids), responsibility,
+                                     library_status, instance_status, via_halted, unknown_history))
+
+
+def _result_from_dict(data, pointer: str, gavs: _Gavs) -> ScanResult:
     json_object(data, pointer, _RESULT_KEYS)
     paths = json_typed(data, "paths", list, pointer)
     census = json_typed(data, "census", list, pointer)
+    root = data["root"]
+    if type(root) is not str or root not in gavs:  # parse_gav_at raises for any other type
+        gavs[root] = parse_gav_at(root, f"{pointer}/root")
+    # a faulty entry fails its straight decoder, and its checked one raises at the fault
     return ScanResult(
-        root=parse_gav_at(data["root"], f"{pointer}/root"),
+        root=gavs[root],
         analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
         include_non_deployed=json_typed(data, "include_non_deployed", bool, pointer),
-        paths=tuple(_path_from_dict(e, f"{pointer}/paths/{i}") for i, e in enumerate(paths)),
-        census=tuple(_row_from_dict(e, f"{pointer}/census/{i}") for i, e in enumerate(census)),
+        paths=tuple(_decoded_path(e, gavs) or _path_from_dict(e, f"{pointer}/paths/{i}")
+                    for i, e in enumerate(paths)),
+        census=tuple(_decoded_row(e, gavs) or _row_from_dict(e, f"{pointer}/census/{i}")
+                     for i, e in enumerate(census)),
     )
 
 
 def parse_scan_results_json(doc: str) -> list[ScanResult]:
-    """Parse a scan result object or array as rendered by :func:`render`."""
-    data = parse_json(doc)
+    """Parse a scan result object or array as rendered by :func:`render`.
+    One :class:`Gav` is built per distinct coordinate of the document."""
+    data, gavs = parse_json(doc), _Gavs()
     if isinstance(data, list):
-        return [_result_from_dict(entry, f"/{i}") for i, entry in enumerate(data)]
-    return [_result_from_dict(data)]
+        return [_result_from_dict(entry, f"/{i}", gavs) for i, entry in enumerate(data)]
+    return [_result_from_dict(data, "", gavs)]
+
+
+# identities that every aggregate of scan results keeps, whatever the results:
+# (left, right, equal), each side the sum of the cells its pattern matches
+_CELL_RELATIONS = (
+    *((f"deployed/{v}/{p}", f"all/{v}/{p}", False) for v in _VULN_AXES for p in _POSITION_AXES),
+    *((f"grouped/{v}/*", f"{row}/{v}/*", True) for v in _VULN_AXES for row in ("deployed", "lifecycle")),
+    *((f"via_halted/{v}/{s}", f"lifecycle/{v}/{s}", False) for v in _VULN_AXES for s in _LIFE_AXES),
+    ("trees_include_non_deployed", "trees", False),
+    ("unknown_history", "all/*/*", False),
+    ("paths/grouped/*", "paths/ungrouped/*", True),
+)
 
 
 def parse_aggregate_json(doc: str) -> AggregateReport:
@@ -609,6 +696,12 @@ def parse_aggregate_json(doc: str) -> AggregateReport:
             reason = "must not be negative" if count < 0 else "must not exceed 2**53"
             raise SchemaViolation(json_pointer("/cells", key), reason)
     try:
-        return AggregateReport(cells)
+        report = AggregateReport(cells)
     except ValueError as exc:
         raise SchemaViolation("/cells", str(exc)) from None
+    for left, right, equal in _CELL_RELATIONS:
+        a, b = (sum(n for key, n in cells.items() if fnmatchcase(key, side)) for side in (left, right))
+        if a > b or equal and a != b:
+            relation = "equal" if equal else "not exceed"
+            raise SchemaViolation("/cells", f"{left} ({a}) must {relation} {right} ({b})")
+    return report

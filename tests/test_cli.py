@@ -459,11 +459,17 @@ def _break_empty_raw_path(data):
     return "/paths/0"
 
 
+def _break_raw_path_element(data):
+    data["paths"][0]["raw_path"][0] = None
+    return "/paths/0/raw_path/0"
+
+
 @pytest.mark.parametrize("corrupt", [
     _break_path_without_raw_path,
     _break_paths_not_array,
     _break_census_entry_not_object,
     _break_empty_raw_path,
+    _break_raw_path_element,
 ])
 def test_report_malformed_result_names_file_and_pointer(workspace, capsys, corrupt):
     main(_scan_args(workspace, "--format", "json"))

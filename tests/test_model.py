@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import pickle
 from datetime import date
 from unittest import mock
@@ -60,6 +61,30 @@ def test_parse_gav_rejects_empty_segment():
 def test_gav_fields_reject_separator():
     with pytest.raises(ValueError):
         Gav("g:x", "a", "1")
+
+
+class _Text(str):
+    pass
+
+
+def test_gav_accepts_exactly_non_empty_strings_without_the_separator():
+    """str subclasses included; the first bad segment is the one named."""
+    values = ["a", "", "a:", ":", _Text("a"), _Text(""), _Text("a:"), None, 1, b"a"]
+    for segments in itertools.product(values, repeat=3):
+        for name, value in zip(("group_id", "artifact_id", "version"), segments):
+            if not isinstance(value, str) or not value:
+                reason = f"{name} must be a non-empty string"
+                break
+            if ":" in value:
+                reason = f"{name} must not contain ':'"
+                break
+        else:
+            gav = Gav(*segments)
+            assert type(gav) is Gav and tuple(gav) == segments
+            continue
+        with pytest.raises(ValueError) as exc:
+            Gav(*segments)
+        assert str(exc.value) == reason
 
 
 def test_ga_projection():

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from datetime import date
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -45,6 +46,7 @@ from depscope.report import (
     render_chunks,
     scan,
 )
+from depscope import report as report_module
 from depscope.report import _CENSUS_CSV_HEADER, _result_text
 
 from conftest import (
@@ -53,6 +55,8 @@ from conftest import (
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
     SCAN_RESULTS,
+    WRONG_JSON_VALUES,
+    _json_locations,
     alive_history,
     deep_chain_tree,
     grouped_trees,
@@ -592,6 +596,18 @@ def test_saved_row_needs_direct(sample_tree, sample_kb, sample_histories):
     assert (exc.value.pointer, exc.value.reason) == ("/census/0", "missing key 'direct'")
 
 
+@pytest.mark.parametrize("key", ["raw_path", "grouped_path"])
+def test_saved_path_names_a_bad_coordinate_at_its_element(sample_tree, sample_kb, sample_histories,
+                                                          key):
+    data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
+    gavs = data["paths"][1][key]
+    gavs[-1] = "g:a"
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert (exc.value.pointer, exc.value.reason) == (
+        f"/paths/1/{key}/{len(gavs) - 1}", "not a g:a:v coordinate: 'g:a'")
+
+
 @pytest.mark.parametrize("value", [["own"], {}, 1, None, "OWN"])
 @pytest.mark.parametrize(
     "section, key",
@@ -656,6 +672,34 @@ def test_saved_aggregate_must_hold_every_cell():
     with pytest.raises(SchemaViolation) as exc:
         parse_aggregate_json('{"cells": {"trees": 3}}')
     assert (exc.value.pointer, exc.value.reason) == ("/cells", "missing cell 'all/safe/direct'")
+
+
+@pytest.mark.parametrize("cells, reason", [
+    ({"deployed/vuln/direct": 1}, "deployed/vuln/direct (1) must not exceed all/vuln/direct (0)"),
+    ({"all/safe/direct": 1, "deployed/safe/direct": 1},
+     "grouped/safe/* (0) must equal deployed/safe/* (1)"),
+    ({"all/vuln/direct": 1, "deployed/vuln/direct": 1, "grouped/vuln/direct": 1},
+     "grouped/vuln/* (1) must equal lifecycle/vuln/* (0)"),
+    ({"via_halted/safe/halted": 1}, "via_halted/safe/halted (1) must not exceed lifecycle/safe/halted (0)"),
+    ({"trees_include_non_deployed": 1}, "trees_include_non_deployed (1) must not exceed trees (0)"),
+    ({"unknown_history": 1}, "unknown_history (1) must not exceed all/*/* (0)"),
+    ({"paths/ungrouped/own": 1}, "paths/grouped/* (0) must equal paths/ungrouped/* (1)"),
+    # the cells test_render_aggregate_text_places_every_cell renders
+    ({key: i for i, key in enumerate(CELL_KEYS)}, "grouped/vuln/* (27) must equal deployed/vuln/* (1)"),
+], ids=["deployed-over-all", "grouped-vs-deployed", "grouped-vs-lifecycle", "via-halted-over-lifecycle",
+        "include-non-deployed-over-trees", "unknown-history-over-all", "paths-grouped-vs-ungrouped",
+        "every-cell-distinct"])
+def test_saved_aggregate_cells_must_agree(cells, reason):
+    with pytest.raises(SchemaViolation) as exc:
+        parse_aggregate_json(json.dumps({"cells": {**aggregate([]).cells, **cells}}))
+    assert (exc.value.pointer, exc.value.reason) == ("/cells", reason)
+
+
+@settings(deadline=None)
+@given(results=st.lists(SCAN_RESULTS, max_size=4))
+def test_saved_aggregate_of_any_results_parses(results):
+    report = aggregate(results)
+    assert parse_aggregate_json(render(report, "json")) == report
 
 
 def test_aggregate_report_holds_exactly_the_cells_it_is_given():
@@ -770,3 +814,84 @@ def test_mutated_scan_result_raises_only_depscope_errors(data):
         return
     aggregate(results)
     render(results, "json")
+
+
+def _outcome(doc: str):
+    """The parsed results, or the error as ``(type, pointer, reason)``."""
+    try:
+        return parse_scan_results_json(doc)
+    except SchemaViolation as exc:
+        return type(exc), exc.pointer, exc.reason
+
+
+def _checked_outcome(doc: str):
+    """:func:`_outcome` with the straight decoders turned off, so that each
+    entry goes through the checked one."""
+    with mock.patch.object(report_module, "_decoded_row", lambda entry, gavs: None), \
+            mock.patch.object(report_module, "_decoded_path", lambda entry, gavs: None):
+        return _outcome(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=2),
+       include=st.booleans(), data=st.data())
+def test_straight_decoders_change_no_outcome(seeds, include, data):
+    """A mutated saved result parses to the same value, or fails with the
+    same error, with the straight decoders and without them."""
+    results = [scan(*_random_case(seed), time=ANALYSIS_TIME, include_non_deployed=include)
+               for seed in seeds]
+    doc = json.loads(render(results if len(seeds) > 1 else results[0], "json"))
+    mutate_json(doc, data)
+    text = json.dumps(doc)
+    assert _outcome(text) == _checked_outcome(text)
+
+
+def _every_single_change(doc):
+    """``doc`` as text with one change at each position: the value dropped,
+    replaced by each of ``WRONG_JSON_VALUES``, or, for an object, given an
+    unknown key."""
+    for where in list(_json_locations(doc))[1:]:
+        for change in ("drop", "extra key", *range(len(WRONG_JSON_VALUES))):
+            changed = json.loads(json.dumps(doc))
+            parent = changed
+            for key in where[:-1]:
+                parent = parent[key]
+            if change == "drop":
+                del parent[where[-1]]
+            elif change == "extra key":
+                if not isinstance(parent[where[-1]], dict):
+                    continue
+                parent[where[-1]]["extra"] = 1
+            else:
+                parent[where[-1]] = WRONG_JSON_VALUES[change]
+            yield json.dumps(changed)
+
+
+def test_straight_decoders_change_no_outcome_of_any_single_change():
+    """The property above, on every single change to the worked example's
+    two saved results."""
+    for text in _every_single_change(json.loads(_RENDERED)):
+        assert _outcome(text) == _checked_outcome(text), text
+
+
+def test_parse_builds_one_gav_per_distinct_coordinate(monkeypatch):
+    # two results of one tree: each coordinate is the root, a row or a path
+    # member, and occurs several times
+    doc = json.loads(_RENDERED)
+    texts = [result["root"] for result in doc]
+    texts += [row["gav"] for result in doc for row in result["census"]]
+    texts += [gav for result in doc for path in result["paths"]
+              for gav in path["raw_path"] + path["grouped_path"]]
+    assert len(texts) > len(set(texts))
+    built = []
+    gav_new = Gav.__new__
+
+    def counted(cls, *segments):
+        built.append(":".join(segments))
+        return gav_new(cls, *segments)
+
+    monkeypatch.setattr(Gav, "__new__", counted)
+    results = parse_scan_results_json(_RENDERED)
+    monkeypatch.undo()
+    assert sorted(built) == sorted(set(texts))
+    assert render(results, "json") == _RENDERED
