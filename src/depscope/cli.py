@@ -15,6 +15,7 @@ variables are read.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from datetime import date
@@ -225,6 +226,12 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    """The console script and ``python -m depscope.cli``: :func:`main`, with
+    the cyclic garbage collector off for the command. A command is a short
+    process that creates almost no reference cycles, so the collections a
+    large KB would set off find nothing to free. :func:`main` leaves the
+    collector as it finds it, for callers in a longer-lived process."""
+    gc.disable()
     raise SystemExit(main())
 
 

@@ -411,13 +411,55 @@ def _kb_text(obj, key, pointer: str, segment: bool = True) -> str:
     return value
 
 
+def _record_from_dict(entry, pointer: str) -> VulnerabilityRecord:
+    json_object(entry, pointer, _RECORD_KEYS)
+    vuln_id = _kb_text(entry, "id", pointer, segment=False)
+    affected_obj = json_typed(entry, "affected", list, pointer)
+    if not affected_obj:
+        raise EmptyAffectedSet(vuln_id)
+    affected: set[Gav] = set()
+    for j, lib in enumerate(affected_obj):
+        lib_pointer = f"{pointer}/affected/{j}"
+        json_object(lib, lib_pointer, _AFFECTED_KEYS)
+        group = _kb_text(lib, "group", lib_pointer)
+        artifact = _kb_text(lib, "artifact", lib_pointer)
+        versions = json_typed(lib, "versions", list, lib_pointer)
+        if not versions:
+            raise EmptyAffectedSet(vuln_id)
+        for k in range(len(versions)):
+            affected.add(Gav(group, artifact, _kb_text(versions, k, f"{lib_pointer}/versions")))
+    return VulnerabilityRecord(vuln_id, frozenset(affected))
+
+
+def _decoded_record(entry) -> VulnerabilityRecord | None:
+    """The record a well-formed ``entry`` holds, else None: the same value as
+    :func:`_record_from_dict`, which alone names a fault."""
+    if type(entry) is not dict or entry.keys() != _RECORD_KEYS:
+        return None
+    vuln_id, libs = entry["id"], entry["affected"]
+    if type(vuln_id) is not str or not vuln_id or type(libs) is not list or not libs:
+        return None
+    affected: set[Gav] = set()
+    for lib in libs:
+        if type(lib) is not dict or lib.keys() != _AFFECTED_KEYS:
+            return None
+        group, artifact, versions = lib["group"], lib["artifact"], lib["versions"]
+        if type(versions) is not list or not versions:
+            return None
+        try:  # Gav takes exactly a non-empty str without ':' per segment, as _kb_text does
+            affected.update([Gav(group, artifact, version) for version in versions])
+        except ValueError:
+            return None
+    return VulnerabilityRecord(vuln_id, frozenset(affected))
+
+
 @_collector_held_off()
 def load_vuln_kb(doc: str) -> VulnerabilityKb:
     """Load the vulnerability knowledge base.
 
     The document is an array of ``{"id", "affected"}`` records; each
     affected entry names a library and the versions it applies to, and is
-    expanded into explicit instances.
+    expanded into explicit instances. The KB comes with its index built.
     """
     data = parse_json(doc)
     if not isinstance(data, list):
@@ -426,22 +468,8 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
     records = []
     for i in range(len(data)):
         entry, data[i] = data[i], None  # the parsed entry goes once its record is built
-        pointer = f"/{i}"
-        json_object(entry, pointer, _RECORD_KEYS)
-        vuln_id = _kb_text(entry, "id", pointer, segment=False)
-        affected_obj = json_typed(entry, "affected", list, pointer)
-        if not affected_obj:
-            raise EmptyAffectedSet(vuln_id)
-        affected: set[Gav] = set()
-        for j, lib in enumerate(affected_obj):
-            lib_pointer = f"{pointer}/affected/{j}"
-            json_object(lib, lib_pointer, _AFFECTED_KEYS)
-            group = _kb_text(lib, "group", lib_pointer)
-            artifact = _kb_text(lib, "artifact", lib_pointer)
-            versions = json_typed(lib, "versions", list, lib_pointer)
-            if not versions:
-                raise EmptyAffectedSet(vuln_id)
-            for k in range(len(versions)):
-                affected.add(Gav(group, artifact, _kb_text(versions, k, f"{lib_pointer}/versions")))
-        records.append(VulnerabilityRecord(vuln_id, frozenset(affected)))
-    return VulnerabilityKb(records)
+        # a faulty entry fails its straight decoder, and its checked one raises at the fault
+        records.append(_decoded_record(entry) or _record_from_dict(entry, f"/{i}"))
+    kb = VulnerabilityKb(records)
+    kb.ids_by_gav  # built under the collector hold, so no first match pays for it
+    return kb

@@ -388,11 +388,12 @@ class VulnerabilityRecord:
 
 class VulnerabilityKb(tuple):
     """The vulnerability knowledge base: its records in order, plus the
-    inverted index from each affected instance to its sorted, distinct ids.
+    inverted index from each affected instance to its sorted, distinct ids,
+    so matching a tree costs one lookup per node instead of a pass over
+    every record.
 
-    The index is built on first use, once per KB, so matching a tree costs
-    one lookup per node instead of a pass over every record. Building it
-    lazily also leaves the loader's parsed document released by then.
+    The index is built once per KB, on first use. :func:`load_vuln_kb`
+    builds it before it returns, once the parsed document is released.
     """
 
     @cached_property
@@ -402,7 +403,8 @@ class VulnerabilityKb(tuple):
             for gav in record.affected:
                 index[gav] = index.get(gav, ()) + (record.vuln_id,)
         for gav, ids in index.items():  # in place, so no second index is held
-            index[gav] = tuple(sorted(set(ids)))
+            if len(ids) > 1:  # a single id is sorted and distinct already
+                index[gav] = tuple(sorted(set(ids)))
         return index
 
 

@@ -350,6 +350,27 @@ def mutate_json(doc, data) -> None:
         parent[key] = ""
 
 
+def every_single_change(doc):
+    """``doc`` as text with one change at each position: the value dropped,
+    replaced by each of ``WRONG_JSON_VALUES``, or, for an object, given an
+    unknown key."""
+    for where in list(_json_locations(doc))[1:]:
+        for change in ("drop", "extra key", *range(len(WRONG_JSON_VALUES))):
+            changed = json.loads(json.dumps(doc))
+            parent = changed
+            for key in where[:-1]:
+                parent = parent[key]
+            if change == "drop":
+                del parent[where[-1]]
+            elif change == "extra key":
+                if not isinstance(parent[where[-1]], dict):
+                    continue
+                parent[where[-1]]["extra"] = 1
+            else:
+                parent[where[-1]] = WRONG_JSON_VALUES[change]
+            yield json.dumps(changed)
+
+
 # --- Hypothesis strategies for trees and scan results ------------------------------
 
 # any text but lone surrogates, which the JSON parsers reject; coordinate

@@ -156,7 +156,7 @@ def test_match_on_loaded_kb_equals_plain_records(seed, data):
 
 
 def test_match_on_indexed_kb_reads_no_record(sample_tree, sample_kb, monkeypatch):
-    match_vulnerabilities(sample_tree, sample_kb)  # the first match builds the index
+    match_vulnerabilities(sample_tree, sample_kb)  # a loaded KB comes indexed
     reads = []
 
     def read(record):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import codecs
+import gc
 import json
 import os
 import pathlib
@@ -12,6 +13,7 @@ from datetime import date
 
 import pytest
 
+from depscope import cli
 from depscope.cli import main
 from depscope.ingest import render_tree_json
 from depscope.report import CensusRow, ScanResult, aggregate, render, scan
@@ -741,9 +743,9 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     ]
 
 
-def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
-    # sets and frozensets iterate in an order that moves with PYTHONHASHSEED;
-    # a leak of that order into any output would break byte-identical reruns
+def _random_corpus(tmp_path) -> None:
+    """Write 12 random trees of four or more libraries to ``tmp_path/trees``,
+    with their KB and release histories beside them."""
     rng = random.Random(8080)
     trees_dir = tmp_path / "trees"
     trees_dir.mkdir()
@@ -770,6 +772,13 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
                  else ReleaseHistory(ga, tuple(map(Release, versions, recent)))
                  for i, ga in enumerate(sorted(libraries))]
     (tmp_path / "releases.csv").write_text(history_csv(histories))
+
+
+def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # sets and frozensets iterate in an order that moves with PYTHONHASHSEED;
+    # a leak of that order into any output would break byte-identical reruns
+    _random_corpus(tmp_path)
+    trees_dir = tmp_path / "trees"
     results_dir = tmp_path / "results"
     results_dir.mkdir()
     common = ["--history", str(tmp_path / "releases.csv"), "--time", "2018-06-01"]
@@ -794,3 +803,55 @@ def test_cli_output_does_not_depend_on_the_hash_seed(tmp_path):
             scan_json = json.loads(outputs[0])
             assert any(path["grouped_path"] != path["raw_path"] for r in scan_json for path in r["paths"])
             (results_dir / "scan.json").write_bytes(outputs[0])
+
+
+def _collections_started(run) -> tuple[list[int], object]:
+    """The generations of the collections that start while ``run`` runs,
+    and what it returns."""
+    started = []
+
+    def on_collection(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(on_collection)
+    try:
+        result = run()
+    finally:
+        gc.callbacks.remove(on_collection)
+    return started, result
+
+
+def test_entrypoint_scans_a_corpus_without_a_collection(tmp_path, monkeypatch, capsys):
+    _random_corpus(tmp_path)
+    argv = ["scan", "--tree", str(tmp_path / "trees"), "--kb", str(tmp_path / "kb.json"),
+            "--history", str(tmp_path / "releases.csv"), "--time", "2018-06-01", "--format", "json"]
+    monkeypatch.setattr(sys, "argv", ["depscope", *argv])
+
+    def through_entrypoint():
+        with pytest.raises(SystemExit) as exit_:
+            cli.entrypoint()
+        return exit_.value.code
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        # main keeps the collector on as it finds it, so the corpus sets collections off there
+        started, code = _collections_started(lambda: main(argv))
+        assert started != [] and code == 2
+        expected = capsys.readouterr().out
+        assert _collections_started(through_entrypoint) == ([], 2)
+        assert capsys.readouterr().out == expected
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(workspace, capsys, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(_scan_args(workspace)) == 2
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()

@@ -5,11 +5,15 @@ import inspect
 import json
 import sys
 from datetime import date
+from itertools import groupby
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from depscope import ingest as ingest_module
 from depscope.errors import (
+    DepscopeError,
     DuplicateGa,
     DuplicateVersion,
     EmptyAffectedSet,
@@ -28,7 +32,8 @@ from depscope.ingest import (
     parse_tree_text,
     render_tree_json,
 )
-from depscope.model import Ga, Gav, Scope
+from depscope.model import Ga, Gav, Scope, VulnerabilityKb, VulnerabilityRecord
+from depscope.simulate import SimulationPool
 
 from conftest import (
     SAMPLE_KB_JSON,
@@ -36,6 +41,7 @@ from conftest import (
     SAMPLE_TREE_TEXT,
     build_synthetic_pool,
     deep_chain_tree,
+    every_single_change,
     history_csv,
     stalled_history,
     trees,
@@ -491,6 +497,61 @@ def test_lone_surrogate_in_tree_and_kb_is_schema_violation():
 def test_load_kb_rejects_non_array():
     with pytest.raises(SchemaViolation):
         load_vuln_kb('{"id": "V1"}')
+
+
+# --- the straight KB decoder and the load-time index ------------------------------------
+
+# a repeated id, an instance in two records, and entries of one and of two versions
+_SMALL_KB = [
+    {"id": "V1", "affected": [{"group": "g", "artifact": "a", "versions": ["1.0", "1.1"]},
+                              {"group": "h", "artifact": "b", "versions": ["2"]}]},
+    {"id": "V2", "affected": [{"group": "g", "artifact": "a", "versions": ["1.1"]}]},
+    {"id": "V1", "affected": [{"group": "k", "artifact": "c", "versions": ["3"]}]},
+]
+
+
+def _kb_outcome(doc: str):
+    """The loaded records and index, or the error as ``(type, pointer, message)``."""
+    try:
+        kb = load_vuln_kb(doc)
+    except DepscopeError as exc:
+        return type(exc), getattr(exc, "pointer", None), str(exc)
+    return list(kb), kb.ids_by_gav
+
+
+def test_straight_kb_decoder_changes_no_outcome_of_any_single_change():
+    """Every single change to a small KB (a key or element dropped, a value
+    of the wrong type, empty or holding ':', a key added) loads to the same
+    records and index, or fails with the same error, with the straight
+    decoder and without it."""
+    outcomes = set()
+    for text in every_single_change(_SMALL_KB):
+        with mock.patch.object(ingest_module, "_decoded_record", lambda entry: None):
+            checked = _kb_outcome(text)
+        assert _kb_outcome(text) == checked, text
+        outcomes.add(checked[0] if isinstance(checked[0], type) else "loaded")
+    assert outcomes == {"loaded", SchemaViolation, EmptyAffectedSet}
+
+
+_KB_GAVS = [Gav(g, a, v) for g in ("g", "h") for a in ("a", "b") for v in ("1", "2")]
+
+
+@given(st.lists(st.builds(VulnerabilityRecord, st.sampled_from(["V1", "V2", "V3"]),
+                          st.frozensets(st.sampled_from(_KB_GAVS), min_size=1)), max_size=8))
+def test_loaded_kb_carries_the_index_of_its_records(records):
+    # few ids and instances, so ids repeat and records share instances
+    doc = json.dumps([{"id": r.vuln_id, "affected": [
+        {"group": g, "artifact": a, "versions": [v for _, _, v in sorted(gavs)]}
+        for (g, a), gavs in groupby(sorted(r.affected), key=lambda gav: gav[:2])]}
+        for r in records])
+    loaded = load_vuln_kb(doc)
+    assert "ids_by_gav" in vars(loaded)  # built by the loader, not on first use
+    assert list(loaded) == records
+    expected = {gav: tuple(sorted({r.vuln_id for r in records if gav in r.affected}))
+                for r in records for gav in r.affected}
+    assert loaded.ids_by_gav == VulnerabilityKb(tuple(records)).ids_by_gav == expected
+    pool = SimulationPool(trees=(), histories={}, kb=tuple(loaded))  # as the benchmark passes it
+    assert pool.kb == loaded and pool.kb.ids_by_gav == loaded.ids_by_gav
 
 
 # --- the cyclic collector during loads -------------------------------------------------

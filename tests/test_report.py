@@ -55,10 +55,9 @@ from conftest import (
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
     SCAN_RESULTS,
-    WRONG_JSON_VALUES,
-    _json_locations,
     alive_history,
     deep_chain_tree,
+    every_single_change,
     grouped_trees,
     mutate_json,
     random_tree_case,
@@ -846,31 +845,10 @@ def test_straight_decoders_change_no_outcome(seeds, include, data):
     assert _outcome(text) == _checked_outcome(text)
 
 
-def _every_single_change(doc):
-    """``doc`` as text with one change at each position: the value dropped,
-    replaced by each of ``WRONG_JSON_VALUES``, or, for an object, given an
-    unknown key."""
-    for where in list(_json_locations(doc))[1:]:
-        for change in ("drop", "extra key", *range(len(WRONG_JSON_VALUES))):
-            changed = json.loads(json.dumps(doc))
-            parent = changed
-            for key in where[:-1]:
-                parent = parent[key]
-            if change == "drop":
-                del parent[where[-1]]
-            elif change == "extra key":
-                if not isinstance(parent[where[-1]], dict):
-                    continue
-                parent[where[-1]]["extra"] = 1
-            else:
-                parent[where[-1]] = WRONG_JSON_VALUES[change]
-            yield json.dumps(changed)
-
-
 def test_straight_decoders_change_no_outcome_of_any_single_change():
     """The property above, on every single change to the worked example's
     two saved results."""
-    for text in _every_single_change(json.loads(_RENDERED)):
+    for text in every_single_change(json.loads(_RENDERED)):
         assert _outcome(text) == _checked_outcome(text), text
 
 
