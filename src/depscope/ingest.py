@@ -19,8 +19,10 @@ import json
 import re
 from contextlib import contextmanager
 from datetime import date
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii as json_string  # the string encoder json_text uses
+from operator import itemgetter
 
 from depscope.errors import (
     DuplicateGa,
@@ -164,6 +166,27 @@ def json_typed(obj, key, kind: type, pointer: str):
     if type(value) is not kind:
         raise SchemaViolation(json_pointer(pointer, key), f"must be {_JSON_TYPE_NAMES[kind]}")
     return value
+
+
+def check_fields(entry, pointer: str, schema, keys: frozenset) -> None:
+    """Raise at the first fault of ``entry``, an object of exactly ``keys``, in
+    the order of ``schema``'s ``(key, JSON type, check)`` triples. A dict
+    check maps the values allowed, and names any other of whatever type; any
+    other check is called as :func:`json_typed`, the check of a field without
+    one, is."""
+    json_object(entry, pointer, keys)
+    for key, kind, check in schema:
+        if type(check) is not dict:
+            (check or json_typed)(entry, key, kind, pointer)
+        elif type(entry[key]) is not kind or entry[key] not in check:
+            raise SchemaViolation(json_pointer(pointer, key), f"invalid value {entry[key]!r}")
+
+
+def schema_parts(schema) -> tuple[frozenset, itemgetter, tuple]:
+    """What a straight decoder reads of ``schema``: its key set, a getter of
+    an entry's values in checking order, and their JSON types."""
+    keys = [key for key, _, _ in schema]
+    return frozenset(keys), itemgetter(*keys), tuple(kind for _, kind, _ in schema)
 
 
 # --- tree text ---------------------------------------------------------------
@@ -398,59 +421,53 @@ def load_release_history(doc: str) -> ReleaseHistories:
 # --- vulnerability knowledge base --------------------------------------------
 
 
-_RECORD_KEYS = frozenset({"id", "affected"})
-_AFFECTED_KEYS = frozenset({"group", "artifact", "versions"})
-
-
-def _kb_text(obj, key, pointer: str, segment: bool = True) -> str:
-    """``obj[key]`` when it is a non-empty string, without ':' when it is a
-    coordinate ``segment``."""
-    value = json_typed(obj, key, str, pointer)
+def _kb_text(obj, key, kind, pointer: str, segment: bool = True) -> None:
+    """The check that ``obj[key]`` is a non-empty string, without ':' in a coordinate ``segment``."""
+    value = json_typed(obj, key, kind, pointer)
     if not value or segment and ":" in value:
         raise SchemaViolation(f"{pointer}/{key}", "must be a non-empty string" + " without ':'" * segment)
-    return value
 
 
-def _record_from_dict(entry, pointer: str) -> VulnerabilityRecord:
-    json_object(entry, pointer, _RECORD_KEYS)
-    vuln_id = _kb_text(entry, "id", pointer, segment=False)
-    affected_obj = json_typed(entry, "affected", list, pointer)
-    if not affected_obj:
-        raise EmptyAffectedSet(vuln_id)
-    affected: set[Gav] = set()
-    for j, lib in enumerate(affected_obj):
-        lib_pointer = f"{pointer}/affected/{j}"
-        json_object(lib, lib_pointer, _AFFECTED_KEYS)
-        group = _kb_text(lib, "group", lib_pointer)
-        artifact = _kb_text(lib, "artifact", lib_pointer)
-        versions = json_typed(lib, "versions", list, lib_pointer)
-        if not versions:
-            raise EmptyAffectedSet(vuln_id)
-        for k in range(len(versions)):
-            affected.add(Gav(group, artifact, _kb_text(versions, k, f"{lib_pointer}/versions")))
-    return VulnerabilityRecord(vuln_id, frozenset(affected))
+def _versions(obj, key, kind, pointer: str) -> None:
+    for k in range(len(json_typed(obj, key, kind, pointer))):
+        _kb_text(obj[key], k, str, json_pointer(pointer, key))
 
 
-def _decoded_record(entry) -> VulnerabilityRecord | None:
-    """The record a well-formed ``entry`` holds, else None: the same value as
-    :func:`_record_from_dict`, which alone names a fault."""
-    if type(entry) is not dict or entry.keys() != _RECORD_KEYS:
-        return None
-    vuln_id, libs = entry["id"], entry["affected"]
-    if type(vuln_id) is not str or not vuln_id or type(libs) is not list or not libs:
-        return None
-    affected: set[Gav] = set()
-    for lib in libs:
-        if type(lib) is not dict or lib.keys() != _AFFECTED_KEYS:
-            return None
-        group, artifact, versions = lib["group"], lib["artifact"], lib["versions"]
-        if type(versions) is not list or not versions:
-            return None
-        try:  # Gav takes exactly a non-empty str without ':' per segment, as _kb_text does
-            affected.update([Gav(group, artifact, version) for version in versions])
-        except ValueError:
-            return None
-    return VulnerabilityRecord(vuln_id, frozenset(affected))
+# a KB entry and each of its affected entries: (key, JSON type, check) in checking order
+_RECORD_FIELDS = (("id", str, partial(_kb_text, segment=False)), ("affected", list, None))
+_AFFECTED_FIELDS = (("group", str, _kb_text), ("artifact", str, _kb_text), ("versions", list, _versions))
+_RECORD_KEYS, _record_values, _RECORD_TYPES = schema_parts(_RECORD_FIELDS)
+_AFFECTED_KEYS, _affected_values, _AFFECTED_TYPES = schema_parts(_AFFECTED_FIELDS)
+
+
+def _record(entry, i: int) -> VulnerabilityRecord:
+    """KB entry ``i``, read in one straight pass. Only a rejected entry has
+    its pointer built: the walk of its fields names its first fault."""
+    if type(entry) is dict and entry.keys() == _RECORD_KEYS:
+        vuln_id, libs = _record_values(entry)
+        # the types as a tuple of two or three: a map over them costs more than the test
+        if (type(vuln_id), type(libs)) == _RECORD_TYPES and vuln_id and libs:
+            affected: set[Gav] = set()
+            for lib in libs:
+                if type(lib) is not dict or lib.keys() != _AFFECTED_KEYS:
+                    break
+                group, artifact, versions = _affected_values(lib)
+                if (type(group), type(artifact), type(versions)) != _AFFECTED_TYPES or not versions:
+                    break
+                try:  # Gav takes exactly a non-empty str without ':' per segment, as _kb_text does
+                    affected.update([Gav(group, artifact, version) for version in versions])
+                except ValueError:
+                    break
+            else:
+                return VulnerabilityRecord(vuln_id, frozenset(affected))
+    pointer = f"/{i}"
+    check_fields(entry, pointer, _RECORD_FIELDS, _RECORD_KEYS)
+    if not entry["affected"]:
+        raise EmptyAffectedSet(entry["id"])
+    for j, lib in enumerate(entry["affected"]):
+        check_fields(lib, f"{pointer}/affected/{j}", _AFFECTED_FIELDS, _AFFECTED_KEYS)
+        if not lib["versions"]:
+            raise EmptyAffectedSet(entry["id"])
 
 
 @_collector_held_off()
@@ -468,8 +485,7 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
     records = []
     for i in range(len(data)):
         entry, data[i] = data[i], None  # the parsed entry goes once its record is built
-        # a faulty entry fails its straight decoder, and its checked one raises at the fault
-        records.append(_decoded_record(entry) or _record_from_dict(entry, f"/{i}"))
+        records.append(_record(entry, i))
     kb = VulnerabilityKb(records)
     kb.ids_by_gav  # built under the collector hold, so no first match pays for it
     return kb

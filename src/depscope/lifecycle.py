@@ -148,8 +148,8 @@ def verdict_table(
     if not isinstance(histories, ReleaseHistories):
         return VerdictTable(histories, time, cfg)
     tables = histories.verdicts
-    if (time, cfg) not in tables:
-        tables[time, cfg] = VerdictTable(histories, time, cfg)
+    if (time, cfg) not in tables:  # over the plain dict, which holds no table, so no cycle forms
+        tables[time, cfg] = VerdictTable(histories._histories, time, cfg)
     return tables[time, cfg]
 
 

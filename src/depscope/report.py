@@ -14,12 +14,12 @@ from dataclasses import dataclass, fields
 from datetime import date
 from fnmatch import fnmatchcase
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from depscope.analysis import classify_group_ids, classify_responsibility, group_path
 from depscope.errors import MalformedCoordinate, MissingHistory, SchemaViolation
 from depscope.ingest import (
+    check_fields,
     csv_rows,
     csv_text,
     json_object,
@@ -30,6 +30,7 @@ from depscope.ingest import (
     parse_date_at,
     parse_gav_at,
     parse_json,
+    schema_parts,
 )
 from depscope.lifecycle import SmoothingConfig, VerdictTable, verdict_table
 from depscope.model import (
@@ -519,133 +520,95 @@ def render(obj, format: str = "text") -> str:
 # --- report JSON round trip -----------------------------------------------------
 
 
-# the keys the JSON writer renders: each type's fields, and a row's derived flags
-_RESULT_KEYS = frozenset(f.name for f in fields(ScanResult))
-_PATH_KEYS = frozenset(f.name for f in fields(VulnerablePath))
-_ROW_KEYS = frozenset(CensusRow._fields + ("direct", "own"))
-
+_RESULT_KEYS = frozenset(f.name for f in fields(ScanResult))  # the keys the JSON writer renders
 
 # value -> member per enum: a dict lookup costs a tenth of an Enum call
-_MEMBERS = {cls: {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus)}
-_RESPONSIBILITIES, _LIBRARY_STATUSES, _INSTANCE_STATUSES = _MEMBERS.values()
+_RESPONSIBILITIES, _LIBRARY_STATUSES, _INSTANCE_STATUSES = (
+    {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus))
 _OWN = Responsibility.OWN  # a global costs a tenth of an Enum attribute
 
 
-def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
-    try:
-        return _MEMBERS[enum_cls][obj[key]]
-    except (KeyError, TypeError):  # not a member's value, or unhashable
-        raise SchemaViolation(f"{pointer}/{key}", f"invalid value {obj[key]!r}") from None
+def _coordinate(obj, key, kind, pointer):  # names any value but a g:a:v string, of whatever type
+    parse_gav_at(obj[key], json_pointer(pointer, key))
 
 
-def _gavs(obj: dict, key: str, pointer: str) -> tuple[Gav, ...]:
-    return tuple(parse_gav_at(text, f"{pointer}/{key}/{i}")
-                 for i, text in enumerate(json_typed(obj, key, list, pointer)))
+def _coordinates(obj, key, kind, pointer):
+    for i in range(len(json_typed(obj, key, kind, pointer))):
+        _coordinate(obj[key], i, str, json_pointer(pointer, key))
 
 
-def _path_from_dict(entry, p: str) -> VulnerablePath:
-    json_object(entry, p, _PATH_KEYS)
-    try:
-        return VulnerablePath(
-            raw_path=_gavs(entry, "raw_path", p),
-            grouped_path=_gavs(entry, "grouped_path", p),
-            vuln_id=json_typed(entry, "vuln_id", str, p),
-            responsibility=_enum_field(Responsibility, entry, "responsibility", p),
-            via_halted=json_typed(entry, "via_halted", bool, p),
-        )
-    except ValueError as exc:  # an empty path, or grouping that lost the instance
-        raise SchemaViolation(p, str(exc)) from None
+def _strings(obj, key, kind, pointer):
+    if not all(type(text) is str for text in json_typed(obj, key, kind, pointer)):
+        raise SchemaViolation(json_pointer(pointer, key), "must be an array of strings")
 
 
-def _row_from_dict(entry, p: str) -> CensusRow:
-    json_object(entry, p, _ROW_KEYS)
-    vuln_ids = tuple(json_typed(entry, "vuln_ids", list, p))
-    if not all(type(vuln_id) is str for vuln_id in vuln_ids):
-        raise SchemaViolation(f"{p}/vuln_ids", "must be an array of strings")
-    own = json_typed(entry, "own", bool, p)
-    direct = json_typed(entry, "direct", bool, p)
-    row = CensusRow(
-        gav=parse_gav_at(entry["gav"], f"{p}/gav"),
-        depth=json_typed(entry, "depth", int, p),
-        deployed=json_typed(entry, "deployed", bool, p),
-        vuln_ids=vuln_ids,
-        responsibility=_enum_field(Responsibility, entry, "responsibility", p),
-        library_status=_enum_field(LibraryStatus, entry, "library_status", p),
-        instance_status=_enum_field(InstanceStatus, entry, "instance_status", p),
-        via_halted=json_typed(entry, "via_halted", bool, p),
-        unknown_history=json_typed(entry, "unknown_history", bool, p),
-    )
-    # a row is a dependency, so below the root; own and direct are derived
-    if row.depth < 1:
-        raise SchemaViolation(f"{p}/depth", f"{row.depth} is not a dependency's depth")
-    if direct is not row.direct:
-        raise SchemaViolation(f"{p}/direct", f"{direct} disagrees with depth {row.depth}")
-    if own is not row.own:
-        raise SchemaViolation(f"{p}/own", f"{own} disagrees with responsibility {row.responsibility.value!r}")
-    return row
+# each saved entry kind's (key, JSON type, check) triples in checking order: a
+# path's fields are its type's, a row's add the derived direct and own flags
+_PATH_FIELDS = (("raw_path", list, _coordinates), ("grouped_path", list, _coordinates),
+                ("vuln_id", str, None), ("responsibility", str, _RESPONSIBILITIES),
+                ("via_halted", bool, None))
+_ROW_FIELDS = (("vuln_ids", list, _strings), ("own", bool, None),
+               ("direct", bool, None), ("gav", str, _coordinate),
+               ("depth", int, None), ("deployed", bool, None),
+               ("responsibility", str, _RESPONSIBILITIES), ("library_status", str, _LIBRARY_STATUSES),
+               ("instance_status", str, _INSTANCE_STATUSES), ("via_halted", bool, None),
+               ("unknown_history", bool, None))
+_PATH_KEYS, _path_values, _PATH_TYPES = schema_parts(_PATH_FIELDS)
+_ROW_KEYS, _row_values, _ROW_TYPES = schema_parts(_ROW_FIELDS)
 
 
 class _Gavs(dict):
     """A document's coordinates by their text, each parsed on its first
-    lookup, which takes a ``str`` only and raises :class:`MalformedCoordinate`."""
+    lookup, which takes a ``str`` only; None for one that is malformed."""
 
-    def __missing__(self, text: str) -> Gav:
-        gav = self[text] = parse_gav(text)
-        return gav
-
-
-# the values of a well-formed entry, in field order, and their JSON types
-_path_values = itemgetter(*(f.name for f in fields(VulnerablePath)))
-_PATH_TYPES = (list, list, str, str, bool)
-_row_values = itemgetter(*CensusRow._fields, "direct", "own")
-_ROW_TYPES = (str, int, bool, list, str, str, str, bool, bool, bool, bool)
+    def __missing__(self, text: str) -> Gav | None:
+        try:
+            return self.setdefault(text, parse_gav(text))
+        except MalformedCoordinate:
+            return None
 
 
-def _decoded_path(entry, gavs: _Gavs) -> VulnerablePath | None:
-    """The path a well-formed ``entry`` holds, else None: the same value as
-    :func:`_path_from_dict`, which alone names a fault."""
-    if type(entry) is not dict or entry.keys() != _PATH_KEYS:
-        return None
-    values = _path_values(entry)
-    if tuple(map(type, values)) != _PATH_TYPES:
-        return None
-    raw_path, grouped_path, vuln_id, responsibility, via_halted = values
-    responsibility = _RESPONSIBILITIES.get(responsibility)
-    if responsibility is None or {*map(type, raw_path), *map(type, grouped_path)} != {str}:
-        return None
-    try:
-        return VulnerablePath(tuple(map(gavs.__getitem__, raw_path)),
-                              tuple(map(gavs.__getitem__, grouped_path)),
-                              vuln_id, responsibility, via_halted)
-    except (MalformedCoordinate, ValueError):  # a bad coordinate, or a path VulnerablePath rejects
-        return None
+def _path(entry, gavs: _Gavs, p: str, i: int) -> VulnerablePath:
+    """Path ``i`` of the saved result at ``p``, read as :func:`_row` reads a row."""
+    if type(entry) is dict and entry.keys() == _PATH_KEYS:
+        values = raw_path, grouped_path, vuln_id, responsibility, via_halted = _path_values(entry)
+        if (tuple(map(type, values)) == _PATH_TYPES and responsibility in _RESPONSIBILITIES
+                and {*map(type, raw_path), *map(type, grouped_path)} <= {str}):
+            raw_path, grouped_path = (tuple(map(gavs.__getitem__, raw_path)),
+                                      tuple(map(gavs.__getitem__, grouped_path)))
+            if None not in raw_path and None not in grouped_path:
+                try:
+                    return VulnerablePath(raw_path, grouped_path, vuln_id,
+                                          _RESPONSIBILITIES[responsibility], via_halted)
+                except ValueError as exc:  # an empty path, or grouping that lost the instance
+                    raise SchemaViolation(f"{p}/paths/{i}", str(exc)) from None
+    check_fields(entry, f"{p}/paths/{i}", _PATH_FIELDS, _PATH_KEYS)
 
 
-def _decoded_row(entry, gavs: _Gavs) -> CensusRow | None:
-    """The row a well-formed ``entry`` holds, else None: the same value as
-    :func:`_row_from_dict`, which alone names a fault."""
-    if type(entry) is not dict or entry.keys() != _ROW_KEYS:
-        return None
-    values = _row_values(entry)
-    if tuple(map(type, values)) != _ROW_TYPES:
-        return None
-    gav, depth, deployed, vuln_ids, responsibility, library_status, instance_status, \
-        via_halted, unknown_history, direct, own = values
-    responsibility = _RESPONSIBILITIES.get(responsibility)
-    library_status = _LIBRARY_STATUSES.get(library_status)
-    instance_status = _INSTANCE_STATUSES.get(instance_status)
-    if (responsibility is None or library_status is None or instance_status is None
-            or depth < 1 or direct is not (depth == 1)
-            or own is not (responsibility is _OWN)
-            or not {*map(type, vuln_ids)} <= {str}):
-        return None
-    try:
-        gav = gavs[gav]
-    except MalformedCoordinate:
-        return None
-    # the tuple's own constructor: NamedTuple's __new__ is a Python call
-    return tuple.__new__(CensusRow, (gav, depth, deployed, tuple(vuln_ids), responsibility,
-                                     library_status, instance_status, via_halted, unknown_history))
+def _row(entry, gavs: _Gavs, p: str, i: int) -> CensusRow:
+    """Census row ``i`` of the saved result at ``p``, read in one straight
+    pass. Only a rejected entry has its pointer built: the walk of its
+    fields, which tests all the pass does but the rules, names its fault."""
+    if type(entry) is dict and entry.keys() == _ROW_KEYS:
+        values = vuln_ids, own, direct, gav, depth, deployed, responsibility, library_status, \
+            instance_status, via_halted, unknown_history = _row_values(entry)
+        if (tuple(map(type, values)) == _ROW_TYPES and {*map(type, vuln_ids)} <= {str}
+                and responsibility in _RESPONSIBILITIES and library_status in _LIBRARY_STATUSES
+                and instance_status in _INSTANCE_STATUSES and gavs[gav]):
+            # the fields hold; a row is a dependency, so below the root, and own and direct are derived
+            if depth < 1:
+                raise SchemaViolation(f"{p}/census/{i}/depth", f"{depth} is not a dependency's depth")
+            if direct is not (depth == 1):
+                raise SchemaViolation(f"{p}/census/{i}/direct", f"{direct} disagrees with depth {depth}")
+            if own is not (responsibility == _OWN):
+                raise SchemaViolation(f"{p}/census/{i}/own",
+                                      f"{own} disagrees with responsibility {responsibility!r}")
+            # the tuple's own constructor: NamedTuple's __new__ is a Python call
+            return tuple.__new__(CensusRow, (
+                gavs[gav], depth, deployed, tuple(vuln_ids), _RESPONSIBILITIES[responsibility],
+                _LIBRARY_STATUSES[library_status], _INSTANCE_STATUSES[instance_status], via_halted,
+                unknown_history))
+    check_fields(entry, f"{p}/census/{i}", _ROW_FIELDS, _ROW_KEYS)
 
 
 def _result_from_dict(data, pointer: str, gavs: _Gavs) -> ScanResult:
@@ -653,17 +616,14 @@ def _result_from_dict(data, pointer: str, gavs: _Gavs) -> ScanResult:
     paths = json_typed(data, "paths", list, pointer)
     census = json_typed(data, "census", list, pointer)
     root = data["root"]
-    if type(root) is not str or root not in gavs:  # parse_gav_at raises for any other type
-        gavs[root] = parse_gav_at(root, f"{pointer}/root")
-    # a faulty entry fails its straight decoder, and its checked one raises at the fault
+    if type(root) is not str or gavs[root] is None:  # parse_gav_at raises for any other
+        parse_gav_at(root, f"{pointer}/root")
     return ScanResult(
         root=gavs[root],
         analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
         include_non_deployed=json_typed(data, "include_non_deployed", bool, pointer),
-        paths=tuple(_decoded_path(e, gavs) or _path_from_dict(e, f"{pointer}/paths/{i}")
-                    for i, e in enumerate(paths)),
-        census=tuple(_decoded_row(e, gavs) or _row_from_dict(e, f"{pointer}/census/{i}")
-                     for i, e in enumerate(census)),
+        paths=tuple(_path(e, gavs, pointer, i) for i, e in enumerate(paths)),
+        census=tuple(_row(e, gavs, pointer, i) for i, e in enumerate(census)),
     )
 
 

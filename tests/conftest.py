@@ -1,17 +1,21 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
 fixture, a random tree generator for oracle tests, a synthetic simulation
 pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
-and scan results, and the reference JSON object of a scan result."""
+and scan results, the reference JSON object of a scan result, and frozen
+field-by-field reference decoders of saved results and of the KB."""
 
 from __future__ import annotations
 
 import json
 import random
+from dataclasses import fields
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import strategies as st
 
+from depscope.errors import EmptyAffectedSet, SchemaViolation
+from depscope.ingest import json_object, json_typed, parse_date_at, parse_gav_at, parse_json
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -23,6 +27,7 @@ from depscope.model import (
     ReleaseHistory,
     Responsibility,
     Scope,
+    VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
 )
@@ -489,3 +494,132 @@ def result_to_dict(result: ScanResult) -> dict:
         ],
         "root": str(result.root),
     }
+
+
+# --- frozen reference decoders ----------------------------------------------------
+#
+# The field-by-field decoders that read saved results and KB entries before
+# each entry kind's shape became one table. They build every value and name
+# the first fault they meet; the decoders under test must give the same value
+# or the same error for every document.
+
+_RESULT_KEYS = frozenset(f.name for f in fields(ScanResult))
+_PATH_KEYS = frozenset(f.name for f in fields(VulnerablePath))
+_ROW_KEYS = frozenset(CensusRow._fields + ("direct", "own"))
+_MEMBERS = {cls: {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus)}
+
+
+def _enum_field(enum_cls, obj: dict, key: str, pointer: str):
+    try:
+        return _MEMBERS[enum_cls][obj[key]]
+    except (KeyError, TypeError):  # not a member's value, or unhashable
+        raise SchemaViolation(f"{pointer}/{key}", f"invalid value {obj[key]!r}") from None
+
+
+def _gavs(obj: dict, key: str, pointer: str) -> tuple[Gav, ...]:
+    return tuple(parse_gav_at(text, f"{pointer}/{key}/{i}")
+                 for i, text in enumerate(json_typed(obj, key, list, pointer)))
+
+
+def _path_from_dict(entry, p: str) -> VulnerablePath:
+    json_object(entry, p, _PATH_KEYS)
+    try:
+        return VulnerablePath(
+            raw_path=_gavs(entry, "raw_path", p),
+            grouped_path=_gavs(entry, "grouped_path", p),
+            vuln_id=json_typed(entry, "vuln_id", str, p),
+            responsibility=_enum_field(Responsibility, entry, "responsibility", p),
+            via_halted=json_typed(entry, "via_halted", bool, p),
+        )
+    except ValueError as exc:  # an empty path, or grouping that lost the instance
+        raise SchemaViolation(p, str(exc)) from None
+
+
+def _row_from_dict(entry, p: str) -> CensusRow:
+    json_object(entry, p, _ROW_KEYS)
+    vuln_ids = tuple(json_typed(entry, "vuln_ids", list, p))
+    if not all(type(vuln_id) is str for vuln_id in vuln_ids):
+        raise SchemaViolation(f"{p}/vuln_ids", "must be an array of strings")
+    own = json_typed(entry, "own", bool, p)
+    direct = json_typed(entry, "direct", bool, p)
+    row = CensusRow(
+        gav=parse_gav_at(entry["gav"], f"{p}/gav"),
+        depth=json_typed(entry, "depth", int, p),
+        deployed=json_typed(entry, "deployed", bool, p),
+        vuln_ids=vuln_ids,
+        responsibility=_enum_field(Responsibility, entry, "responsibility", p),
+        library_status=_enum_field(LibraryStatus, entry, "library_status", p),
+        instance_status=_enum_field(InstanceStatus, entry, "instance_status", p),
+        via_halted=json_typed(entry, "via_halted", bool, p),
+        unknown_history=json_typed(entry, "unknown_history", bool, p),
+    )
+    # a row is a dependency, so below the root; own and direct are derived
+    if row.depth < 1:
+        raise SchemaViolation(f"{p}/depth", f"{row.depth} is not a dependency's depth")
+    if direct is not row.direct:
+        raise SchemaViolation(f"{p}/direct", f"{direct} disagrees with depth {row.depth}")
+    if own is not row.own:
+        raise SchemaViolation(f"{p}/own", f"{own} disagrees with responsibility {row.responsibility.value!r}")
+    return row
+
+
+def _result_from_dict(data, pointer: str) -> ScanResult:
+    json_object(data, pointer, _RESULT_KEYS)
+    paths = json_typed(data, "paths", list, pointer)
+    census = json_typed(data, "census", list, pointer)
+    return ScanResult(
+        root=parse_gav_at(data["root"], f"{pointer}/root"),
+        analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
+        include_non_deployed=json_typed(data, "include_non_deployed", bool, pointer),
+        paths=tuple(_path_from_dict(e, f"{pointer}/paths/{i}") for i, e in enumerate(paths)),
+        census=tuple(_row_from_dict(e, f"{pointer}/census/{i}") for i, e in enumerate(census)),
+    )
+
+
+def reference_parse_scan_results_json(doc: str) -> list[ScanResult]:
+    """``parse_scan_results_json`` as the frozen reference decodes a document."""
+    data = parse_json(doc)
+    if isinstance(data, list):
+        return [_result_from_dict(entry, f"/{i}") for i, entry in enumerate(data)]
+    return [_result_from_dict(data, "")]
+
+
+_RECORD_KEYS = frozenset({"id", "affected"})
+_AFFECTED_KEYS = frozenset({"group", "artifact", "versions"})
+
+
+def _kb_text(obj, key, pointer: str, segment: bool = True) -> str:
+    """``obj[key]`` when it is a non-empty string, without ':' when it is a
+    coordinate ``segment``."""
+    value = json_typed(obj, key, str, pointer)
+    if not value or segment and ":" in value:
+        raise SchemaViolation(f"{pointer}/{key}", "must be a non-empty string" + " without ':'" * segment)
+    return value
+
+
+def _record_from_dict(entry, pointer: str) -> VulnerabilityRecord:
+    json_object(entry, pointer, _RECORD_KEYS)
+    vuln_id = _kb_text(entry, "id", pointer, segment=False)
+    affected_obj = json_typed(entry, "affected", list, pointer)
+    if not affected_obj:
+        raise EmptyAffectedSet(vuln_id)
+    affected: set[Gav] = set()
+    for j, lib in enumerate(affected_obj):
+        lib_pointer = f"{pointer}/affected/{j}"
+        json_object(lib, lib_pointer, _AFFECTED_KEYS)
+        group = _kb_text(lib, "group", lib_pointer)
+        artifact = _kb_text(lib, "artifact", lib_pointer)
+        versions = json_typed(lib, "versions", list, lib_pointer)
+        if not versions:
+            raise EmptyAffectedSet(vuln_id)
+        for k in range(len(versions)):
+            affected.add(Gav(group, artifact, _kb_text(versions, k, f"{lib_pointer}/versions")))
+    return VulnerabilityRecord(vuln_id, frozenset(affected))
+
+
+def reference_load_vuln_kb(doc: str) -> VulnerabilityKb:
+    """``load_vuln_kb`` as the frozen reference decodes a document."""
+    data = parse_json(doc)
+    if not isinstance(data, list):
+        raise SchemaViolation("", "document root must be an array")
+    return VulnerabilityKb(_record_from_dict(entry, f"/{i}") for i, entry in enumerate(data))

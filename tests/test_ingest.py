@@ -6,7 +6,6 @@ import json
 import sys
 from datetime import date
 from itertools import groupby
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -43,6 +42,8 @@ from conftest import (
     deep_chain_tree,
     every_single_change,
     history_csv,
+    mutate_json,
+    reference_load_vuln_kb,
     stalled_history,
     trees,
 )
@@ -510,10 +511,10 @@ _SMALL_KB = [
 ]
 
 
-def _kb_outcome(doc: str):
+def _kb_outcome(doc: str, load=load_vuln_kb):
     """The loaded records and index, or the error as ``(type, pointer, message)``."""
     try:
-        kb = load_vuln_kb(doc)
+        kb = load(doc)
     except DepscopeError as exc:
         return type(exc), getattr(exc, "pointer", None), str(exc)
     return list(kb), kb.ids_by_gav
@@ -522,15 +523,43 @@ def _kb_outcome(doc: str):
 def test_straight_kb_decoder_changes_no_outcome_of_any_single_change():
     """Every single change to a small KB (a key or element dropped, a value
     of the wrong type, empty or holding ':', a key added) loads to the same
-    records and index, or fails with the same error, with the straight
-    decoder and without it."""
+    records and index, or fails with the same error, as the frozen reference
+    loads it."""
     outcomes = set()
     for text in every_single_change(_SMALL_KB):
-        with mock.patch.object(ingest_module, "_decoded_record", lambda entry: None):
-            checked = _kb_outcome(text)
+        checked = _kb_outcome(text, reference_load_vuln_kb)
         assert _kb_outcome(text) == checked, text
         outcomes.add(checked[0] if isinstance(checked[0], type) else "loaded")
     assert outcomes == {"loaded", SchemaViolation, EmptyAffectedSet}
+
+
+def test_well_formed_kb_entries_are_never_walked(monkeypatch):
+    # only a rejected entry is walked, so a well-formed one builds no pointer
+    walked = []
+    monkeypatch.setattr(ingest_module, "check_fields", lambda entry, pointer, *_: walked.append(pointer))
+    doc = json.dumps(_SMALL_KB)
+    assert list(load_vuln_kb(doc)) == list(reference_load_vuln_kb(doc))
+    assert walked == []
+
+
+# KB documents of few ids, groups, artifacts and versions, so that entries
+# repeat an id or an instance
+_KB_DOCS = st.lists(st.fixed_dictionaries({
+    "id": st.sampled_from(["V1", "V2", "V3"]),
+    "affected": st.lists(st.fixed_dictionaries({
+        "group": st.sampled_from(["g", "h"]),
+        "artifact": st.sampled_from(["a", "b"]),
+        "versions": st.lists(st.sampled_from(["1", "2", "3"]), min_size=1, max_size=3),
+    }), min_size=1, max_size=3),
+}), min_size=1, max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kb=_KB_DOCS, data=st.data())
+def test_mutated_kb_loads_as_the_reference_loads_it(kb, data):
+    mutate_json(kb, data)
+    text = json.dumps(kb)
+    assert _kb_outcome(text) == _kb_outcome(text, reference_load_vuln_kb), text
 
 
 _KB_GAVS = [Gav(g, a, v) for g in ("g", "h") for a in ("a", "b") for v in ("1", "2")]

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import copy
+import gc
 import math
 import operator
 import pickle
 import sys
+import weakref
 from datetime import date, timedelta
 
 import pytest
@@ -483,6 +485,23 @@ def test_new_mapping_over_loaded_histories_gets_new_verdicts():
     assert _scan_rows(histories) == halted
     assert histories.verdicts[ANALYSIS_TIME, CFG] is table
     assert table[_LEGACY].status is LibraryStatus.HALTED
+
+
+def test_dropped_loaded_histories_are_freed_without_the_collector():
+    # a kept table reads the plain dict, not the mapping that keeps it, so
+    # the two form no reference cycle
+    histories = _loaded_halted_fixture()
+    _scan_rows(histories)
+    assert histories.verdicts[ANALYSIS_TIME, CFG][_LEGACY].status is LibraryStatus.HALTED
+    dropped = weakref.ref(histories)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del histories
+        assert dropped() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_plain_mapping_gets_a_fresh_table_each_scan(halted_fixture):

@@ -4,7 +4,6 @@ import json
 import random
 import sys
 from datetime import date
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -61,6 +60,7 @@ from conftest import (
     grouped_trees,
     mutate_json,
     random_tree_case,
+    reference_parse_scan_results_json,
     result_to_dict,
     stalled_history,
 )
@@ -815,20 +815,17 @@ def test_mutated_scan_result_raises_only_depscope_errors(data):
     render(results, "json")
 
 
-def _outcome(doc: str):
+def _outcome(doc: str, parse=parse_scan_results_json):
     """The parsed results, or the error as ``(type, pointer, reason)``."""
     try:
-        return parse_scan_results_json(doc)
+        return parse(doc)
     except SchemaViolation as exc:
         return type(exc), exc.pointer, exc.reason
 
 
 def _checked_outcome(doc: str):
-    """:func:`_outcome` with the straight decoders turned off, so that each
-    entry goes through the checked one."""
-    with mock.patch.object(report_module, "_decoded_row", lambda entry, gavs: None), \
-            mock.patch.object(report_module, "_decoded_path", lambda entry, gavs: None):
-        return _outcome(doc)
+    """:func:`_outcome` of the frozen field-by-field reference decoder."""
+    return _outcome(doc, reference_parse_scan_results_json)
 
 
 @settings(max_examples=300, deadline=None)
@@ -836,7 +833,7 @@ def _checked_outcome(doc: str):
        include=st.booleans(), data=st.data())
 def test_straight_decoders_change_no_outcome(seeds, include, data):
     """A mutated saved result parses to the same value, or fails with the
-    same error, with the straight decoders and without them."""
+    same error, as the frozen reference decodes it."""
     results = [scan(*_random_case(seed), time=ANALYSIS_TIME, include_non_deployed=include)
                for seed in seeds]
     doc = json.loads(render(results if len(seeds) > 1 else results[0], "json"))
@@ -850,6 +847,20 @@ def test_straight_decoders_change_no_outcome_of_any_single_change():
     two saved results."""
     for text in every_single_change(json.loads(_RENDERED)):
         assert _outcome(text) == _checked_outcome(text), text
+
+
+def test_well_formed_results_are_never_walked(monkeypatch):
+    """Only a rejected entry is walked, so a well-formed one builds no
+    pointer; a rule that two valid fields break is named all the same."""
+    walked = []
+    monkeypatch.setattr(report_module, "check_fields", lambda entry, pointer, *_: walked.append(pointer))
+    assert render(parse_scan_results_json(_RENDERED), "json") == _RENDERED
+    assert walked == []
+    doc = json.loads(_RENDERED)
+    doc[1]["census"][2]["direct"] = not doc[1]["census"][2]["direct"]
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(doc))
+    assert exc.value.pointer == "/1/census/2/direct" and walked == []
 
 
 def test_parse_builds_one_gav_per_distinct_coordinate(monkeypatch):
