@@ -95,15 +95,20 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
     resolves the non-transitivity of the dot-boundary prefix rule
     deterministically). Members need not be adjacent to be grouped. The
     first element is always preserved and the operation is idempotent.
+
+    Two groups share a project when one is a dot-prefix of the other or
+    equals it, so a set of the kept ids' dot-prefixes makes the pass linear
+    in the chain, however many projects it crosses.
     """
     kept: dict[str, Gav] = {}  # the members kept so far, by group id
+    covered: set[str] = set()  # every dot-prefix of every kept group id, the id included
     for gav in raw_path:
         group = gav.group_id
-        for anchor in kept:
-            if same_project(anchor, group):
-                break
-        else:
-            kept[group] = gav
+        if group not in covered:  # no kept id equals it or has it as a dot-prefix
+            prefixes = [group[:i] for i, char in enumerate(group) if char == "."]
+            if kept.keys().isdisjoint(prefixes):
+                kept[group] = gav
+                covered.update(prefixes, (group,))
     return list(kept.values())
 
 

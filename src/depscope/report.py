@@ -430,16 +430,6 @@ def _json_list(items, pad: str) -> str:
     return f"[\n{pad}  " + inner.join(items) + f"\n{pad}]"
 
 
-_ROW_JSON = (
-    '{\n      "deployed": %s,\n      "depth": %d,\n      "direct": %s,\n      "gav": %s,\n'
-    '      "instance_status": "%s",\n      "library_status": "%s",\n      "own": %s,\n'
-    '      "responsibility": "%s",\n      "unknown_history": %s,\n      "via_halted": %s,\n'
-    '      "vuln_ids": %s\n    }'
-)
-_PATH_JSON = (
-    '{\n      "grouped_path": %s,\n      "raw_path": %s,\n      "responsibility": "%s",\n'
-    '      "via_halted": %s,\n      "vuln_id": %s\n    }'
-)
 _RESULT_JSON = (
     '{\n  "analysis_time": "%s",\n  "census": %s,\n  "include_non_deployed": %s,\n  "paths": %s,\n'
     '  "root": %s\n}'
@@ -448,8 +438,8 @@ _RESULT_JSON = (
 
 def _result_json(result: ScanResult) -> str:
     """The result as :func:`json_text` writes its JSON object, without the
-    final newline: from the fixed templates above, because with an indent
-    ``json.dumps`` runs its pure-Python encoder. Keys are in sorted order.
+    final newline: from fixed templates, because with an indent ``json.dumps``
+    runs its pure-Python encoder. Keys are in sorted order.
     Strings that may hold any character go through :func:`json_string`;
     enum values and dates need no escaping."""
     census = [
@@ -555,6 +545,10 @@ _ROW_FIELDS = (("vuln_ids", list, _strings), ("own", bool, None),
                ("unknown_history", bool, None))
 _PATH_KEYS, _path_values, _PATH_TYPES = schema_parts(_PATH_FIELDS)
 _ROW_KEYS, _row_values, _ROW_TYPES = schema_parts(_ROW_FIELDS)
+# _result_json's row and path templates, keys sorted; an enum's value goes in quoted as it stands
+_ROW_JSON, _PATH_JSON = ("{\n" + ",\n".join(
+    f'      "{key}": ' + ('"%s"' if type(check) is dict else "%s") for key, _, check in sorted(schema)
+) + "\n    }" for schema in (_ROW_FIELDS, _PATH_FIELDS))
 
 
 class _Gavs(dict):

@@ -1,8 +1,9 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
 fixture, a random tree generator for oracle tests, a synthetic simulation
 pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
-and scan results, the reference JSON object of a scan result, and frozen
-field-by-field reference decoders of saved results and of the KB."""
+and scan results, the reference JSON object of a scan result, frozen
+field-by-field reference decoders of saved results and of the KB, and the
+frozen pairwise grouping loop."""
 
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    same_project,
 )
 from depscope.report import CensusRow, ScanResult
 from depscope.simulate import SimulationPool
@@ -623,3 +625,21 @@ def reference_load_vuln_kb(doc: str) -> VulnerabilityKb:
     if not isinstance(data, list):
         raise SchemaViolation("", "document root must be an array")
     return VulnerabilityKb(_record_from_dict(entry, f"/{i}") for i, entry in enumerate(data))
+
+
+# --- frozen reference grouping ----------------------------------------------------
+
+
+def reference_group_path(raw_path):
+    """``group_path`` as a loop comparing each member with every project kept
+    so far: the same members in the same order, in time quadratic in the
+    projects a chain crosses."""
+    kept: dict[str, Gav] = {}  # the members kept so far, by group id
+    for gav in raw_path:
+        group = gav.group_id
+        for anchor in kept:
+            if same_project(anchor, group):
+                break
+        else:
+            kept[group] = gav
+    return list(kept.values())

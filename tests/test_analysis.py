@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depscope.analysis import (
     classify_responsibility,
@@ -24,7 +24,7 @@ from depscope.model import (
     same_project,
 )
 
-from conftest import VULN_ID_POOL, deep_chain_tree, random_tree_case
+from conftest import VULN_ID_POOL, deep_chain_tree, random_tree_case, reference_group_path
 
 ROOT = Gav("com.acme", "app-core", "1.0")
 HTTP_CLIENT = Gav("org.webkit", "http-client", "2.3")
@@ -272,6 +272,21 @@ _dotted_groups = st.lists(st.text(alphabet="ab.", min_size=1, max_size=5), min_s
 def test_group_path_matches_the_any_anchor_reference(groups):
     path = [Gav(group, f"x{i}", "1") for i, group in enumerate(groups)]
     assert group_path(path) == _reference_group_path(path)
+
+
+# atoms that, joined by dots, make dot-prefix relatives (a, a.b), string-prefix
+# decoys (com.foo, com.foobar) and edge ids (a., a..b, .a)
+_GROUP_ATOMS = ("a", "b", "ab", "com", "foo", "foobar", "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), length=st.integers(1, 3000), projects=st.integers(1, 300))
+def test_group_path_keeps_the_members_the_pairwise_loop_keeps(seed, length, projects):
+    rng = random.Random(seed)
+    groups = [".".join(rng.choices(_GROUP_ATOMS, k=rng.randint(1, 4))) or "."
+              for _ in range(projects)]
+    path = [Gav(rng.choice(groups), f"x{i}", "1") for i in range(length)]
+    assert group_path(path) == reference_group_path(path)
 
 
 def test_group_path_keeps_string_prefix_decoys_apart():

@@ -259,26 +259,30 @@ def test_same_project_calls_grow_linearly_in_depth_on_one_project(same_project_b
 
 
 def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(monkeypatch, same_project_budget):
-    # only a vulnerable node's chain is built, here one at depth 2; a walk
-    # that copies each node's whole chain builds about depth**2 / 2 elements
+    # only a vulnerable node's chain is built, here the leaf's; a walk that
+    # copies each node's whole chain builds about depth**2 / 2 elements, and
+    # grouping that compares each member with every project kept so far makes
+    # about depth**2 / 2 same_project calls
     elements = [0]
 
     def counted(step):
         chain = chain_of(step)
         elements[0] += len(chain)
-        assert elements[0] <= depth, f"over {depth} chain elements"
+        assert elements[0] <= depth + 1, f"over {depth + 1} chain elements"
         return chain
 
     monkeypatch.setattr("depscope.report.chain_of", counted)
     for depth in (5_000, 10_000):
         tree = deep_chain_tree(depth)
-        kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset({Gav("org.deep2", "lib2", "1.0")}))])
+        leaf = Gav(f"org.deep{depth}", f"lib{depth}", "1.0")
+        kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset({leaf}))])
         same_project_budget(5 * depth)
         elements[0] = 0
         result = scan(tree, kb, {}, time=ANALYSIS_TIME, lenient=True)
         assert len(result.census) == depth
         elements[0] += sum(len(path.grouped_path) for path in result.paths)
-        assert elements[0] == 6  # the chain up from org.deep2, and its grouping, which keeps all three
+        # the chain up from the leaf, root included, and its grouping, which keeps every member
+        assert elements[0] == 2 * (depth + 1)
 
 
 def _random_case(seed: int):
