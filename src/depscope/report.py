@@ -175,7 +175,8 @@ def scan(
              for vuln_id in kb.ids_by_gav.get(root, ())]
     rows = []
     for row, step in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
-                                 lenient=lenient, include_non_deployed=include_non_deployed):
+                                 lenient=lenient, include_non_deployed=include_non_deployed,
+                                 vulnerable_only=False):
         rows.append(row)
         if row.vuln_ids:
             chain = chain_of(step)
@@ -199,13 +200,16 @@ def census_rows(
     *,
     lenient: bool,
     include_non_deployed: bool,
+    vulnerable_only: bool,
 ) -> Iterator[tuple[CensusRow, tuple]]:
     """``(row, step)`` for each dependency below ``root``, ``step`` being
     its step of :func:`depscope.model.walk`, which drops a repeated library
     with its subtree; raises as :func:`scan` does, at the first offending
-    node. No chain is built here: a caller that prints a row's path follows
-    the step's parent links (:func:`depscope.model.chain_of`). Every row's
-    class comes from the group ids the walk carries
+    node. With ``vulnerable_only``, a node without vuln ids gets no row, yet
+    still raises at a missing history or an unknown version. No chain is
+    built here: a caller that prints a row's path follows the step's parent
+    links (:func:`depscope.model.chain_of`). Every row's class comes from
+    the group ids the walk carries
     (:func:`depscope.analysis.classify_group_ids`)."""
     ids_by_gav = kb.ids_by_gav
     root_group = root.gav.group_id
@@ -223,6 +227,8 @@ def census_rows(
             raise MissingHistory(gav.ga)
         if depth == 1:
             direct = verdict
+        if vulnerable_only and not vuln_ids:
+            continue
         yield CensusRow(
             gav=gav,
             depth=depth,

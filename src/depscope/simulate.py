@@ -165,7 +165,8 @@ def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome
     deployment and grouping, the proposed ones honor both. The census rows
     come from the walk of a root over the picks, which drops what mediation
     drops, so no project tree is built, and it raises where a scan of the
-    tree would.
+    tree would. Only the vulnerable instances it counts get a row; a safe
+    node still raises at a missing history or an unknown version.
     """
     time = cfg.time or date.today()
     verdicts = verdict_table(pool.histories, time, cfg.smoothing)
@@ -173,7 +174,7 @@ def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome
     for index in range(cfg.projects):
         root = _project_root(pool, cfg, index)
         vulnerable = [row for row, _ in census_rows(root, pool.kb, verdicts, lenient=cfg.lenient,
-                                                    include_non_deployed=True) if row.vuln_ids]
+                                                    include_non_deployed=True, vulnerable_only=True)]
         deployed = [row for row in vulnerable if row.deployed]
         outcomes.append(ProjectOutcome(
             index=index,

@@ -340,6 +340,25 @@ def test_unknown_version_fails_in_both_history_modes(workspace, capsys, lenient,
     assert captured.err == f"depscope: error: {error}\n"
 
 
+def test_simulate_fails_at_a_safe_dependency_without_history_in_strict_mode(workspace, capsys):
+    # simulate keeps no row for a safe dependency, but still looks up its history
+    pool = workspace / "pool"
+    pool.mkdir()
+    (pool / "app-core.txt").write_text(SAMPLE_TREE_TEXT)
+    args = ["simulate", "--trees", str(pool), "--history", str(workspace / "releases.csv"),
+            "--kb", str(workspace / "kb.json"), "--deps", "1", "--projects", "2", "--time", "2018-06-01"]
+    assert main(args) == 0
+    counts = capsys.readouterr().out
+    head, rest = SAMPLE_TREE_TEXT.split("\n", 1)
+    (pool / "app-core.txt").write_text(f"{head}\n+- org.none:unknown:jar:1.0:compile\n{rest}")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "depscope: error: no release history for library org.none:unknown\n"
+    assert main([*args, "--lenient-history"]) == 0
+    assert capsys.readouterr().out == counts
+
+
 @pytest.mark.parametrize("stray", [None, "notes.md"], ids=["empty", "no tree suffix"])
 def test_scan_of_a_directory_without_trees_exits_1(workspace, capsys, stray):
     empty = workspace / "empty"

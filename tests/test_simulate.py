@@ -8,7 +8,14 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from depscope.errors import DepscopeError, EmptyPool, InsufficientLibraries, ReservedGroup, UnknownVersion
+from depscope.errors import (
+    DepscopeError,
+    EmptyPool,
+    InsufficientLibraries,
+    MissingHistory,
+    ReservedGroup,
+    UnknownVersion,
+)
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -24,6 +31,7 @@ from depscope.model import (
     VulnerabilityRecord,
     build_tree,
 )
+from depscope import report
 from depscope.report import aggregate, scan
 from depscope.simulate import (
     SYNTHETIC_GROUP,
@@ -145,6 +153,32 @@ def test_simulate_builds_and_groups_no_chain(monkeypatch):
     cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
     outcomes = simulate(build_synthetic_pool(), cfg)
     assert sum(outcome.all_vulnerable for outcome in outcomes) > 0
+
+
+def _dependencies(node: DependencyNode) -> int:
+    return sum(1 + _dependencies(child) for child in node.children)
+
+
+def test_simulate_classifies_only_the_rows_it_counts(monkeypatch):
+    # every count reads vulnerable rows only, so no other row is classified;
+    # a scan of the same project tree still classifies each dependency
+    classified = []
+    classify = report.classify_group_ids
+
+    def counting(*args):
+        classified.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr("depscope.report.classify_group_ids", counting)
+    pool = build_synthetic_pool()
+    cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
+    vulnerable = sum(outcome.all_vulnerable for outcome in simulate(pool, cfg))
+    assert 0 < len(classified) == vulnerable
+    classified.clear()
+    trees = [project_tree(pool, cfg, index) for index in range(cfg.projects)]
+    for tree in trees:
+        scan(tree, pool.kb, pool.histories, time=cfg.time, include_non_deployed=True)
+    assert len(classified) == sum(_dependencies(tree.root) for tree in trees) > vulnerable
 
 
 def test_different_seeds_differ():
@@ -339,32 +373,36 @@ def test_simulate_on_loaded_histories_equals_a_scan_of_each_project_tree(pool, d
     assert {time for time, _ in loaded.histories.verdicts} == times
 
 
-def _pool_with_an_unknown_version() -> tuple[SimulationPool, Gav]:
-    """Pool trees ``org.a:first:1 -> org.s:shared:1`` and
-    ``org.b:second:1 -> org.s:shared:2``, where version 2 of the shared
-    library has no release: a project fails only when it keeps that node."""
+def _pool_with_an_unknown_version() -> tuple[SimulationPool, Gav, Gav]:
+    """Pool trees ``org.a:first:1 -> org.s:shared:1``,
+    ``org.b:second:1 -> org.s:shared:2`` and ``org.c:third:1 -> org.m:none:1``,
+    where version 2 of the shared library has no release and the safe
+    ``org.m:none`` no history: a project fails only when it keeps such a
+    node, and at ``org.m:none`` only in strict mode."""
     from conftest import alive_history
 
     shared, unknown = Gav("org.s", "shared", "1"), Gav("org.s", "shared", "2")
+    no_history = Gav("org.m", "none", "1")
     trees = tuple(
         DependencyTree(DependencyNode(root, Scope.COMPILE, (DependencyNode(child, Scope.COMPILE),)))
-        for root, child in ((Gav("org.a", "first", "1"), shared), (Gav("org.b", "second", "1"), unknown))
+        for root, child in ((Gav("org.a", "first", "1"), shared), (Gav("org.b", "second", "1"), unknown),
+                            (Gav("org.c", "third", "1"), no_history))
     )
-    histories = {gav.ga: alive_history(gav) for gav in (trees[0].root.gav, trees[1].root.gav, shared)}
+    histories = {gav.ga: alive_history(gav) for gav in (*(tree.root.gav for tree in trees), shared)}
     kb = (VulnerabilityRecord("V1", frozenset({shared})),)
-    return SimulationPool(trees=trees, histories=histories, kb=kb), unknown
+    return SimulationPool(trees=trees, histories=histories, kb=kb), unknown, no_history
 
 
-def _seed_drawing_first(pool: SimulationPool, artifact: str, lenient: bool) -> SimulationConfig:
+def _seed_drawing(pool: SimulationPool, artifacts: tuple[str, str], lenient: bool) -> SimulationConfig:
     cfg = SimulationConfig(projects=1, deps_per_project=2, time=ANALYSIS_TIME, lenient=lenient)
     return next(c for c in (replace(cfg, seed=seed) for seed in range(100))
-                if project_tree(pool, c, 0).root.children[0].gav.artifact_id == artifact)
+                if tuple(child.gav.artifact_id for child in project_tree(pool, c, 0).root.children) == artifacts)
 
 
 @pytest.mark.parametrize("lenient", [False, True])
 def test_simulate_succeeds_when_mediation_drops_the_unknown_version(lenient):
-    pool, _ = _pool_with_an_unknown_version()
-    cfg = _seed_drawing_first(pool, "first", lenient)
+    pool, _, _ = _pool_with_an_unknown_version()
+    cfg = _seed_drawing(pool, ("first", "second"), lenient)
     with pytest.raises(UnknownVersion):  # the second pick on its own
         scan(DependencyTree(pool.libraries[1][0]), pool.kb, pool.histories, time=ANALYSIS_TIME)
     (outcome,) = simulate(pool, cfg)
@@ -374,11 +412,18 @@ def test_simulate_succeeds_when_mediation_drops_the_unknown_version(lenient):
 
 @pytest.mark.parametrize("lenient", [False, True])
 def test_simulate_raises_when_the_unknown_version_is_kept(lenient):
-    pool, unknown = _pool_with_an_unknown_version()
-    cfg = _seed_drawing_first(pool, "second", lenient)
+    pool, unknown, no_history = _pool_with_an_unknown_version()
     with pytest.raises(UnknownVersion) as raised:
-        simulate(pool, cfg)
+        simulate(pool, _seed_drawing(pool, ("second", "first"), lenient))
     assert raised.value.args == UnknownVersion(unknown).args
+    # a kept safe node with no history gets no row, but is looked up first
+    cfg = _seed_drawing(pool, ("third", "first"), lenient)
+    if lenient:
+        assert simulate(pool, cfg) == _scanned_outcomes(pool, cfg)
+    else:
+        with pytest.raises(MissingHistory) as raised:
+            simulate(pool, cfg)
+        assert raised.value.args == MissingHistory(no_history.ga).args
 
 
 def test_conflicting_libraries_keep_first_drawn():
