@@ -56,7 +56,6 @@ from depscope.simulate import (
     ProjectOutcome,
     SimulationConfig,
     SimulationPool,
-    project_tree,
     render_simulation,
     simulate,
 )

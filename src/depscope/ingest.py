@@ -20,7 +20,7 @@ import re
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as json_string  # the string encoder json_text uses
 from operator import itemgetter
 
@@ -194,6 +194,8 @@ def schema_parts(schema) -> tuple[frozenset, itemgetter, tuple]:
 _INFO_PREFIX = "[INFO] "
 _INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
 _BRANCH_UNITS = ("+- ", "\\- ")
+# the indentation of a dependency line: units, the last a branch marker
+_indentation = re.compile(r"(?:[+\\]- |[| ]  )*[+\\]- ").match
 # scope names both tree formats accept, ``unknown`` included so that a parsed
 # text tree renders to JSON that parses back; the text form maps any other
 # name to UNKNOWN
@@ -216,32 +218,15 @@ def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scop
     raise MalformedTreeLine(line_no, f"wrong segment count in {text!r}")
 
 
-def parse_tree_text(text: str) -> DependencyTree:
-    """Parse the text dump of a resolved dependency tree.
-
-    The first content line is the root coordinate (``g:a:v`` or
-    ``g:a:packaging:v``). Every other line carries indentation built from
-    three-character units drawn from ``+- ``, ``\\- ``, ``|  `` and three
-    spaces, the last unit being a branch marker, followed by a coordinate.
-    Node depth is the unit count; the parent is the nearest preceding node
-    one level up. A leading ``[INFO] `` per line is stripped and a bare
-    ``[INFO]`` line is blank; any other log line, such as ``[INFO] Scanning
-    for projects...``, raises :class:`MalformedTreeLine`. A library on a
-    second line raises :class:`DuplicateGa` naming that line.
-    """
+def _checked_text_nodes(lines: list[str]) -> list[tuple[Gav, Scope, int]]:
+    """The nodes of a tree dump's lines, each checked: raises at the first fault in file order."""
     preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
     ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
     seen = set()  # group and artifact as plain tuples; a Ga only for the error
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw
-        if line.startswith(_INFO_PREFIX):
-            line = line[len(_INFO_PREFIX) :]
-        elif line.strip() == "[INFO]":
-            line = ""
+    for line_no, line in enumerate(lines, start=1):
         line = line.rstrip()
         if not line:
             continue
-
         pos = 0
         while line[pos : pos + 3] in _INDENT_UNITS:
             pos += 3
@@ -249,7 +234,6 @@ def parse_tree_text(text: str) -> DependencyTree:
         depth = pos // 3
         if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
             raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
-
         if not preorder and depth:
             raise MalformedTreeLine(line_no, "first content line must be the unindented root")
         if preorder and not depth:
@@ -264,10 +248,58 @@ def parse_tree_text(text: str) -> DependencyTree:
             raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
         ancestors.append(len(preorder))
         preorder.append((gav, scope, ancestors[-2] if depth else -1))
-
     if not preorder:
         raise EmptyInput()
-    return DependencyTree(build_tree(preorder))
+    return preorder
+
+
+def parse_tree_text(text: str) -> DependencyTree:
+    """Parse the text dump of a resolved dependency tree.
+
+    The first content line is the root coordinate (``g:a:v`` or
+    ``g:a:packaging:v``). Every other line carries indentation built from
+    three-character units drawn from ``+- ``, ``\\- ``, ``|  `` and three
+    spaces, the last unit being a branch marker, followed by a coordinate.
+    Node depth is the unit count; the parent is the nearest preceding node
+    one level up. Lines end only at LF, CRLF or CR; any other separator is
+    whitespace. A leading ``[INFO] `` per line is stripped and a bare
+    ``[INFO]`` line is blank; any other log line, such as ``[INFO] Scanning
+    for projects...``, raises :class:`MalformedTreeLine`. A library on a
+    second line raises :class:`DuplicateGa` naming that line. Each line is
+    read in one straight pass; only a rejected document is read again, with
+    every check, to name its first fault.
+    """
+    # lines end only at LF, CRLF or CR, as a universal-newline read ends them
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if "[INFO]" in text:  # a log prefix goes, and a bare [INFO] line is blank
+        lines = [line[len(_INFO_PREFIX):] if line.startswith(_INFO_PREFIX)
+                 else "" if line.strip() == "[INFO]" else line for line in lines]
+    preorder: list[tuple[Gav, Scope, int]] = []
+    ancestors: list[int] = []
+    seen = set()  # group and artifact; a repeat shows as a set smaller than the tree
+    for line in lines:
+        line = line.rstrip()
+        if not line:
+            continue
+        indentation = _indentation(line)
+        pos = indentation.end() if indentation else 0
+        coordinate, depth = line[pos:], pos // 3
+        segments = coordinate.split(":")
+        n = len(segments)
+        # every whitespace character but the space is unprintable
+        if (" " in coordinate or not coordinate.isprintable() or "" in segments or n != 3
+                and n != (5 if depth else 4) or depth > len(ancestors) or preorder and not depth):
+            break
+        del ancestors[depth:]
+        ancestors.append(len(preorder))
+        seen.add((segments[0], segments[1]))
+        preorder.append((tuple.__new__(Gav, (segments[0], segments[1], segments[3 if n > 3 else 2])),
+                         _SCOPES.get(segments[4], Scope.UNKNOWN) if n == 5 else Scope.COMPILE,
+                         ancestors[-2] if depth else -1))
+    else:
+        if preorder and len(seen) == len(preorder):
+            return DependencyTree._parsed(build_tree(preorder))
+    return DependencyTree._parsed(build_tree(_checked_text_nodes(lines)))
 
 
 # --- tree JSON ---------------------------------------------------------------
@@ -298,22 +330,14 @@ def parse_date_at(text, pointer: str) -> date:
 
 _TREE_KEYS = frozenset({"root"})
 _NODE_KEYS = frozenset({"gav", "scope", "children"})
+_node_values = itemgetter("gav", "scope", "children")
 
 
-def parse_tree_json(doc: str) -> DependencyTree:
-    """Parse the BoM JSON interchange form of a dependency tree.
-
-    Nodes are checked in preorder from an explicit stack, so the error
-    reported is the first in document order, and no nesting the decoder
-    accepts exhausts the stack.
-    """
-    data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
-    analysis_time = None
-    if "analysis_time" in data:
-        analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
+def _checked_json_nodes(root) -> list[tuple[Gav, Scope, int]]:
+    """The nodes below a JSON tree's root, each checked: raises at the first fault in preorder."""
     preorder: list[tuple[Gav, Scope, int]] = []
     seen = set()  # group and artifact as plain tuples; a Ga only for the error
-    stack = [(data["root"], "/root", -1)]
+    stack = [(root, "/root", -1)]
     while stack:
         obj, pointer, parent = stack.pop()
         json_object(obj, pointer, _NODE_KEYS)
@@ -331,7 +355,41 @@ def parse_tree_json(doc: str) -> DependencyTree:
         preorder.append((gav, _SCOPES[scope_text], parent))
     if preorder[0][1] is not Scope.COMPILE:
         raise SchemaViolation("/root/scope", "root scope must be compile")
-    return DependencyTree(build_tree(preorder), analysis_time)
+    return preorder
+
+
+def parse_tree_json(doc: str) -> DependencyTree:
+    """Parse the BoM JSON interchange form of a dependency tree.
+
+    Each node is read in one straight pass, which builds no pointer. Only a
+    rejected document is read again, with every check, in preorder from an
+    explicit stack, so the error reported is the first in document order and
+    no nesting the decoder accepts exhausts the stack.
+    """
+    data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
+    analysis_time = None
+    if "analysis_time" in data:
+        analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
+    preorder: list[tuple[Gav, Scope, int]] = []
+    seen = set()  # group and artifact; a repeat shows as a set smaller than the tree
+    stack = [(data["root"], -1)]
+    while stack:
+        obj, parent = stack.pop()
+        if type(obj) is not dict or obj.keys() != _NODE_KEYS:
+            break
+        gav, scope, children = _node_values(obj)
+        segments = gav.split(":") if type(gav) is str else ()
+        scope = _SCOPES.get(scope) if type(scope) is str else None
+        if len(segments) != 3 or "" in segments or scope is None or type(children) is not list:
+            break
+        seen.add((segments[0], segments[1]))
+        if children:
+            stack += zip(reversed(children), repeat(len(preorder)))
+        preorder.append((tuple.__new__(Gav, segments), scope, parent))
+    else:
+        if len(seen) == len(preorder) and preorder[0][1] is Scope.COMPILE:
+            return DependencyTree._parsed(build_tree(preorder), analysis_time)
+    return DependencyTree._parsed(build_tree(_checked_json_nodes(data["root"])), analysis_time)
 
 
 def render_tree_json(tree: DependencyTree) -> str:

@@ -176,12 +176,18 @@ def build_tree(preorder: Sequence[tuple[Gav, Scope, int]]) -> DependencyNode:
 
     Each parent comes before its children and siblings keep their order, so
     freezing in reverse builds every subtree before its parent: no
-    recursion, and so no tree depth exhausts the stack.
+    recursion, and so no tree depth exhausts the stack. Fields are set in
+    ``__init__``'s order, so every node's ``__dict__`` shares its keys.
     """
     children: list[list[DependencyNode]] = [[] for _ in preorder]
+    new, set_field = object.__new__, object.__setattr__
     for i in reversed(range(len(preorder))):
         gav, scope, parent = preorder[i]
-        node = DependencyNode(gav, scope, children[i][::-1])
+        node = new(DependencyNode)
+        set_field(node, "gav", gav)
+        set_field(node, "scope", scope)
+        kids = children[i]
+        set_field(node, "children", tuple(reversed(kids)) if kids else ())
         if parent >= 0:
             children[parent].append(node)
     return node
@@ -230,6 +236,14 @@ class DependencyTree:
                 raise DuplicateGa(node.gav.ga)
             seen.add(ga)
             stack.extend(reversed(node.children))
+
+    @classmethod
+    def _parsed(cls, root: DependencyNode, analysis_time: date | None = None) -> DependencyTree:
+        """A tree whose parser has checked its root's scope and its libraries distinct."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "root", root)
+        object.__setattr__(tree, "analysis_time", analysis_time)
+        return tree
 
     def nodes(self) -> Iterator[tuple[DependencyNode, int]]:
         """Depth-first preorder walk yielding (node, depth)."""

@@ -50,25 +50,36 @@ from depscope.model import (
     walk,
 )
 
-_VULN_AXES = ("vuln", "safe")
-_POSITION_AXES = ("direct", "transitive")
-_RESP_AXES = ("own", "direct", "transitive")
-_LIFE_AXES = ("halted", "outdated", "up_to_date")
+# the JSON text of each boolean and enum member a result holds, read without
+# an enum.property call
+_TEXT = {True: "true", False: "false",
+         **{m: m.value for cls in (Responsibility, LibraryStatus, InstanceStatus) for m in cls}}
+_OWN, _HALTED = Responsibility.OWN, LibraryStatus.HALTED  # a global costs a tenth of an Enum attribute
+
+# each axis of the cell keys as (what a census row or path holds, its text):
+# whether it is vulnerable, direct or grouped, else an enum member
+_VULN_AXIS = ((True, "vuln"), (False, "safe"))
+_POSITION_AXIS = ((True, "direct"), (False, "transitive"))
+_RESP_AXIS = tuple((m, _TEXT[m]) for m in Responsibility)
+_LIFE_AXIS = tuple((m, _TEXT[m]) for m in (_HALTED, *InstanceStatus))
+_VULN_AXES, _POSITION_AXES, _LIFE_AXES = (
+    tuple(text for _, text in axis) for axis in (_VULN_AXIS, _POSITION_AXIS, _LIFE_AXIS))
 
 
-def _all_cell_keys() -> tuple[str, ...]:
-    keys: list[str] = []
-    for row in ("deployed", "all"):
-        keys += [f"{row}/{v}/{p}" for v in _VULN_AXES for p in _POSITION_AXES]
-    keys += [f"grouped/{v}/{r}" for v in _VULN_AXES for r in _RESP_AXES]
-    keys += [f"lifecycle/{v}/{s}" for v in _VULN_AXES for s in _LIFE_AXES]
-    keys += [f"via_halted/{v}/{s}" for v in _VULN_AXES for s in _LIFE_AXES]
-    keys += [f"paths/{stage}/{r}" for stage in ("grouped", "ungrouped") for r in _RESP_AXES]
-    keys += ["unknown_history", "trees", "trees_include_non_deployed"]
-    return tuple(keys)
+def _cells(row: str, axis, other) -> dict[tuple, str]:
+    """``row``'s cell keys by the pair of values they count."""
+    return {(a, b): f"{row}/{x}/{y}" for a, x in axis for b, y in other}
 
 
-CELL_KEYS: tuple[str, ...] = _all_cell_keys()
+_DEPLOYED, _ALL = (_cells(row, _VULN_AXIS, _POSITION_AXIS) for row in ("deployed", "all"))
+_GROUPED = _cells("grouped", _VULN_AXIS, _RESP_AXIS)
+_LIFECYCLE, _VIA_HALTED = (_cells(row, _VULN_AXIS, _LIFE_AXIS) for row in ("lifecycle", "via_halted"))
+_PATHS = _cells("paths", ((True, "grouped"), (False, "ungrouped")), _RESP_AXIS)
+CELL_KEYS: tuple[str, ...] = (
+    *(key for table in (_DEPLOYED, _ALL, _GROUPED, _LIFECYCLE, _VIA_HALTED, _PATHS)
+      for key in table.values()),
+    "unknown_history", "trees", "trees_include_non_deployed",
+)
 
 
 class CensusRow(NamedTuple):
@@ -229,61 +240,41 @@ def census_rows(
             direct = verdict
         if vulnerable_only and not vuln_ids:
             continue
-        yield CensusRow(
-            gav=gav,
-            depth=depth,
-            deployed=deployed,
-            vuln_ids=vuln_ids,
-            responsibility=classify_group_ids(gav.group_id, above, root_group),
-            library_status=lib_status,
-            instance_status=inst_status,
-            via_halted=deployed and depth > 1 and direct is not None
-            and direct.status is LibraryStatus.HALTED,
-            unknown_history=verdict is None,
-        ), step
-
-
-def _lifecycle_bucket(row: CensusRow) -> str:
-    if row.library_status is LibraryStatus.HALTED:
-        return "halted"
-    if row.instance_status is InstanceStatus.OUTDATED:
-        return "outdated"
-    return "up_to_date"
+        # the tuple's own constructor: NamedTuple's __new__ is a Python call
+        yield tuple.__new__(CensusRow, (
+            gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
+            lib_status, inst_status,
+            deployed and depth > 1 and direct is not None and direct.status is _HALTED,
+            verdict is None,
+        )), step
 
 
 def aggregate(results: Iterable[ScanResult]) -> AggregateReport:
     """Fold scan results into cross-tabulated counts."""
-    counts = {key: 0 for key in CELL_KEYS}
+    counts = dict.fromkeys(CELL_KEYS, 0)
     for result in results:
         counts["trees"] += 1
-        if result.include_non_deployed:
-            counts["trees_include_non_deployed"] += 1
-        for row in result.census:
-            vuln = "vuln" if row.vulnerable else "safe"
-            position = "direct" if row.direct else "transitive"
-            counts[f"all/{vuln}/{position}"] += 1
-            if row.unknown_history:
-                counts["unknown_history"] += 1
-            if not row.deployed:
+        counts["trees_include_non_deployed"] += result.include_non_deployed
+        for _, depth, deployed, vuln_ids, responsibility, library_status, instance_status, \
+                via_halted, unknown_history in result.census:
+            vulnerable = bool(vuln_ids)
+            counts[_ALL[vulnerable, depth == 1]] += 1
+            counts["unknown_history"] += unknown_history
+            if not deployed:
                 continue
-            counts[f"deployed/{vuln}/{position}"] += 1
-            counts[f"grouped/{vuln}/{row.responsibility.value}"] += 1
-            bucket = _lifecycle_bucket(row)
-            counts[f"lifecycle/{vuln}/{bucket}"] += 1
-            if row.via_halted:
-                counts[f"via_halted/{vuln}/{bucket}"] += 1
+            counts[_DEPLOYED[vulnerable, depth == 1]] += 1
+            counts[_GROUPED[vulnerable, responsibility]] += 1
+            bucket = vulnerable, library_status if library_status is _HALTED else instance_status
+            counts[_LIFECYCLE[bucket]] += 1
+            if via_halted:
+                counts[_VIA_HALTED[bucket]] += 1
         for path in result.paths:
-            counts[f"paths/grouped/{path.responsibility.value}"] += 1
-            ungrouped = classify_responsibility(path.raw_path, result.root)
-            counts[f"paths/ungrouped/{ungrouped.value}"] += 1
+            counts[_PATHS[True, path.responsibility]] += 1
+            counts[_PATHS[False, classify_responsibility(path.raw_path, result.root)]] += 1
     return AggregateReport(counts)
 
 
 # --- rendering ----------------------------------------------------------------
-
-
-def _bool(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _pct(numerator: int, denominator: int) -> str:
@@ -413,17 +404,16 @@ _CENSUS_CSV_HEADER = [
 
 
 def _result_csv(result: ScanResult) -> str:
+    root = ":".join(result.root)
     return csv_rows(
         [
-            str(result.root), str(row.gav), row.gav.group_id,
-            row.gav.artifact_id, row.gav.version, row.depth,
-            _bool(row.direct), _bool(row.deployed), _bool(row.vulnerable),
-            ";".join(row.vuln_ids), _bool(row.own),
-            row.responsibility.value, row.library_status.value,
-            row.instance_status.value, _bool(row.via_halted),
-            _bool(row.unknown_history),
+            root, ":".join(gav), *gav, depth, _TEXT[depth == 1], _TEXT[deployed],
+            _TEXT[bool(vuln_ids)], ";".join(vuln_ids), _TEXT[responsibility is _OWN],
+            _TEXT[responsibility], _TEXT[library_status], _TEXT[instance_status],
+            _TEXT[via_halted], _TEXT[unknown_history],
         ]
-        for row in result.census
+        for gav, depth, deployed, vuln_ids, responsibility, library_status, instance_status,
+        via_halted, unknown_history in result.census
     )
 
 
@@ -450,24 +440,26 @@ def _result_json(result: ScanResult) -> str:
     enum values and dates need no escaping."""
     census = [
         _ROW_JSON % (
-            _bool(row.deployed), row.depth, _bool(row.direct), json_string(str(row.gav)),
-            row.instance_status.value, row.library_status.value, _bool(row.own),
-            row.responsibility.value, _bool(row.unknown_history), _bool(row.via_halted),
-            _json_list([json_string(vuln_id) for vuln_id in row.vuln_ids], "      "),
+            _TEXT[deployed], depth, _TEXT[depth == 1], json_string(":".join(gav)),
+            _TEXT[instance_status], _TEXT[library_status], _TEXT[responsibility is _OWN],
+            _TEXT[responsibility], _TEXT[unknown_history], _TEXT[via_halted],
+            _json_list(list(map(json_string, vuln_ids)), "      "),
         )
-        for row in result.census
+        for gav, depth, deployed, vuln_ids, responsibility, library_status, instance_status,
+        via_halted, unknown_history in result.census
     ]
     paths = [
         _PATH_JSON % (
-            _json_list([json_string(str(gav)) for gav in path.grouped_path], "      "),
-            _json_list([json_string(str(gav)) for gav in path.raw_path], "      "),
-            path.responsibility.value, _bool(path.via_halted), json_string(path.vuln_id),
+            _json_list([json_string(":".join(gav)) for gav in path.grouped_path], "      "),
+            _json_list([json_string(":".join(gav)) for gav in path.raw_path], "      "),
+            _TEXT[path.responsibility], _TEXT[path.via_halted], json_string(path.vuln_id),
         )
         for path in result.paths
     ]
     return _RESULT_JSON % (
         result.analysis_time.isoformat(), _json_list(census, "  "),
-        _bool(result.include_non_deployed), _json_list(paths, "  "), json_string(str(result.root)),
+        _TEXT[result.include_non_deployed], _json_list(paths, "  "),
+        json_string(":".join(result.root)),
     )
 
 
@@ -521,7 +513,6 @@ _RESULT_KEYS = frozenset(f.name for f in fields(ScanResult))  # the keys the JSO
 # value -> member per enum: a dict lookup costs a tenth of an Enum call
 _RESPONSIBILITIES, _LIBRARY_STATUSES, _INSTANCE_STATUSES = (
     {m.value: m for m in cls} for cls in (Responsibility, LibraryStatus, InstanceStatus))
-_OWN = Responsibility.OWN  # a global costs a tenth of an Enum attribute
 
 
 def _coordinate(obj, key, kind, pointer):  # names any value but a g:a:v string, of whatever type

@@ -35,7 +35,6 @@ from depscope.model import (
     Responsibility,
     Scope,
     VulnerabilityKb,
-    prune,
     same_project,
 )
 from depscope.report import census_rows
@@ -135,37 +134,14 @@ def _project_root(pool: SimulationPool, cfg: SimulationConfig, index: int) -> De
     return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
 
 
-def project_tree(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyTree:
-    """The synthetic tree the given project iteration analyzes: the drawn
-    subtrees under a fresh synthetic root.
-
-    When two drawn subtrees share a library, the first-drawn occurrence wins
-    and the later node is dropped with its subtree, mirroring how a build
-    tool mediates duplicate libraries in a resolved tree. Deterministic in
-    (pool, cfg, index); exposed so results can be replayed against a direct
-    run of the analysis pipeline.
-    """
-    root = _project_root(pool, cfg, index)
-    seen = {root.gav.ga}
-
-    def first_of_library(node: DependencyNode) -> bool:
-        if node.gav.ga in seen:
-            return False
-        seen.add(node.gav.ga)
-        return True
-
-    return DependencyTree(prune(root, first_of_library))
-
-
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
-    Each project counts the census of its tree (:func:`project_tree`),
-    scanned with non-deployed instances matched: the standard counts ignore
-    deployment and grouping, the proposed ones honor both. The census rows
-    come from the walk of a root over the picks, which drops what mediation
-    drops, so no project tree is built, and it raises where a scan of the
-    tree would. Only the vulnerable instances it counts get a row; a safe
+    Each project counts the census of its drawn subtrees under a synthetic
+    root, scanned with non-deployed instances matched: the standard counts
+    ignore deployment and grouping, the proposed ones honor both. The census
+    rows come from the walk of that root, which drops what mediation drops,
+    so no project tree is built, and it raises where a scan of the tree would. Only the vulnerable instances it counts get a row; a safe
     node still raises at a missing history or an unknown version.
     """
     time = cfg.time or date.today()

@@ -2,8 +2,9 @@
 fixture, a random tree generator for oracle tests, a synthetic simulation
 pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
 and scan results, the reference JSON object of a scan result, frozen
-field-by-field reference decoders of saved results and of the KB, and the
-frozen pairwise grouping loop."""
+field-by-field reference decoders of saved results and of the KB, the
+frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
+aggregate fold and the replay of a simulated project's tree."""
 
 from __future__ import annotations
 
@@ -15,7 +16,14 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import strategies as st
 
-from depscope.errors import EmptyAffectedSet, SchemaViolation
+from depscope.analysis import classify_responsibility
+from depscope.errors import (
+    DuplicateGa,
+    EmptyAffectedSet,
+    EmptyInput,
+    MalformedTreeLine,
+    SchemaViolation,
+)
 from depscope.ingest import json_object, json_typed, parse_date_at, parse_gav_at, parse_json
 from depscope.model import (
     DependencyNode,
@@ -31,10 +39,11 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
+    prune,
     same_project,
 )
-from depscope.report import CensusRow, ScanResult
-from depscope.simulate import SimulationPool
+from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult
+from depscope.simulate import SimulationPool, _project_root
 
 ANALYSIS_TIME = date(2018, 6, 1)
 
@@ -643,3 +652,174 @@ def reference_group_path(raw_path):
         else:
             kept[group] = gav
     return list(kept.values())
+
+
+# --- frozen reference tree parsers --------------------------------------------------
+#
+# The checked tree parsers as they were before each line and node got a
+# straight pass: they check every field as they go and name the first fault
+# in document order. The parsers under test must give an equal tree, or the
+# same error with the same line or pointer, for every document.
+
+_INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
+_BRANCH_UNITS = ("+- ", "\\- ")
+_SCOPES = {s.value: s for s in Scope}
+
+
+def _reference_tree(preorder, analysis_time=None) -> DependencyTree:
+    """The tree of ``(gav, scope, parent)`` entries in preorder, each node
+    built through its constructor."""
+    children: list[list[DependencyNode]] = [[] for _ in preorder]
+    for i in reversed(range(len(preorder))):
+        gav, scope, parent = preorder[i]
+        node = DependencyNode(gav, scope, tuple(reversed(children[i])))
+        if parent >= 0:
+            children[parent].append(node)
+    return DependencyTree(node, analysis_time)
+
+
+def _reference_coordinate(text: str, line_no: int, is_root: bool):
+    if text.split() != [text]:  # empty, or holding whitespace
+        raise MalformedTreeLine(line_no, f"bad coordinate {text!r}")
+    segments = text.split(":")
+    if any(not s for s in segments):
+        raise MalformedTreeLine(line_no, f"empty segment in {text!r}")
+    if len(segments) == 3:
+        return Gav(segments[0], segments[1], segments[2]), Scope.COMPILE
+    if is_root and len(segments) == 4:
+        return Gav(segments[0], segments[1], segments[3]), Scope.COMPILE
+    if not is_root and len(segments) == 5:
+        return Gav(segments[0], segments[1], segments[3]), _SCOPES.get(segments[4], Scope.UNKNOWN)
+    raise MalformedTreeLine(line_no, f"wrong segment count in {text!r}")
+
+
+def reference_parse_tree_text(text: str) -> DependencyTree:
+    """``parse_tree_text`` as the frozen checked loop reads a document: lines
+    end only at LF, CRLF and CR."""
+    preorder = []
+    ancestors: list[int] = []
+    seen = set()
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for line_no, line in enumerate(lines, start=1):
+        if line.startswith("[INFO] "):
+            line = line[len("[INFO] "):]
+        elif line.strip() == "[INFO]":
+            line = ""
+        line = line.rstrip()
+        if not line:
+            continue
+        pos = 0
+        while line[pos : pos + 3] in _INDENT_UNITS:
+            pos += 3
+        depth = pos // 3
+        if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
+            raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
+        if not preorder and depth:
+            raise MalformedTreeLine(line_no, "first content line must be the unindented root")
+        if preorder and not depth:
+            raise MalformedTreeLine(line_no, "second root line")
+        gav, scope = _reference_coordinate(line[pos:], line_no, is_root=not preorder)
+        if gav.ga in seen:
+            raise DuplicateGa(gav.ga, line_no)
+        seen.add(gav.ga)
+        del ancestors[depth:]
+        if len(ancestors) != depth:
+            raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
+        ancestors.append(len(preorder))
+        preorder.append((gav, scope, ancestors[-2] if depth else -1))
+    if not preorder:
+        raise EmptyInput()
+    return _reference_tree(preorder)
+
+
+_TREE_KEYS = frozenset({"root"})
+_NODE_KEYS = frozenset({"gav", "scope", "children"})
+
+
+def reference_parse_tree_json(doc: str) -> DependencyTree:
+    """``parse_tree_json`` as the frozen checked loop reads a document."""
+    data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
+    analysis_time = None
+    if "analysis_time" in data:
+        analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
+    preorder = []
+    seen = set()
+    stack = [(data["root"], "/root", -1)]
+    while stack:
+        obj, pointer, parent = stack.pop()
+        json_object(obj, pointer, _NODE_KEYS)
+        gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
+        if gav.ga in seen:
+            raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
+        seen.add(gav.ga)
+        scope_text = obj["scope"]
+        if not isinstance(scope_text, str) or scope_text not in _SCOPES:
+            raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
+        children = json_typed(obj, "children", list, pointer)
+        for i in reversed(range(len(children))):
+            stack.append((children[i], f"{pointer}/children/{i}", len(preorder)))
+        preorder.append((gav, _SCOPES[scope_text], parent))
+    if preorder[0][1] is not Scope.COMPILE:
+        raise SchemaViolation("/root/scope", "root scope must be compile")
+    return _reference_tree(preorder, analysis_time)
+
+
+# --- frozen reference aggregate fold ------------------------------------------------
+
+
+def _reference_bucket(row: CensusRow) -> str:
+    if row.library_status is LibraryStatus.HALTED:
+        return "halted"
+    if row.instance_status is InstanceStatus.OUTDATED:
+        return "outdated"
+    return "up_to_date"
+
+
+def reference_aggregate(results) -> AggregateReport:
+    """``aggregate`` as a fold that spells each cell key from a row's
+    properties and enum values."""
+    counts = {key: 0 for key in CELL_KEYS}
+    for result in results:
+        counts["trees"] += 1
+        if result.include_non_deployed:
+            counts["trees_include_non_deployed"] += 1
+        for row in result.census:
+            vuln = "vuln" if row.vulnerable else "safe"
+            position = "direct" if row.direct else "transitive"
+            counts[f"all/{vuln}/{position}"] += 1
+            if row.unknown_history:
+                counts["unknown_history"] += 1
+            if not row.deployed:
+                continue
+            counts[f"deployed/{vuln}/{position}"] += 1
+            counts[f"grouped/{vuln}/{row.responsibility.value}"] += 1
+            bucket = _reference_bucket(row)
+            counts[f"lifecycle/{vuln}/{bucket}"] += 1
+            if row.via_halted:
+                counts[f"via_halted/{vuln}/{bucket}"] += 1
+        for path in result.paths:
+            counts[f"paths/grouped/{path.responsibility.value}"] += 1
+            ungrouped = classify_responsibility(path.raw_path, result.root)
+            counts[f"paths/ungrouped/{ungrouped.value}"] += 1
+    return AggregateReport(counts)
+
+
+# --- replay of a simulated project's tree ---------------------------------------------
+
+
+def project_tree(pool: SimulationPool, cfg, index: int) -> DependencyTree:
+    """The synthetic tree that project ``index`` of a simulation analyzes:
+    its drawn subtrees under its synthetic root, as a build tool mediates
+    them. When two drawn subtrees share a library, the first-drawn
+    occurrence wins and the later node is dropped with its subtree. A scan
+    of it replays the project's census."""
+    root = _project_root(pool, cfg, index)
+    seen = {root.gav.ga}
+
+    def first_of_library(node: DependencyNode) -> bool:
+        if node.gav.ga in seen:
+            return False
+        seen.add(node.gav.ga)
+        return True
+
+    return DependencyTree(prune(root, first_of_library))

@@ -83,6 +83,16 @@ def test_scan_clean_tree_exits_0(workspace, capsys):
     assert "vulnerable paths: 0" in capsys.readouterr().out
 
 
+def test_scan_names_a_malformed_line_as_grep_numbers_it(workspace, capsys):
+    # a form feed ends no line: it is whitespace at the end of line 2
+    bad = workspace / "bad.txt"
+    bad.write_text("g:root:1\n+- g:a:jar:1:compile\x0c\n+- bad line\n")
+    args = _scan_args(workspace)
+    args[args.index("--tree") + 1] = str(bad)
+    assert main(args) == 1
+    assert "malformed tree line 3: bad coordinate 'bad line'" in capsys.readouterr().err
+
+
 def test_scan_missing_kb_exits_1(workspace, capsys):
     args = _scan_args(workspace)
     args[args.index("--kb") + 1] = str(workspace / "nope.json")

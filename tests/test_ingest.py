@@ -31,7 +31,15 @@ from depscope.ingest import (
     parse_tree_text,
     render_tree_json,
 )
-from depscope.model import Ga, Gav, Scope, VulnerabilityKb, VulnerabilityRecord
+from depscope.model import (
+    DependencyNode,
+    DependencyTree,
+    Ga,
+    Gav,
+    Scope,
+    VulnerabilityKb,
+    VulnerabilityRecord,
+)
 from depscope.simulate import SimulationPool
 
 from conftest import (
@@ -44,6 +52,8 @@ from conftest import (
     history_csv,
     mutate_json,
     reference_load_vuln_kb,
+    reference_parse_tree_json,
+    reference_parse_tree_text,
     stalled_history,
     trees,
 )
@@ -177,6 +187,33 @@ def test_coordinate_whitespace_check_equals_per_character_scan(text):
 def test_parse_empty_input():
     with pytest.raises(EmptyInput):
         parse_tree_text("\n\n")
+
+
+# separators that str.splitlines also breaks a line at
+_OTHER_LINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", _OTHER_LINE_SEPARATORS, ids=ascii)
+def test_parse_counts_only_lf_crlf_and_cr_as_line_ends(separator):
+    # the separator is whitespace at the end of line 2, so the bad line is line 3, as grep -n counts
+    doc = f"g:root:1\n+- g:a:jar:1:compile{separator}\n+- bad line\n"
+    with pytest.raises(MalformedTreeLine) as exc:
+        parse_tree_text(doc)
+    assert str(exc.value) == "malformed tree line 3: bad coordinate 'bad line'"
+    assert parse_tree_text(doc.replace("+- bad line\n", "")) == parse_tree_text("g:root:1\n+- g:a:jar:1:compile\n")
+
+
+@pytest.mark.parametrize("separator", _OTHER_LINE_SEPARATORS, ids=ascii)
+def test_parse_rejects_a_line_separator_inside_a_coordinate(separator):
+    with pytest.raises(MalformedTreeLine, match="^malformed tree line 2: bad coordinate"):
+        parse_tree_text(f"g:root:1\n+- g:a{separator}:jar:1:compile\n")
+
+
+def test_parse_counts_cr_and_crlf_as_one_line_end_each():
+    doc = "g:root:1\r+- g:a:jar:1:compile\r\n\r\n+- bad line\n"
+    with pytest.raises(MalformedTreeLine) as exc:
+        parse_tree_text(doc)
+    assert exc.value.line_no == 4
 
 
 # --- tree JSON -------------------------------------------------------------------
@@ -498,6 +535,136 @@ def test_lone_surrogate_in_tree_and_kb_is_schema_violation():
 def test_load_kb_rejects_non_array():
     with pytest.raises(SchemaViolation):
         load_vuln_kb('{"id": "V1"}')
+
+
+# --- the straight tree parsers -----------------------------------------------------
+
+
+def _tree_outcome(parse, doc: str):
+    """The parsed tree with the types its nodes are made of, or the error as
+    ``(type, message, line, pointer)``."""
+    try:
+        tree = parse(doc)
+    except DepscopeError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None), getattr(exc, "pointer", None)
+    kinds = {(type(node.gav), type(node.scope), type(node.children)) for node, _ in tree.nodes()}
+    return tree, kinds
+
+
+def _same_json_outcomes(docs) -> set:
+    """Assert that each document parses as the frozen checked parser parses
+    it; the kinds of outcome met."""
+    outcomes = set()
+    for text in docs:
+        checked = _tree_outcome(reference_parse_tree_json, text)
+        assert _tree_outcome(parse_tree_json, text) == checked, text
+        outcomes.add(checked[0] if isinstance(checked[0], type) else "parsed")
+    return outcomes
+
+
+def test_straight_json_parser_changes_no_outcome_of_any_single_change():
+    """Every single change to the sample tree (a key or child dropped, a
+    value of the wrong type or a malformed coordinate, a key added) parses
+    to the same tree, or fails with the same error at the same pointer, as
+    the frozen checked parser."""
+    outcomes = _same_json_outcomes(every_single_change(json.loads(SAMPLE_TREE_JSON)))
+    assert outcomes == {"parsed", SchemaViolation}
+
+
+@settings(max_examples=20, deadline=None)
+@given(tree=trees(max_nodes=6))
+def test_straight_json_parser_changes_no_outcome_of_a_rendered_tree(tree):
+    _same_json_outcomes(every_single_change(json.loads(render_tree_json(tree))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=trees(), data=st.data())
+def test_mutated_tree_json_parses_as_the_reference_parses_it(tree, data):
+    doc = json.loads(render_tree_json(tree))
+    mutate_json(doc, data)
+    _same_json_outcomes([json.dumps(doc)])
+
+
+_INSERTED = "+-\\| :\n\t\x0c[]INFO"
+
+
+@pytest.mark.parametrize("tail", ["", "\\- com.acme:app-utils:jar:1.0:test\n"], ids=["sample", "near-repeat"])
+def test_straight_text_parser_changes_no_outcome_of_any_one_character_edit(tail):
+    """Every one-character deletion from the sample dump, and every insertion
+    of an indentation, separator, whitespace or log-prefix character at each
+    position, parses as the frozen checked parser parses it. The second dump
+    adds a library that one deletion makes a repeat."""
+    base = SAMPLE_TREE_TEXT + tail
+    docs = [base[:i] + base[i + 1:] for i in range(len(base))]
+    docs += [base[:i] + ch + base[i:] for i in range(len(base) + 1) for ch in _INSERTED]
+    outcomes = set()
+    for text in docs:
+        checked = _tree_outcome(reference_parse_tree_text, text)
+        assert _tree_outcome(parse_tree_text, text) == checked, repr(text)
+        outcomes.add(checked[0] if isinstance(checked[0], type) else "parsed")
+    assert outcomes == {"parsed", MalformedTreeLine, *[DuplicateGa] * bool(tail)}
+
+
+def _tree_text(tree: DependencyTree) -> str:
+    """The text dump of a tree whose coordinates hold no whitespace."""
+    lines = [str(tree.root.gav)]
+    stack = [(child, "", i == len(tree.root.children) - 1)
+             for i, child in reversed(list(enumerate(tree.root.children)))]
+    while stack:
+        node, prefix, last = stack.pop()
+        gav, branch = node.gav, "\\- " if last else "+- "
+        lines.append(f"{prefix}{branch}{gav.group_id}:{gav.artifact_id}:jar:{gav.version}:{node.scope.value}")
+        stack += [(child, prefix + ("   " if last else "|  "), i == len(node.children) - 1)
+                  for i, child in reversed(list(enumerate(node.children)))]
+    return "\n".join(lines) + "\n"
+
+
+def test_well_formed_trees_are_never_walked(monkeypatch):
+    # only a rejected document is read again by the checked loops, so a
+    # well-formed one builds no pointer and names no line
+    walked = []
+    monkeypatch.setattr(ingest_module, "_checked_text_nodes", walked.append)
+    monkeypatch.setattr(ingest_module, "_checked_json_nodes", walked.append)
+    sample = parse_tree_text(SAMPLE_TREE_TEXT)
+    deep = deep_chain_tree(400, Scope.TEST)  # within the JSON decoder's nesting limit
+    texts = [SAMPLE_TREE_TEXT, _tree_text(sample), _tree_text(deep),
+             SAMPLE_TREE_TEXT.replace("\n", "\r\n"), SAMPLE_TREE_TEXT.replace("\n", "\n\n"),
+             "[INFO]\n" + "".join(f"[INFO] {line}  \n" for line in SAMPLE_TREE_TEXT.splitlines()),
+             "com.acme:m:jar:1.0\n+- g:a:1\n+- g2:b:jar:1:exotic\n"]
+    for text in texts:
+        assert parse_tree_text(text) == reference_parse_tree_text(text)
+    jsons = [SAMPLE_TREE_JSON, render_tree_json(deep),
+             render_tree_json(DependencyTree(sample.root, date(2018, 6, 1)))]
+    for doc in jsons:
+        assert parse_tree_json(doc) == reference_parse_tree_json(doc)
+    assert parse_tree_text(_tree_text(deep)) == deep
+    assert walked == []
+
+
+def test_a_parsed_tree_is_not_checked_twice(monkeypatch):
+    # the parsers check the root's scope and that each library is distinct, so
+    # their trees skip the constructor's walk; a tree built directly takes it
+    checks = []
+    check = DependencyTree.__post_init__
+    monkeypatch.setattr(DependencyTree, "__post_init__", lambda tree: checks.append(tree) or check(tree))
+    sample = parse_tree_text(SAMPLE_TREE_TEXT)
+    assert parse_tree_json(SAMPLE_TREE_JSON) == sample
+    assert checks == []
+    twice = DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (
+        DependencyNode(Gav("g", "a", "1"), Scope.COMPILE), DependencyNode(Gav("g", "a", "2"), Scope.COMPILE)))
+    with pytest.raises(DuplicateGa):
+        DependencyTree(twice)
+    assert len(checks) == 1
+
+
+def test_parsed_nodes_are_as_small_as_constructed_ones():
+    """A parsed node's fields are set as its constructor sets them, so its
+    ``__dict__`` shares its keys with every other node's and is as small."""
+    for tree in (parse_tree_text(SAMPLE_TREE_TEXT), parse_tree_json(SAMPLE_TREE_JSON)):
+        for node, _ in tree.nodes():
+            built = DependencyNode(node.gav, node.scope, node.children)
+            assert sys.getsizeof(node.__dict__) == sys.getsizeof(built.__dict__)
+            assert list(node.__dict__) == list(built.__dict__) == ["gav", "scope", "children"]
 
 
 # --- the straight KB decoder and the load-time index ------------------------------------

@@ -60,6 +60,7 @@ from conftest import (
     grouped_trees,
     mutate_json,
     random_tree_case,
+    reference_aggregate,
     reference_parse_scan_results_json,
     result_to_dict,
     stalled_history,
@@ -451,6 +452,18 @@ def test_aggregate_directional_invariants():
         grouped_total = sum(report.cells[f"grouped/{vuln}/{r}"] for r in ("own", "direct", "transitive"))
         deployed_total = sum(report.cells[f"deployed/{vuln}/{p}"] for p in ("direct", "transitive"))
         assert grouped_total == deployed_total
+
+
+@settings(deadline=None)
+@given(results=st.lists(SCAN_RESULTS, max_size=6))
+def test_aggregate_equals_the_reference_fold(results):
+    """The fold that finds each cell key in the tables built from the axes
+    counts what the frozen fold, which spells each key, counts, cell by cell
+    and in the same order."""
+    cells = aggregate(results).cells
+    expected = reference_aggregate(results).cells
+    assert list(cells.items()) == list(expected.items())
+    assert all(type(count) is int for count in cells.values())
 
 
 def test_aggregate_rejects_unknown_cell():

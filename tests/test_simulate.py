@@ -38,12 +38,11 @@ from depscope.simulate import (
     ProjectOutcome,
     SimulationConfig,
     SimulationPool,
-    project_tree,
     render_simulation,
     simulate,
 )
 
-from conftest import ANALYSIS_TIME, build_synthetic_pool, deep_chain_tree
+from conftest import ANALYSIS_TIME, build_synthetic_pool, deep_chain_tree, project_tree
 
 
 def _tiny_pool(n: int) -> SimulationPool:
