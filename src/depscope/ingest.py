@@ -202,55 +202,31 @@ _indentation = re.compile(r"(?:[+\\]- |[| ]  )*[+\\]- ").match
 _SCOPES = {s.value: s for s in Scope}
 
 
-def _parse_coordinate(text: str, line_no: int, is_root: bool) -> tuple[Gav, Scope]:
+def _checked_line(line: str, line_no: int, is_root: bool) -> tuple[int, Gav, Scope]:
+    """The depth, coordinate and scope of a dump's line that the straight test
+    doubts, by every indentation, root and coordinate rule; raises at the
+    first the line breaks."""
+    pos = 0
+    while line[pos : pos + 3] in _INDENT_UNITS:
+        pos += 3
+    text, depth = line[pos:], pos // 3
+    if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
+        raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
+    if is_root and depth:
+        raise MalformedTreeLine(line_no, "first content line must be the unindented root")
+    if not is_root and not depth:
+        raise MalformedTreeLine(line_no, "second root line")
     if text.split() != [text]:  # empty, or holding whitespace
         raise MalformedTreeLine(line_no, f"bad coordinate {text!r}")
     segments = text.split(":")
-    if any(not s for s in segments):
+    if "" in segments:
         raise MalformedTreeLine(line_no, f"empty segment in {text!r}")
     if len(segments) == 3:
-        return Gav(segments[0], segments[1], segments[2]), Scope.COMPILE
-    if is_root and len(segments) == 4:
-        return Gav(segments[0], segments[1], segments[3]), Scope.COMPILE
-    if not is_root and len(segments) == 5:
-        scope = _SCOPES.get(segments[4], Scope.UNKNOWN)
-        return Gav(segments[0], segments[1], segments[3]), scope
+        return depth, Gav(*segments), Scope.COMPILE
+    if len(segments) == (4 if is_root else 5):
+        scope = Scope.COMPILE if is_root else _SCOPES.get(segments[4], Scope.UNKNOWN)
+        return depth, Gav(segments[0], segments[1], segments[3]), scope
     raise MalformedTreeLine(line_no, f"wrong segment count in {text!r}")
-
-
-def _checked_text_nodes(lines: list[str]) -> list[tuple[Gav, Scope, int]]:
-    """The nodes of a tree dump's lines, each checked: raises at the first fault in file order."""
-    preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
-    ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
-    seen = set()  # group and artifact as plain tuples; a Ga only for the error
-    for line_no, line in enumerate(lines, start=1):
-        line = line.rstrip()
-        if not line:
-            continue
-        pos = 0
-        while line[pos : pos + 3] in _INDENT_UNITS:
-            pos += 3
-        coordinate = line[pos:]
-        depth = pos // 3
-        if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
-            raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
-        if not preorder and depth:
-            raise MalformedTreeLine(line_no, "first content line must be the unindented root")
-        if preorder and not depth:
-            raise MalformedTreeLine(line_no, "second root line")
-        gav, scope = _parse_coordinate(coordinate, line_no, is_root=not preorder)
-        ga = gav[:2]
-        if ga in seen:
-            raise DuplicateGa(gav.ga, line_no)
-        seen.add(ga)
-        del ancestors[depth:]
-        if len(ancestors) != depth:
-            raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
-        ancestors.append(len(preorder))
-        preorder.append((gav, scope, ancestors[-2] if depth else -1))
-    if not preorder:
-        raise EmptyInput()
-    return preorder
 
 
 def parse_tree_text(text: str) -> DependencyTree:
@@ -266,18 +242,19 @@ def parse_tree_text(text: str) -> DependencyTree:
     ``[INFO]`` line is blank; any other log line, such as ``[INFO] Scanning
     for projects...``, raises :class:`MalformedTreeLine`. A library on a
     second line raises :class:`DuplicateGa` naming that line. Each line is
-    read in one straight pass; only a rejected document is read again, with
-    every check, to name its first fault.
+    read once, by a straight test; only a line it doubts is checked rule by
+    rule, which names its fault or, for a coordinate holding an unprintable
+    character that is not whitespace, accepts it.
     """
     # lines end only at LF, CRLF or CR, as a universal-newline read ends them
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     if "[INFO]" in text:  # a log prefix goes, and a bare [INFO] line is blank
         lines = [line[len(_INFO_PREFIX):] if line.startswith(_INFO_PREFIX)
                  else "" if line.strip() == "[INFO]" else line for line in lines]
-    preorder: list[tuple[Gav, Scope, int]] = []
-    ancestors: list[int] = []
-    seen = set()  # group and artifact; a repeat shows as a set smaller than the tree
-    for line in lines:
+    preorder: list[tuple[Gav, Scope, int]] = []  # file order: each parent first
+    ancestors: list[int] = []  # preorder positions of the open nodes, one per depth
+    seen = set()  # group and artifact as plain tuples; a Ga only for the error
+    for line_no, line in enumerate(lines, start=1):
         line = line.rstrip()
         if not line:
             continue
@@ -289,17 +266,22 @@ def parse_tree_text(text: str) -> DependencyTree:
         # every whitespace character but the space is unprintable
         if (" " in coordinate or not coordinate.isprintable() or "" in segments or n != 3
                 and n != (5 if depth else 4) or depth > len(ancestors) or preorder and not depth):
-            break
+            depth, gav, scope = _checked_line(line, line_no, not preorder)
+        else:
+            gav = tuple.__new__(Gav, (segments[0], segments[1], segments[3 if n > 3 else 2]))
+            scope = _SCOPES.get(segments[4], Scope.UNKNOWN) if n == 5 else Scope.COMPILE
+        ga = gav[:2]
+        if ga in seen:
+            raise DuplicateGa(gav.ga, line_no)
+        seen.add(ga)
         del ancestors[depth:]
+        if len(ancestors) != depth:
+            raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
         ancestors.append(len(preorder))
-        seen.add((segments[0], segments[1]))
-        preorder.append((tuple.__new__(Gav, (segments[0], segments[1], segments[3 if n > 3 else 2])),
-                         _SCOPES.get(segments[4], Scope.UNKNOWN) if n == 5 else Scope.COMPILE,
-                         ancestors[-2] if depth else -1))
-    else:
-        if preorder and len(seen) == len(preorder):
-            return DependencyTree._parsed(build_tree(preorder))
-    return DependencyTree._parsed(build_tree(_checked_text_nodes(lines)))
+        preorder.append((gav, scope, ancestors[-2] if depth else -1))
+    if not preorder:
+        raise EmptyInput()
+    return DependencyTree._parsed(build_tree(preorder))
 
 
 # --- tree JSON ---------------------------------------------------------------
@@ -315,12 +297,12 @@ def parse_gav_at(value, pointer: str) -> Gav:
     raise SchemaViolation(pointer, f"not a g:a:v coordinate: {value!r}")
 
 
-_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_ISO_DATE = re.compile("[0-9]{4}-[0-9]{2}-[0-9]{2}")  # ASCII digits only, and no newline
 
 
 def parse_date_at(text, pointer: str) -> date:
     """A strict ``YYYY-MM-DD`` date; failures name ``pointer``."""
-    if not isinstance(text, str) or not _ISO_DATE.match(text):
+    if not isinstance(text, str) or not _ISO_DATE.fullmatch(text):
         raise SchemaViolation(pointer, f"not a YYYY-MM-DD date: {text!r}")
     try:
         return date.fromisoformat(text)
@@ -333,63 +315,70 @@ _NODE_KEYS = frozenset({"gav", "scope", "children"})
 _node_values = itemgetter("gav", "scope", "children")
 
 
-def _checked_json_nodes(root) -> list[tuple[Gav, Scope, int]]:
-    """The nodes below a JSON tree's root, each checked: raises at the first fault in preorder."""
-    preorder: list[tuple[Gav, Scope, int]] = []
-    seen = set()  # group and artifact as plain tuples; a Ga only for the error
-    stack = [(root, "/root", -1)]
-    while stack:
-        obj, pointer, parent = stack.pop()
-        json_object(obj, pointer, _NODE_KEYS)
-        gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
-        ga = gav[:2]
-        if ga in seen:
-            raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
-        seen.add(ga)
-        scope_text = obj["scope"]
-        if not isinstance(scope_text, str) or scope_text not in _SCOPES:
-            raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
-        children = json_typed(obj, "children", list, pointer)
-        for i in reversed(range(len(children))):
-            stack.append((children[i], f"{pointer}/children/{i}", len(preorder)))
-        preorder.append((gav, _SCOPES[scope_text], parent))
-    if preorder[0][1] is not Scope.COMPILE:
-        raise SchemaViolation("/root/scope", "root scope must be compile")
-    return preorder
+def _node_pointer(preorder: list[tuple[Gav, Scope, int]], parent: int) -> str:
+    """The pointer of the node read after ``preorder``, a child of entry
+    ``parent`` (-1 for the root). A node's index is the number of earlier
+    entries with its parent, so one pass over ``preorder`` gives every index."""
+    parents = [p for _, _, p in preorder] + [parent]
+    taken = [0] * len(parents)  # children met so far, by parent
+    index = []
+    for p in parents:
+        index.append(taken[p])
+        taken[p] += 1
+    keys, i = [], len(preorder)
+    while parents[i] >= 0:
+        keys.append(f"/children/{index[i]}")
+        i = parents[i]
+    return "/root" + "".join(reversed(keys))
+
+
+def _reject_node(obj, pointer: str, seen: set) -> None:
+    """Raise at the first fault of a node that the straight test doubts, by
+    every node rule in checking order; ``seen`` holds the libraries of the
+    nodes read before it."""
+    json_object(obj, pointer, _NODE_KEYS)
+    gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
+    if gav[:2] in seen:
+        raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
+    scope_text = obj["scope"]
+    if not isinstance(scope_text, str) or scope_text not in _SCOPES:
+        raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
+    json_typed(obj, "children", list, pointer)
 
 
 def parse_tree_json(doc: str) -> DependencyTree:
     """Parse the BoM JSON interchange form of a dependency tree.
 
-    Each node is read in one straight pass, which builds no pointer. Only a
-    rejected document is read again, with every check, in preorder from an
-    explicit stack, so the error reported is the first in document order and
-    no nesting the decoder accepts exhausts the stack.
+    Each node is read once, in preorder from an explicit stack, so no
+    nesting the decoder accepts exhausts the stack, and by a straight test,
+    which builds no pointer. Only a node it doubts, which has a fault, has
+    its pointer built and is checked rule by rule, so the error reported is
+    the first in document order.
     """
     data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
     analysis_time = None
     if "analysis_time" in data:
         analysis_time = parse_date_at(data["analysis_time"], "/analysis_time")
     preorder: list[tuple[Gav, Scope, int]] = []
-    seen = set()  # group and artifact; a repeat shows as a set smaller than the tree
+    seen = set()  # group and artifact as plain tuples; a Ga only for the error
     stack = [(data["root"], -1)]
     while stack:
         obj, parent = stack.pop()
-        if type(obj) is not dict or obj.keys() != _NODE_KEYS:
-            break
-        gav, scope, children = _node_values(obj)
-        segments = gav.split(":") if type(gav) is str else ()
-        scope = _SCOPES.get(scope) if type(scope) is str else None
-        if len(segments) != 3 or "" in segments or scope is None or type(children) is not list:
-            break
-        seen.add((segments[0], segments[1]))
-        if children:
-            stack += zip(reversed(children), repeat(len(preorder)))
-        preorder.append((tuple.__new__(Gav, segments), scope, parent))
-    else:
-        if len(seen) == len(preorder) and preorder[0][1] is Scope.COMPILE:
-            return DependencyTree._parsed(build_tree(preorder), analysis_time)
-    return DependencyTree._parsed(build_tree(_checked_json_nodes(data["root"])), analysis_time)
+        if type(obj) is dict and obj.keys() == _NODE_KEYS:
+            gav, scope, children = _node_values(obj)
+            segments = gav.split(":") if type(gav) is str else ()
+            scope = _SCOPES.get(scope) if type(scope) is str else None
+            if (len(segments) == 3 and "" not in segments and scope is not None
+                    and type(children) is list and (ga := (segments[0], segments[1])) not in seen):
+                seen.add(ga)
+                if children:
+                    stack += zip(reversed(children), repeat(len(preorder)))
+                preorder.append((tuple.__new__(Gav, segments), scope, parent))
+                continue
+        _reject_node(obj, _node_pointer(preorder, parent), seen)
+    if preorder[0][1] is not Scope.COMPILE:
+        raise SchemaViolation("/root/scope", "root scope must be compile")
+    return DependencyTree._parsed(build_tree(preorder), analysis_time)
 
 
 def render_tree_json(tree: DependencyTree) -> str:

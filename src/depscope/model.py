@@ -228,14 +228,11 @@ class DependencyTree:
         if self.root.scope is not Scope.COMPILE:
             raise ValueError("tree root must have compile scope")
         seen = set()  # group and artifact as plain tuples; a Ga only for the error
-        stack = [self.root]
-        while stack:  # preorder, so the first repeat in it is the one named
-            node = stack.pop()
+        for node, _ in self.nodes():  # preorder, so the first repeat in it is the one named
             ga = node.gav[:2]
             if ga in seen:
                 raise DuplicateGa(node.gav.ga)
             seen.add(ga)
-            stack.extend(reversed(node.children))
 
     @classmethod
     def _parsed(cls, root: DependencyNode, analysis_time: date | None = None) -> DependencyTree:

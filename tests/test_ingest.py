@@ -247,6 +247,15 @@ def test_parse_json_impossible_date_names_its_pointer():
     assert exc.value.pointer == "/analysis_time"  # the reason is the stdlib's, which varies by version
 
 
+@pytest.mark.parametrize("text", ["\uff12\uff10\uff11\uff18-01-01", "2018-01-01\n"],
+                         ids=["fullwidth-digits", "trailing-newline"])
+def test_parse_json_analysis_time_takes_only_ascii_digits_and_nothing_after(text):
+    doc = json.dumps({"analysis_time": text, "root": {"gav": "g:a:1", "scope": "compile", "children": []}})
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json(doc)
+    assert (exc.value.pointer, exc.value.reason) == ("/analysis_time", f"not a YYYY-MM-DD date: {text!r}")
+
+
 def test_parse_json_bad_scope_pointer():
     doc = json.dumps(
         {
@@ -585,15 +594,17 @@ def test_mutated_tree_json_parses_as_the_reference_parses_it(tree, data):
     _same_json_outcomes([json.dumps(doc)])
 
 
-_INSERTED = "+-\\| :\n\t\x0c[]INFO"
+_INSERTED = "+-\\| :\n\t\x0c[]INFO\x00\ufeff"
 
 
 @pytest.mark.parametrize("tail", ["", "\\- com.acme:app-utils:jar:1.0:test\n"], ids=["sample", "near-repeat"])
 def test_straight_text_parser_changes_no_outcome_of_any_one_character_edit(tail):
     """Every one-character deletion from the sample dump, and every insertion
     of an indentation, separator, whitespace or log-prefix character at each
-    position, parses as the frozen checked parser parses it. The second dump
-    adds a library that one deletion makes a repeat."""
+    position, parses as the frozen checked parser parses it. The unprintable
+    characters that are not whitespace make lines the straight test doubts
+    but the rules accept. The second dump adds a library that one deletion
+    makes a repeat."""
     base = SAMPLE_TREE_TEXT + tail
     docs = [base[:i] + base[i + 1:] for i in range(len(base))]
     docs += [base[:i] + ch + base[i:] for i in range(len(base) + 1) for ch in _INSERTED]
@@ -619,12 +630,19 @@ def _tree_text(tree: DependencyTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def test_well_formed_trees_are_never_walked(monkeypatch):
-    # only a rejected document is read again by the checked loops, so a
-    # well-formed one builds no pointer and names no line
+def _record_checks(monkeypatch) -> list:
+    """The arguments of each call of the per-line and per-node checkers, which still run."""
     walked = []
-    monkeypatch.setattr(ingest_module, "_checked_text_nodes", walked.append)
-    monkeypatch.setattr(ingest_module, "_checked_json_nodes", walked.append)
+    for name in ("_checked_line", "_reject_node"):
+        check = getattr(ingest_module, name)
+        monkeypatch.setattr(ingest_module, name, lambda *args, check=check: walked.append(args) or check(*args))
+    return walked
+
+
+def test_well_formed_trees_are_never_walked(monkeypatch):
+    # only a line or node the straight test doubts is checked, so a
+    # well-formed tree builds no pointer and names no line
+    walked = _record_checks(monkeypatch)
     sample = parse_tree_text(SAMPLE_TREE_TEXT)
     deep = deep_chain_tree(400, Scope.TEST)  # within the JSON decoder's nesting limit
     texts = [SAMPLE_TREE_TEXT, _tree_text(sample), _tree_text(deep),
@@ -639,6 +657,36 @@ def test_well_formed_trees_are_never_walked(monkeypatch):
         assert parse_tree_json(doc) == reference_parse_tree_json(doc)
     assert parse_tree_text(_tree_text(deep)) == deep
     assert walked == []
+
+
+def test_a_doubted_entry_alone_is_checked(monkeypatch):
+    walked = _record_checks(monkeypatch)
+    lines = SAMPLE_TREE_TEXT.splitlines(keepends=True)
+    # a coordinate holding NUL is doubted, and accepted by the rules
+    accepted = "".join(lines[:3] + [lines[3].replace(":jar:", ":j\x00r:")] + lines[4:])
+    assert parse_tree_text(accepted) == reference_parse_tree_text(accepted)
+    assert [args[1:] for args in walked] == [(4, False)]
+    walked.clear()
+    rejected = "".join(lines[:3] + [lines[3].replace(":jar:", ":jar :")] + lines[4:])
+    with pytest.raises(MalformedTreeLine) as exc:
+        parse_tree_text(rejected)
+    assert exc.value.line_no == 4 and [args[1:] for args in walked] == [(4, False)]
+    walked.clear()
+    doc = json.loads(SAMPLE_TREE_JSON)  # the root's third child gets a faulty second child
+    doc["root"]["children"][2]["children"].append({"gav": "g:b", "scope": "compile", "children": []})
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json(json.dumps(doc))
+    pointer = "/root/children/2/children/1"
+    assert exc.value.pointer == f"{pointer}/gav" and [args[1] for args in walked] == [pointer]
+
+
+def test_the_pointer_of_a_late_fault_among_many_siblings():
+    children = [{"gav": f"g:a{i}:1", "scope": "compile", "children": []} for i in range(9999)]
+    children.append({"gav": "g:bad", "scope": "compile", "children": []})
+    doc = json.dumps({"root": {"gav": "g:root:1", "scope": "compile", "children": children}})
+    with pytest.raises(SchemaViolation) as exc:
+        parse_tree_json(doc)
+    assert str(exc.value) == "schema violation at /root/children/9999/gav: not a g:a:v coordinate: 'g:bad'"
 
 
 def test_a_parsed_tree_is_not_checked_twice(monkeypatch):

@@ -604,6 +604,17 @@ def test_saved_direct_must_agree_with_a_dependency_depth(sample_tree, sample_kb,
     assert exc.value.pointer == f"/census/0/{key}"
 
 
+@pytest.mark.parametrize("text", ["\uff12\uff10\uff11\uff18-01-01", "2018-01-01\n"],
+                         ids=["fullwidth-digits", "trailing-newline"])
+def test_saved_analysis_time_takes_only_ascii_digits_and_nothing_after(sample_tree, sample_kb,
+                                                                       sample_histories, text):
+    data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
+    data["analysis_time"] = text
+    with pytest.raises(SchemaViolation) as exc:
+        parse_scan_results_json(json.dumps(data))
+    assert (exc.value.pointer, exc.value.reason) == ("/analysis_time", f"not a YYYY-MM-DD date: {text!r}")
+
+
 def test_saved_row_needs_direct(sample_tree, sample_kb, sample_histories):
     data = json.loads(render(_scan_sample(sample_tree, sample_kb, sample_histories), "json"))
     del data["census"][0]["direct"]
