@@ -22,7 +22,7 @@ from datetime import date
 from functools import partial
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as json_string  # the string encoder json_text uses
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from depscope.errors import (
     DuplicateGa,
@@ -73,10 +73,11 @@ def _collector_held_off():
 
     The loaders build only values that cannot form cycles: JSON dicts and
     lists, ``Gav`` tuples, frozensets and frozen ``Release``,
-    ``VulnerabilityRecord`` and ``ReleaseHistory`` instances. Yet CPython (up
-    to 3.13) runs a full collection over every live container each time the
-    oldest generation grows by a quarter, so a large KB would pay for many
-    walks of a heap that holds no garbage.
+    ``VulnerabilityRecord`` and ``ReleaseHistory`` instances, set field by
+    field from each row or entry the straight test passes (only a doubted one
+    reaches the checks that name a fault). Yet CPython (up to 3.13) collects
+    over every live container each time the oldest generation grows by a
+    quarter, so a large KB would pay for many walks of a heap without garbage.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -419,6 +420,18 @@ def render_tree_json(tree: DependencyTree) -> str:
 _HISTORY_HEADER = ["group_id", "artifact_id", "version", "release_date"]
 
 
+def _reject_row(row: list[str], line_no: int) -> None:
+    """Raise at the first fault of a history row that the straight test
+    doubts: its field count, a coordinate segment, else its date."""
+    if len(row) != 4:
+        raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
+    try:
+        Gav(*row[:3])
+    except ValueError as exc:  # an empty segment or one holding ':'
+        raise MalformedRow(line_no, str(exc)) from None
+    raise MalformedRow(line_no, f"bad date {row[3]!r}")
+
+
 @_collector_held_off()
 def load_release_history(doc: str) -> ReleaseHistories:
     """Load release histories from CSV keyed by library.
@@ -428,10 +441,15 @@ def load_release_history(doc: str) -> ReleaseHistories:
     ``group_id,artifact_id,version,release_date``. A repeated release
     raises :class:`DuplicateVersion` naming its second row. The result is
     read-only and keeps its lifecycle verdict tables (see
-    :class:`ReleaseHistories`).
+    :class:`ReleaseHistories`). A straight test reads each row once: four
+    fields, non-empty segments without ':', and a ``YYYY-MM-DD`` date in
+    ASCII digits that names a real day. Only a row it doubts goes to the
+    checks that name its fault. Releases and histories skip their
+    constructors' checks of order and repeats, which the loader settled.
     """
     reader = csv.reader(io.StringIO(doc))
-    rows: dict[Ga, dict[str, Release]] = {}  # by library, then version
+    rows: dict[Ga, dict] = {}  # by library, then version; each history replaces its releases
+    new, set_field, strict_date = object.__new__, object.__setattr__, _ISO_DATE.fullmatch
     try:
         header = next(reader, None)
         if header is None:
@@ -439,30 +457,32 @@ def load_release_history(doc: str) -> ReleaseHistories:
         if header != _HISTORY_HEADER:
             raise MalformedRow(1, f"bad header {header!r}")
         for row in reader:
-            line_no = reader.line_num
-            if len(row) != 4:
-                raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
-            group, artifact, version, date_text = row
-            try:
-                gav = Gav(group, artifact, version)
-            except ValueError as exc:  # an empty segment or one holding ':'
-                raise MalformedRow(line_no, str(exc)) from None
-            try:
-                released = parse_date_at(date_text, "")
-            except SchemaViolation:
-                raise MalformedRow(line_no, f"bad date {date_text!r}") from None
-            ga = gav.ga
-            releases = rows.setdefault(ga, {})
-            if version in releases:
-                raise DuplicateVersion(ga, version, line_no)
-            releases[version] = Release(version, released)
+            try:  # fromisoformat takes more forms on 3.11 and later, which the strict test excludes
+                group, artifact, version, date_text = row
+                released = date.fromisoformat(date_text) if (
+                    group and artifact and version and ":" not in group and ":" not in artifact
+                    and ":" not in version and strict_date(date_text)) else None
+            except ValueError:  # not four fields, or a day its month lacks
+                released = None
+            if released is None:
+                _reject_row(row, reader.line_num)
+            releases = rows.get((group, artifact))  # a plain tuple finds the equal Ga
+            if releases is None:
+                releases = rows[tuple.__new__(Ga, (group, artifact))] = {}  # segments checked
+            elif version in releases:
+                raise DuplicateVersion(Ga(group, artifact), version, reader.line_num)
+            release = new(Release)
+            set_field(release, "version", version)
+            set_field(release, "released", released)
+            releases[version] = release
     except csv.Error as exc:  # a record the reader cannot split, e.g. one over its field limit
         raise MalformedRow(reader.line_num, str(exc)) from None
 
-    return ReleaseHistories(
-        (ga, ReleaseHistory(ga, tuple(sorted(releases.values(), key=lambda r: r.released))))
-        for ga, releases in rows.items()
-    )
+    for ga, releases in rows.items():
+        history = rows[ga] = new(ReleaseHistory)
+        set_field(history, "library", ga)
+        set_field(history, "releases", tuple(sorted(releases.values(), key=attrgetter("released"))))
+    return ReleaseHistories(rows)
 
 
 # --- vulnerability knowledge base --------------------------------------------
@@ -499,14 +519,21 @@ def _record(entry, i: int) -> VulnerabilityRecord:
                 if type(lib) is not dict or lib.keys() != _AFFECTED_KEYS:
                     break
                 group, artifact, versions = _affected_values(lib)
-                if (type(group), type(artifact), type(versions)) != _AFFECTED_TYPES or not versions:
+                if ((type(group), type(artifact), type(versions)) != _AFFECTED_TYPES or not versions
+                        or not group or not artifact or ":" in group or ":" in artifact):
                     break
-                try:  # Gav takes exactly a non-empty str without ':' per segment, as _kb_text does
-                    affected.update([Gav(group, artifact, version) for version in versions])
-                except ValueError:
-                    break
-            else:
-                return VulnerabilityRecord(vuln_id, frozenset(affected))
+                for version in versions:
+                    if type(version) is not str or not version or ":" in version:
+                        break
+                    affected.add(tuple.__new__(Gav, (group, artifact, version)))
+                else:
+                    continue  # every version passed: on to the next affected entry
+                break
+            else:  # the record's fields, set as its constructor sets them, without its checks
+                record = object.__new__(VulnerabilityRecord)
+                object.__setattr__(record, "vuln_id", vuln_id)
+                object.__setattr__(record, "affected", frozenset(affected))
+                return record
     pointer = f"/{i}"
     check_fields(entry, pointer, _RECORD_FIELDS, _RECORD_KEYS)
     if not entry["affected"]:
@@ -523,7 +550,9 @@ def load_vuln_kb(doc: str) -> VulnerabilityKb:
 
     The document is an array of ``{"id", "affected"}`` records; each
     affected entry names a library and the versions it applies to, and is
-    expanded into explicit instances. The KB comes with its index built.
+    expanded into explicit instances. A straight pass checks each entry's
+    keys and types and each group, artifact and version once; only an entry
+    it doubts is walked, which names its fault. The KB comes indexed.
     """
     data = parse_json(doc)
     if not isinstance(data, list):

@@ -3,11 +3,13 @@ fixture, a random tree generator for oracle tests, a synthetic simulation
 pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
 and scan results, the reference JSON object of a scan result, frozen
 field-by-field reference decoders of saved results and of the KB, the
-frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
+frozen row-by-row history loader, the frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
 aggregate fold and the replay of a simulated project's tree."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from dataclasses import fields
@@ -19,8 +21,10 @@ from hypothesis import strategies as st
 from depscope.analysis import classify_responsibility
 from depscope.errors import (
     DuplicateGa,
+    DuplicateVersion,
     EmptyAffectedSet,
     EmptyInput,
+    MalformedRow,
     MalformedTreeLine,
     SchemaViolation,
 )
@@ -33,6 +37,7 @@ from depscope.model import (
     InstanceStatus,
     LibraryStatus,
     Release,
+    ReleaseHistories,
     ReleaseHistory,
     Responsibility,
     Scope,
@@ -634,6 +639,48 @@ def reference_load_vuln_kb(doc: str) -> VulnerabilityKb:
     if not isinstance(data, list):
         raise SchemaViolation("", "document root must be an array")
     return VulnerabilityKb(_record_from_dict(entry, f"/{i}") for i, entry in enumerate(data))
+
+
+# --- frozen reference history loader -------------------------------------------------
+#
+# The history loader as it was before each row got a straight pass: it checks
+# every row field by field, builds a Gav per row, and builds each release and
+# history through its constructor.
+
+
+def reference_load_release_history(doc: str) -> ReleaseHistories:
+    """``load_release_history`` as the frozen row-by-row loader reads a document."""
+    reader = csv.reader(io.StringIO(doc))
+    rows: dict[Ga, dict[str, Release]] = {}
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(1, "missing header")
+        if header != ["group_id", "artifact_id", "version", "release_date"]:
+            raise MalformedRow(1, f"bad header {header!r}")
+        for row in reader:
+            line_no = reader.line_num
+            if len(row) != 4:
+                raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
+            group, artifact, version, date_text = row
+            try:
+                gav = Gav(group, artifact, version)
+            except ValueError as exc:
+                raise MalformedRow(line_no, str(exc)) from None
+            try:
+                released = parse_date_at(date_text, "")
+            except SchemaViolation:
+                raise MalformedRow(line_no, f"bad date {date_text!r}") from None
+            releases = rows.setdefault(gav.ga, {})
+            if version in releases:
+                raise DuplicateVersion(gav.ga, version, line_no)
+            releases[version] = Release(version, released)
+    except csv.Error as exc:
+        raise MalformedRow(reader.line_num, str(exc)) from None
+    return ReleaseHistories(
+        (ga, ReleaseHistory(ga, tuple(sorted(releases.values(), key=lambda r: r.released))))
+        for ga, releases in rows.items()
+    )
 
 
 # --- frozen reference grouping ----------------------------------------------------

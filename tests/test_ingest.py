@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import gc
 import inspect
 import json
@@ -22,6 +23,7 @@ from depscope.errors import (
     SchemaViolation,
 )
 from depscope.ingest import (
+    csv_rows,
     json_text,
     json_typed,
     load_release_history,
@@ -36,6 +38,8 @@ from depscope.model import (
     DependencyTree,
     Ga,
     Gav,
+    Release,
+    ReleaseHistory,
     Scope,
     VulnerabilityKb,
     VulnerabilityRecord,
@@ -51,6 +55,7 @@ from conftest import (
     every_single_change,
     history_csv,
     mutate_json,
+    reference_load_release_history,
     reference_load_vuln_kb,
     reference_parse_tree_json,
     reference_parse_tree_text,
@@ -857,3 +862,120 @@ def test_no_collection_starts_while_a_loader_runs(load, make_doc):
     finally:
         gc.callbacks.remove(on_collection)
     assert started_inside == []
+
+
+# --- the straight history loader ----------------------------------------------------
+
+# two libraries, rows out of date order, and a tie of dates
+_HISTORY_ROWS = [
+    ["group_id", "artifact_id", "version", "release_date"],
+    ["g", "a", "1.0", "2018-01-01"],
+    ["h", "b", "2.0", "2018-03-01"],
+    ["g", "a", "1.1", "2017-12-01"],
+    ["g", "a", "1.2", "2018-01-01"],
+]
+# dates the strict YYYY-MM-DD test refuses: a day its month lacks, the basic
+# and week forms, a time, non-ASCII digits, short fields and whitespace;
+# date.fromisoformat takes several of them on 3.11 and later
+_ODD_DATES = ["2018-02-30", "2018-13-01", "20180601", "2018-W01-1", "2018-06-01T00:00",
+              "２０１８-０６-０１", "²018-06-01", "2018-6-1",
+              " 2018-06-01", "2018-06-01 ", "2018-06-01\n", "2018_06_01"]
+# one cell value of each kind: valid or repeating another row's, empty, holding
+# ':' or a line end (a quoted field spanning lines), and one over the reader's
+# field limit
+_CELL_VALUES = ["g", "h", "a", "1.0", "1.1", "2.0", "2018-01-01", "0001-01-01", "",
+                ":", "g:a", "a\nb", "x" * (csv.field_size_limit() + 1), *_ODD_DATES]
+
+
+def _history_outcome(doc: str, load=load_release_history):
+    """The loaded histories with their key types in order, or the error as
+    ``(type, message, line)``."""
+    try:
+        histories = load(doc)
+    except DepscopeError as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return [(ga, type(ga), type(history.library), history) for ga, history in histories.items()]
+
+
+def _single_changes(rows):
+    """``rows`` with one change each: a cell given each of ``_CELL_VALUES``,
+    a cell dropped or added, a row repeated or dropped, or a blank line."""
+    for i, row in enumerate(rows):
+        for j in range(len(row)):
+            for value in _CELL_VALUES:
+                yield rows[:i] + [row[:j] + [value] + row[j + 1:]] + rows[i + 1:]
+            yield rows[:i] + [row[:j] + row[j + 1:]] + rows[i + 1:]
+        yield rows[:i] + [row + ["x"]] + rows[i + 1:]
+        yield rows[:i + 1] + [row] + rows[i + 1:]
+        yield rows[:i] + rows[i + 1:]
+        yield rows[:i] + [[]] + rows[i:]
+
+
+def test_straight_history_loader_changes_no_outcome_of_any_single_change():
+    """Every single change to a small history loads to the same histories, in
+    the same order, or fails with the same error at the same line, as the
+    frozen row-by-row loader."""
+    outcomes = set()
+    for rows in _single_changes(_HISTORY_ROWS):
+        doc = csv_rows(rows)
+        checked = _history_outcome(doc, reference_load_release_history)
+        assert _history_outcome(doc) == checked, doc[:200]
+        outcomes.add(checked[0] if isinstance(checked[0], type) else "loaded")
+    assert outcomes == {"loaded", MalformedRow, DuplicateVersion}
+
+
+_HISTORY_CELLS = st.sampled_from(["g", "h", "", ":", "g:a", "a b", "1", "2", "１"])
+_HISTORY_DATES = st.dates().map(date.isoformat) | st.sampled_from(_ODD_DATES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(
+    st.tuples(st.sampled_from(["g", "h", "g.x"]), st.sampled_from(["a", "b"]),
+              st.sampled_from(["1", "2", "3"]), st.sampled_from(["2018-01-01", "2018-01-02"])).map(list)
+    | st.tuples(_HISTORY_CELLS, _HISTORY_CELLS, _HISTORY_CELLS, _HISTORY_DATES).map(list)
+    | st.lists(_HISTORY_CELLS | _HISTORY_DATES, max_size=6), max_size=8))
+def test_random_history_rows_load_as_the_reference_loads_them(rows):
+    # few names, versions and dates, so releases repeat and dates tie
+    doc = csv_rows([_HISTORY_ROWS[0], *rows])
+    assert _history_outcome(doc) == _history_outcome(doc, reference_load_release_history), doc
+
+
+def test_well_formed_histories_reach_no_checked_path(monkeypatch):
+    # only a doubted row is checked, and a loaded history or record takes no
+    # constructor check
+    docs = [csv_rows(_HISTORY_ROWS), _large_history_doc(),
+            history_csv(build_synthetic_pool().histories.values())]
+    checked = []
+    reject = ingest_module._reject_row
+    monkeypatch.setattr(ingest_module, "_reject_row", lambda *args: checked.append(args) or reject(*args))
+    for cls in (ReleaseHistory, VulnerabilityRecord):
+        monkeypatch.setattr(cls, "__post_init__", lambda value: checked.append(value))
+    for doc in docs:
+        loaded = load_release_history(doc)
+        assert checked == []
+        assert list(loaded.items()) == list(reference_load_release_history(doc).items())
+        checked.clear()  # the reference's constructors ran the patched checks
+    load_vuln_kb(json.dumps(_SMALL_KB))
+    assert checked == []
+    with pytest.raises(MalformedRow) as exc:
+        load_release_history(_HISTORY_DOC + "g,a,2.0,2020-02-30\ng,a,3.0\n")
+    assert exc.value.line_no == 3 and [args[1] for args in checked] == [3]
+
+
+def test_loaded_values_equal_constructed_ones():
+    """A loaded release, history and record equal the ones their constructors
+    build, with the same hash and repr, and a ``__dict__`` of the same keys
+    and size."""
+    loaded = load_release_history(csv_rows(_HISTORY_ROWS))
+    history = loaded[Ga("g", "a")]
+    built = ReleaseHistory(Ga("g", "a"), tuple(Release(r.version, r.released) for r in history.releases))
+    record = load_vuln_kb(json.dumps(_SMALL_KB))[0]
+    pairs = [(history, built), (history.releases[0], built.releases[0]),
+             (record, VulnerabilityRecord(record.vuln_id, set(record.affected)))]
+    for value, constructed in pairs:
+        assert value == constructed and hash(value) == hash(constructed)
+        assert repr(value) == repr(constructed)
+        assert list(value.__dict__) == list(constructed.__dict__)
+        assert sys.getsizeof(value.__dict__) == sys.getsizeof(constructed.__dict__)
+    assert [type(gav) for gav in record.affected] == [Gav] * len(record.affected)
+    assert type(history.library) is Ga and type(history.releases) is tuple

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from depscope.analysis import (
+    classify_group_ids,
     classify_responsibility,
     extract_vulnerable_paths,
     filter_non_deployed,
@@ -223,6 +224,45 @@ def test_every_census_row_is_classified_as_its_grouped_chain(case):
         for row in result.census:
             expected = classify_responsibility(group_path(chain_of[row.gav]), root)
             assert row.responsibility is expected
+
+
+# chains of four shapes: dot-prefix relatives, string-prefix decoys, distinct
+# org.p<i> alternating with org (each org row absorbs every org.p<i> above
+# it), and two unrelated namespaces alternating, with relatives in each
+_RELATIVES = ["org", "org.a", "org.a.b", "org.a.b.c", "org.a.c", "org.b", "com.app"]
+_DECOYS = ["com", "com.fo", "com.foo", "com.foob", "com.foobar", "com.foo.bar", "com.foobar.x"]
+
+
+@st.composite
+def _group_chains(draw) -> list[str]:
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["relatives", "decoys", "org.p<i> and org", "two namespaces"]))
+    if shape in ("relatives", "decoys"):
+        return draw(st.lists(st.sampled_from(_RELATIVES if shape == "relatives" else _DECOYS),
+                             min_size=n, max_size=n))
+    first = draw(st.integers(0, 1))
+    if shape == "org.p<i> and org":
+        return ["org" if (i + first) % 2 else f"org.p{i}" for i in range(n)]
+    subs = draw(st.lists(st.sampled_from(["", ".p1", ".p1.x", ".p2"]), min_size=n, max_size=n))
+    return [("org" if (i + first) % 2 else "net") + subs[i] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(groups=_group_chains(), root_group=st.sampled_from(["com.app", "com.foo", "org", "net"]),
+       data=st.data())
+def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, root_group, data):
+    # the distinct ids a walk carries classify a node as grouping its whole
+    # chain does; parents near the node, so chains run deep and branch
+    groups = [root_group, *groups]
+    parents = [data.draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, len(groups))]
+    children: list[list[DependencyNode]] = [[] for _ in groups]
+    for i in reversed(range(len(groups))):
+        node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), Scope.COMPILE, children[i][::-1])
+        if i:
+            children[parents[i - 1]].append(node)
+    for step in walk(node):
+        expected = classify_responsibility(group_path(chain_of(step)), node.gav)
+        assert classify_group_ids(step[0].gav.group_id, step[4], root_group) is expected
 
 
 @pytest.fixture
