@@ -74,10 +74,10 @@ def _collector_held_off():
     The loaders build only values that cannot form cycles: JSON dicts and
     lists, ``Gav`` tuples, frozensets and frozen ``Release``,
     ``VulnerabilityRecord`` and ``ReleaseHistory`` instances, set field by
-    field from each row or entry the straight test passes (only a doubted one
-    reaches the checks that name a fault). Yet CPython (up to 3.13) collects
-    over every live container each time the oldest generation grows by a
-    quarter, so a large KB would pay for many walks of a heap without garbage.
+    field from each row or entry once it has passed every check. Yet CPython
+    (up to 3.13) collects over every live container each time the oldest
+    generation grows by a quarter, so a large KB would pay for many walks of
+    a heap without garbage.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -193,41 +193,12 @@ def schema_parts(schema) -> tuple[frozenset, itemgetter, tuple]:
 # --- tree text ---------------------------------------------------------------
 
 _INFO_PREFIX = "[INFO] "
-_INDENT_UNITS = ("+- ", "\\- ", "|  ", "   ")
-_BRANCH_UNITS = ("+- ", "\\- ")
-# the indentation of a dependency line: units, the last a branch marker
-_indentation = re.compile(r"(?:[+\\]- |[| ]  )*[+\\]- ").match
+# the indentation of a line: three-character units, two of them branch markers
+_indentation = re.compile(r"(?:[+\\]- |[| ]  )*").match
 # scope names both tree formats accept, ``unknown`` included so that a parsed
 # text tree renders to JSON that parses back; the text form maps any other
 # name to UNKNOWN
 _SCOPES = {s.value: s for s in Scope}
-
-
-def _checked_line(line: str, line_no: int, is_root: bool) -> tuple[int, Gav, Scope]:
-    """The depth, coordinate and scope of a dump's line that the straight test
-    doubts, by every indentation, root and coordinate rule; raises at the
-    first the line breaks."""
-    pos = 0
-    while line[pos : pos + 3] in _INDENT_UNITS:
-        pos += 3
-    text, depth = line[pos:], pos // 3
-    if depth and line[pos - 3 : pos] not in _BRANCH_UNITS:
-        raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
-    if is_root and depth:
-        raise MalformedTreeLine(line_no, "first content line must be the unindented root")
-    if not is_root and not depth:
-        raise MalformedTreeLine(line_no, "second root line")
-    if text.split() != [text]:  # empty, or holding whitespace
-        raise MalformedTreeLine(line_no, f"bad coordinate {text!r}")
-    segments = text.split(":")
-    if "" in segments:
-        raise MalformedTreeLine(line_no, f"empty segment in {text!r}")
-    if len(segments) == 3:
-        return depth, Gav(*segments), Scope.COMPILE
-    if len(segments) == (4 if is_root else 5):
-        scope = Scope.COMPILE if is_root else _SCOPES.get(segments[4], Scope.UNKNOWN)
-        return depth, Gav(segments[0], segments[1], segments[3]), scope
-    raise MalformedTreeLine(line_no, f"wrong segment count in {text!r}")
 
 
 def parse_tree_text(text: str) -> DependencyTree:
@@ -243,9 +214,8 @@ def parse_tree_text(text: str) -> DependencyTree:
     ``[INFO]`` line is blank; any other log line, such as ``[INFO] Scanning
     for projects...``, raises :class:`MalformedTreeLine`. A library on a
     second line raises :class:`DuplicateGa` naming that line. Each line is
-    read once, by a straight test; only a line it doubts is checked rule by
-    rule, which names its fault or, for a coordinate holding an unprintable
-    character that is not whitespace, accepts it.
+    read once, and each rule tested once, in order: the first the line
+    breaks is the fault named.
     """
     # lines end only at LF, CRLF or CR, as a universal-newline read ends them
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -259,18 +229,23 @@ def parse_tree_text(text: str) -> DependencyTree:
         line = line.rstrip()
         if not line:
             continue
-        indentation = _indentation(line)
-        pos = indentation.end() if indentation else 0
+        pos = _indentation(line).end()
         coordinate, depth = line[pos:], pos // 3
+        if depth and line[pos - 2] != "-":  # only a branch marker has '-' in the middle
+            raise MalformedTreeLine(line_no, "indentation does not end with a branch marker")
+        if not preorder and depth:
+            raise MalformedTreeLine(line_no, "first content line must be the unindented root")
+        if preorder and not depth:
+            raise MalformedTreeLine(line_no, "second root line")
+        if coordinate.split() != [coordinate]:  # holding whitespace
+            raise MalformedTreeLine(line_no, f"bad coordinate {coordinate!r}")
         segments = coordinate.split(":")
+        if "" in segments:
+            raise MalformedTreeLine(line_no, f"empty segment in {coordinate!r}")
         n = len(segments)
-        # every whitespace character but the space is unprintable
-        if (" " in coordinate or not coordinate.isprintable() or "" in segments or n != 3
-                and n != (5 if depth else 4) or depth > len(ancestors) or preorder and not depth):
-            depth, gav, scope = _checked_line(line, line_no, not preorder)
-        else:
-            gav = tuple.__new__(Gav, (segments[0], segments[1], segments[3 if n > 3 else 2]))
-            scope = _SCOPES.get(segments[4], Scope.UNKNOWN) if n == 5 else Scope.COMPILE
+        if n != 3 and n != (5 if depth else 4):
+            raise MalformedTreeLine(line_no, f"wrong segment count in {coordinate!r}")
+        gav = tuple.__new__(Gav, (segments[0], segments[1], segments[3 if n > 3 else 2]))
         ga = gav[:2]
         if ga in seen:
             raise DuplicateGa(gav.ga, line_no)
@@ -279,6 +254,7 @@ def parse_tree_text(text: str) -> DependencyTree:
         if len(ancestors) != depth:
             raise MalformedTreeLine(line_no, f"no parent at depth {depth - 1}")
         ancestors.append(len(preorder))
+        scope = _SCOPES.get(segments[4], Scope.UNKNOWN) if n == 5 else Scope.COMPILE
         preorder.append((gav, scope, ancestors[-2] if depth else -1))
     if not preorder:
         raise EmptyInput()
@@ -333,28 +309,14 @@ def _node_pointer(preorder: list[tuple[Gav, Scope, int]], parent: int) -> str:
     return "/root" + "".join(reversed(keys))
 
 
-def _reject_node(obj, pointer: str, seen: set) -> None:
-    """Raise at the first fault of a node that the straight test doubts, by
-    every node rule in checking order; ``seen`` holds the libraries of the
-    nodes read before it."""
-    json_object(obj, pointer, _NODE_KEYS)
-    gav = parse_gav_at(obj["gav"], f"{pointer}/gav")
-    if gav[:2] in seen:
-        raise SchemaViolation(f"{pointer}/gav", f"duplicate library {gav.ga}")
-    scope_text = obj["scope"]
-    if not isinstance(scope_text, str) or scope_text not in _SCOPES:
-        raise SchemaViolation(f"{pointer}/scope", f"not a valid scope: {scope_text!r}")
-    json_typed(obj, "children", list, pointer)
-
-
 def parse_tree_json(doc: str) -> DependencyTree:
     """Parse the BoM JSON interchange form of a dependency tree.
 
     Each node is read once, in preorder from an explicit stack, so no
-    nesting the decoder accepts exhausts the stack, and by a straight test,
-    which builds no pointer. Only a node it doubts, which has a fault, has
-    its pointer built and is checked rule by rule, so the error reported is
-    the first in document order.
+    nesting the decoder accepts exhausts the stack. Its rules are tested
+    once each, in order, and the first it breaks is the fault named, so the
+    error reported is the first in document order. Only then is the node's
+    pointer built.
     """
     data = json_object(parse_json(doc), "", _TREE_KEYS, frozenset({"analysis_time"}))
     analysis_time = None
@@ -365,18 +327,26 @@ def parse_tree_json(doc: str) -> DependencyTree:
     stack = [(data["root"], -1)]
     while stack:
         obj, parent = stack.pop()
-        if type(obj) is dict and obj.keys() == _NODE_KEYS:
-            gav, scope, children = _node_values(obj)
-            segments = gav.split(":") if type(gav) is str else ()
-            scope = _SCOPES.get(scope) if type(scope) is str else None
-            if (len(segments) == 3 and "" not in segments and scope is not None
-                    and type(children) is list and (ga := (segments[0], segments[1])) not in seen):
-                seen.add(ga)
-                if children:
-                    stack += zip(reversed(children), repeat(len(preorder)))
-                preorder.append((tuple.__new__(Gav, segments), scope, parent))
-                continue
-        _reject_node(obj, _node_pointer(preorder, parent), seen)
+        if type(obj) is not dict or obj.keys() != _NODE_KEYS:
+            json_object(obj, _node_pointer(preorder, parent), _NODE_KEYS)  # raises
+        gav_text, scope_text, children = _node_values(obj)
+        segments = gav_text.split(":") if type(gav_text) is str else ()
+        if len(segments) != 3 or "" in segments:
+            parse_gav_at(gav_text, f"{_node_pointer(preorder, parent)}/gav")  # raises
+        ga = (segments[0], segments[1])
+        if ga in seen:
+            raise SchemaViolation(f"{_node_pointer(preorder, parent)}/gav",
+                                  f"duplicate library {Ga(*ga)}")
+        seen.add(ga)
+        scope = _SCOPES.get(scope_text) if type(scope_text) is str else None
+        if scope is None:
+            raise SchemaViolation(f"{_node_pointer(preorder, parent)}/scope",
+                                  f"not a valid scope: {scope_text!r}")
+        if type(children) is not list:
+            json_typed(obj, "children", list, _node_pointer(preorder, parent))  # raises
+        if children:
+            stack += zip(reversed(children), repeat(len(preorder)))
+        preorder.append((tuple.__new__(Gav, segments), scope, parent))
     if preorder[0][1] is not Scope.COMPILE:
         raise SchemaViolation("/root/scope", "root scope must be compile")
     return DependencyTree._parsed(build_tree(preorder), analysis_time)
@@ -420,18 +390,6 @@ def render_tree_json(tree: DependencyTree) -> str:
 _HISTORY_HEADER = ["group_id", "artifact_id", "version", "release_date"]
 
 
-def _reject_row(row: list[str], line_no: int) -> None:
-    """Raise at the first fault of a history row that the straight test
-    doubts: its field count, a coordinate segment, else its date."""
-    if len(row) != 4:
-        raise MalformedRow(line_no, f"expected 4 fields, got {len(row)}")
-    try:
-        Gav(*row[:3])
-    except ValueError as exc:  # an empty segment or one holding ':'
-        raise MalformedRow(line_no, str(exc)) from None
-    raise MalformedRow(line_no, f"bad date {row[3]!r}")
-
-
 @_collector_held_off()
 def load_release_history(doc: str) -> ReleaseHistories:
     """Load release histories from CSV keyed by library.
@@ -441,11 +399,12 @@ def load_release_history(doc: str) -> ReleaseHistories:
     ``group_id,artifact_id,version,release_date``. A repeated release
     raises :class:`DuplicateVersion` naming its second row. The result is
     read-only and keeps its lifecycle verdict tables (see
-    :class:`ReleaseHistories`). A straight test reads each row once: four
-    fields, non-empty segments without ':', and a ``YYYY-MM-DD`` date in
-    ASCII digits that names a real day. Only a row it doubts goes to the
-    checks that name its fault. Releases and histories skip their
-    constructors' checks of order and repeats, which the loader settled.
+    :class:`ReleaseHistories`). Each row is read once, and its rules tested
+    once each, in order: four fields, non-empty segments without ':', a
+    ``YYYY-MM-DD`` date in ASCII digits that names a real day, and a version
+    new to its library. The first it breaks is the fault named. Releases
+    and histories skip their constructors' checks of order and repeats,
+    which the loader settled.
     """
     reader = csv.reader(io.StringIO(doc))
     rows: dict[Ga, dict] = {}  # by library, then version; each history replaces its releases
@@ -457,15 +416,21 @@ def load_release_history(doc: str) -> ReleaseHistories:
         if header != _HISTORY_HEADER:
             raise MalformedRow(1, f"bad header {header!r}")
         for row in reader:
+            if len(row) != 4:
+                raise MalformedRow(reader.line_num, f"expected 4 fields, got {len(row)}")
+            group, artifact, version, date_text = row
+            if (not (group and artifact and version)
+                    or ":" in group or ":" in artifact or ":" in version):
+                try:
+                    Gav(group, artifact, version)
+                except ValueError as exc:  # an empty segment or one holding ':'
+                    raise MalformedRow(reader.line_num, str(exc)) from None
             try:  # fromisoformat takes more forms on 3.11 and later, which the strict test excludes
-                group, artifact, version, date_text = row
-                released = date.fromisoformat(date_text) if (
-                    group and artifact and version and ":" not in group and ":" not in artifact
-                    and ":" not in version and strict_date(date_text)) else None
-            except ValueError:  # not four fields, or a day its month lacks
+                released = strict_date(date_text) and date.fromisoformat(date_text)
+            except ValueError:  # a day its month lacks
                 released = None
-            if released is None:
-                _reject_row(row, reader.line_num)
+            if not released:
+                raise MalformedRow(reader.line_num, f"bad date {date_text!r}")
             releases = rows.get((group, artifact))  # a plain tuple finds the equal Ga
             if releases is None:
                 releases = rows[tuple.__new__(Ga, (group, artifact))] = {}  # segments checked
