@@ -13,10 +13,8 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chain_of,
     prune,
     same_project,
-    walk,
 )
 
 
@@ -73,11 +71,13 @@ def extract_vulnerable_paths(annotated: AnnotatedTree) -> list[VulnerablePath]:
     """
     root = annotated.tree.root.gav
     paths = []
-    for step in walk(annotated.tree.root):
-        ids = annotated.vulnerable.get(step[0].gav)
+    chain: list[Gav] = []  # the coordinates of the walk's current path by depth, root first
+    for node, depth in annotated.tree.nodes():
+        chain[depth:] = (node.gav,)
+        ids = annotated.vulnerable.get(node.gav)
         if not ids:
             continue
-        raw = chain_of(step)
+        raw = tuple(reversed(chain))
         grouped = tuple(group_path(raw))
         responsibility = classify_responsibility(grouped, root)
         for vuln_id in sorted(ids):
@@ -115,10 +115,10 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
 def classify_group_ids(group: str, above: tuple, root_group: str) -> Responsibility:
     """:func:`classify_responsibility` of the grouped chain of a node in
     ``group`` below the distinct group ids ``above`` (links, nearest first,
-    as :func:`depscope.model.walk` carries them). A group met again farther
-    up a chain is absorbed, by its nearer occurrence or by whatever absorbed
-    that, so grouping the distinct ids keeps as many members as grouping the
-    chain; only up to three matter."""
+    as :func:`depscope.report.census_rows` carries them). A group met again
+    farther up a chain is absorbed, by its nearer occurrence or by whatever
+    absorbed that, so grouping the distinct ids keeps as many members as
+    grouping the chain; only up to three matter."""
     if same_project(group, root_group):
         return Responsibility.OWN
     kept = [group]

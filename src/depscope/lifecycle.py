@@ -85,16 +85,16 @@ class LibraryVerdict(NamedTuple):
     status: LibraryStatus
     interval: float  # the smoothed interval, in days
     expected: date  # the expected next release
-    dates: Mapping[str, date]  # version -> release date
+    statuses: Mapping[str, InstanceStatus]  # version -> the status of its instance
     last_visible: date  # of the last release on or before the time; date.min when none
 
     def instance_status(self, gav: Gav) -> InstanceStatus:
-        """Outdated when a release newer than ``gav``'s own was visible at
-        the time, i.e. when its own date precedes the last visible one."""
-        own = self.dates.get(gav.version)
-        if own is None:
+        """``gav``'s status, read from ``statuses``; raises
+        :class:`UnknownVersion` for a version the history lacks."""
+        status = self.statuses.get(gav.version)
+        if status is None:
             raise UnknownVersion(gav)
-        return InstanceStatus.OUTDATED if own < self.last_visible else InstanceStatus.UP_TO_DATE
+        return status
 
 
 def library_verdict(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -> LibraryVerdict:
@@ -102,17 +102,21 @@ def library_verdict(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -
 
     The library is halted when its expected next release date lies strictly
     before ``time``. Releases dated after ``time`` are invisible: an
-    instance is judged against what had been published by then."""
+    instance is judged against what had been published by then: it is
+    outdated when a release newer than its own was visible at ``time``,
+    i.e. when its own date precedes the last visible one."""
     interval = last_release_interval(history, cfg)
     expected = _expected_date(history.last_release.released, interval)
     dates = [release.released for release in history.releases]
     visible = bisect_right(dates, time)  # the releases are sorted by date
+    last_visible = dates[visible - 1] if visible else date.min
     return LibraryVerdict(
         status=LibraryStatus.HALTED if expected < time else LibraryStatus.ALIVE,
         interval=interval,
         expected=expected,
-        dates={release.version: release.released for release in history.releases},
-        last_visible=dates[visible - 1] if visible else date.min,
+        statuses={release.version: InstanceStatus.OUTDATED if release.released < last_visible
+                  else InstanceStatus.UP_TO_DATE for release in history.releases},
+        last_visible=last_visible,
     )
 
 

@@ -255,71 +255,6 @@ class DependencyTree:
         return {node.gav for node, _ in self.nodes()}
 
 
-def walk(root: DependencyNode) -> Iterator[tuple]:
-    """Depth-first preorder walk from ``root`` yielding one step
-    ``(node, depth, deployed, parent, above)`` per node.
-
-    ``deployed`` is true when every edge from the node up to the root ships.
-    ``parent`` is the step of the node's parent (``None`` for the root), so
-    :func:`chain_of` rebuilds the chain only when it is asked for. ``above``
-    holds the distinct group ids of the node's ancestors, each at its
-    nearest occurrence, nearest first, as links ``(group, rest)`` ending in
-    ``()``. A library met before in preorder is skipped with its subtree, as
-    a build tool mediates duplicates, so the walk of a
-    :class:`DependencyTree`'s root, whose libraries are distinct, skips
-    nothing. The root is never skipped.
-
-    A step costs O(1) at any depth, except when a node's group already
-    occurs higher up but not at the front of ``above``: then the groups met
-    since its previous occurrence are relinked.
-    """
-    seen = set()  # group and artifact as plain tuples: cheaper than building Ga
-    present = set()  # the groups in ``above`` of the node being expanded
-    firsts = []  # (depth, group) where each of those first occurs, root first
-    stack = [(root, 0, True, None, ())]
-    while stack:
-        step = stack.pop()
-        node, depth, deployed, _, above = step
-        ga = node.gav[:2]
-        if ga in seen:
-            continue
-        seen.add(ga)
-        yield step
-        if not node.children:
-            continue
-        # whatever was entered at this depth or deeper lies off the path now
-        while firsts and firsts[-1][0] >= depth:
-            present.discard(firsts.pop()[1])
-        group = node.gav[0]
-        if group not in present:
-            present.add(group)
-            firsts.append((depth, group))
-            above = (group, above)
-        elif above[0] != group:
-            nearer = []
-            while above[0] != group:
-                head, above = above
-                nearer.append(head)
-            above = above[1]
-            for head in reversed(nearer):
-                above = (head, above)
-            above = (group, above)
-        depth += 1
-        stack.extend(
-            (child, depth, deployed and child.scope.deployed, step, above)
-            for child in reversed(node.children)
-        )
-
-
-def chain_of(step: tuple) -> tuple[Gav, ...]:
-    """The coordinates from a :func:`walk` step's node up to the root, inclusive."""
-    gavs = []
-    while step is not None:
-        gavs.append(step[0].gav)
-        step = step[3]
-    return tuple(gavs)
-
-
 @dataclass(frozen=True)
 class Release:
     version: str

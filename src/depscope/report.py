@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from datetime import date
 from fnmatch import fnmatchcase
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from depscope.analysis import classify_group_ids, classify_responsibility, group_path
-from depscope.errors import MalformedCoordinate, MissingHistory, SchemaViolation
+from depscope.errors import MalformedCoordinate, MissingHistory, SchemaViolation, UnknownVersion
 from depscope.ingest import (
     check_fields,
     csv_rows,
@@ -45,9 +44,7 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chain_of,
     parse_gav,
-    walk,
 )
 
 # the JSON text of each boolean and enum member a result holds, read without
@@ -185,12 +182,12 @@ def scan(
     paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
              for vuln_id in kb.ids_by_gav.get(root, ())]
     rows = []
-    for row, step in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
+    for row, path in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
                                  lenient=lenient, include_non_deployed=include_non_deployed,
                                  vulnerable_only=False):
         rows.append(row)
         if row.vuln_ids:
-            chain = chain_of(step)
+            chain = (row.gav, *path[row.depth - 1::-1])
             grouped = tuple(group_path(chain))
             for vuln_id in row.vuln_ids:
                 paths.append(VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted))
@@ -212,41 +209,91 @@ def census_rows(
     lenient: bool,
     include_non_deployed: bool,
     vulnerable_only: bool,
-) -> Iterator[tuple[CensusRow, tuple]]:
-    """``(row, step)`` for each dependency below ``root``, ``step`` being
-    its step of :func:`depscope.model.walk`, which drops a repeated library
-    with its subtree; raises as :func:`scan` does, at the first offending
-    node. With ``vulnerable_only``, a node without vuln ids gets no row, yet
-    still raises at a missing history or an unknown version. No chain is
-    built here: a caller that prints a row's path follows the step's parent
-    links (:func:`depscope.model.chain_of`). Every row's class comes from
-    the group ids the walk carries
-    (:func:`depscope.analysis.classify_group_ids`)."""
+) -> Iterator[tuple[CensusRow, list[Gav]]]:
+    """``(row, path)`` for each dependency below ``root``, in one
+    depth-first preorder walk, children in order; raises as :func:`scan`
+    does, at the first offending node. With ``vulnerable_only``, a node
+    without vuln ids gets no row, yet still raises at a missing history or
+    an unknown version.
+
+    A library met before in preorder is skipped with its subtree, as a build
+    tool mediates duplicates, so the walk of a :class:`DependencyTree`'s
+    root, whose libraries are distinct, skips nothing. The root is never
+    skipped and has no row. A row is ``deployed`` when every edge from its
+    node up to the root ships.
+
+    No chain is built here. ``path`` lists the coordinates of the walk's
+    current path by depth, the root first: until the next row is asked for,
+    its first ``row.depth`` entries are the row's ancestors, so a caller
+    that prints a row's chain slices it from there.
+
+    Every row's class comes from the distinct group ids of its ancestors
+    (:func:`depscope.analysis.classify_group_ids`), each at its nearest
+    occurrence, nearest first, as links ``(group, rest)`` ending in ``()``.
+    A node costs O(1) at any depth, except when a node's group already
+    occurs higher up but not at the front of those links: then the groups
+    met since its previous occurrence are relinked."""
     ids_by_gav = kb.ids_by_gav
-    root_group = root.gav.group_id
+    root_group = root.gav[0]
+    seen = {root.gav[:2]}  # group and artifact as plain tuples: cheaper than building Ga
+    path = [root.gav]
+    present = {root_group}  # the groups in ``above`` of the node being expanded
+    firsts = [(0, root_group)]  # (depth, group) where each of those first occurs, root first
+    above = (root_group, ())
+    stack = [(child, 1, child.scope.deployed, above) for child in reversed(root.children)]
     direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
-    for step in islice(walk(root), 1, None):  # the root has no row
-        node, depth, deployed, _, above = step
+    while stack:
+        node, depth, deployed, above = stack.pop()
         gav = node.gav
-        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
-        verdict = verdicts[gav.ga]
-        if verdict is not None:
-            lib_status, inst_status = verdict.status, verdict.instance_status(gav)
-        elif lenient:
-            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
-        else:
-            raise MissingHistory(gav.ga)
+        ga = gav[:2]
+        if ga in seen:
+            continue
+        seen.add(ga)
+        verdict = verdicts[ga]
+        if verdict is None:
+            if not lenient:
+                raise MissingHistory(gav.ga)
+        elif gav[2] not in verdict.statuses:
+            raise UnknownVersion(gav)
         if depth == 1:
             direct = verdict
-        if vulnerable_only and not vuln_ids:
+        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
+        if vuln_ids or not vulnerable_only:
+            if verdict is None:
+                lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
+            else:
+                lib_status, inst_status = verdict.status, verdict.statuses[gav[2]]
+            # the tuple's own constructor: NamedTuple's __new__ is a Python call
+            yield tuple.__new__(CensusRow, (
+                gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
+                lib_status, inst_status,
+                deployed and depth > 1 and direct is not None and direct.status is _HALTED,
+                verdict is None,
+            )), path
+        children = node.children
+        if not children:
             continue
-        # the tuple's own constructor: NamedTuple's __new__ is a Python call
-        yield tuple.__new__(CensusRow, (
-            gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
-            lib_status, inst_status,
-            deployed and depth > 1 and direct is not None and direct.status is _HALTED,
-            verdict is None,
-        )), step
+        path[depth:] = (gav,)
+        # whatever was entered at this depth or deeper lies off the path now
+        while firsts[-1][0] >= depth:  # the root's entry, at depth 0, stays
+            present.discard(firsts.pop()[1])
+        group = gav[0]
+        if group not in present:
+            present.add(group)
+            firsts.append((depth, group))
+            above = (group, above)
+        elif above[0] != group:
+            nearer = []
+            while above[0] != group:
+                head, above = above
+                nearer.append(head)
+            above = above[1]
+            for head in reversed(nearer):
+                above = (head, above)
+            above = (group, above)
+        depth += 1
+        for child in reversed(children):
+            stack.append((child, depth, deployed and child.scope.deployed, above))
 
 
 def aggregate(results: Iterable[ScanResult]) -> AggregateReport:

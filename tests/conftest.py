@@ -4,7 +4,8 @@ pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
 and scan results, the reference JSON object of a scan result, frozen
 field-by-field reference decoders of saved results and of the KB, the
 frozen row-by-row history loader, the frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
-aggregate fold and the replay of a simulated project's tree."""
+aggregate fold, census rows with their chains, the frozen stepwise census walk and the replay of
+a simulated project's tree."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import strategies as st
 
-from depscope.analysis import classify_responsibility
+from depscope.analysis import classify_group_ids, classify_responsibility
 from depscope.errors import (
     DuplicateGa,
     DuplicateVersion,
@@ -26,9 +27,11 @@ from depscope.errors import (
     EmptyInput,
     MalformedRow,
     MalformedTreeLine,
+    MissingHistory,
     SchemaViolation,
 )
 from depscope.ingest import json_object, json_typed, parse_date_at, parse_gav_at, parse_json
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -47,7 +50,7 @@ from depscope.model import (
     prune,
     same_project,
 )
-from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult
+from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult, census_rows
 from depscope.simulate import SimulationPool, _project_root
 
 ANALYSIS_TIME = date(2018, 6, 1)
@@ -849,6 +852,113 @@ def reference_aggregate(results) -> AggregateReport:
             ungrouped = classify_responsibility(path.raw_path, result.root)
             counts[f"paths/ungrouped/{ungrouped.value}"] += 1
     return AggregateReport(counts)
+
+
+# --- the census walk and its frozen stepwise reference --------------------------------
+
+
+def census_with_chains(root: DependencyNode):
+    """``(row, chain)`` for each dependency the census walk keeps below
+    ``root``, in its order: lenient, over no histories and an empty KB, so
+    every kept node has a row; ``chain`` runs from the row up to the root,
+    sliced from the walk's path as ``scan`` slices it."""
+    verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
+    for row, path in census_rows(root, VulnerabilityKb(), verdicts, lenient=True,
+                                 include_non_deployed=True, vulnerable_only=False):
+        yield row, (row.gav, *path[row.depth - 1::-1])
+
+
+
+def reference_walk(root: DependencyNode):
+    """Depth-first preorder walk from ``root`` yielding one step
+    ``(node, depth, deployed, parent, above)`` per node, as the census walked
+    a tree before it became one loop.
+
+    ``deployed`` is true when every edge from the node up to the root ships.
+    ``parent`` is the step of the node's parent (``None`` for the root), so
+    :func:`reference_chain_of` rebuilds the chain. ``above`` holds the
+    distinct group ids of the node's ancestors, each at its nearest
+    occurrence, nearest first, as links ``(group, rest)`` ending in ``()``.
+    A library met before in preorder is skipped with its subtree; the root
+    is never skipped.
+    """
+    seen = set()
+    present = set()  # the groups in ``above`` of the node being expanded
+    firsts = []  # (depth, group) where each of those first occurs, root first
+    stack = [(root, 0, True, None, ())]
+    while stack:
+        step = stack.pop()
+        node, depth, deployed, _, above = step
+        ga = node.gav[:2]
+        if ga in seen:
+            continue
+        seen.add(ga)
+        yield step
+        if not node.children:
+            continue
+        while firsts and firsts[-1][0] >= depth:
+            present.discard(firsts.pop()[1])
+        group = node.gav[0]
+        if group not in present:
+            present.add(group)
+            firsts.append((depth, group))
+            above = (group, above)
+        elif above[0] != group:
+            nearer = []
+            while above[0] != group:
+                head, above = above
+                nearer.append(head)
+            above = above[1]
+            for head in reversed(nearer):
+                above = (head, above)
+            above = (group, above)
+        depth += 1
+        stack.extend(
+            (child, depth, deployed and child.scope.deployed, step, above)
+            for child in reversed(node.children)
+        )
+
+
+def reference_chain_of(step) -> tuple[Gav, ...]:
+    """The coordinates from a :func:`reference_walk` step's node up to the root, inclusive."""
+    gavs = []
+    while step is not None:
+        gavs.append(step[0].gav)
+        step = step[3]
+    return tuple(gavs)
+
+
+def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *, lenient: bool,
+                          include_non_deployed: bool, vulnerable_only: bool):
+    """``(row, step)`` for each dependency below ``root``, ``step`` being its
+    :func:`reference_walk` step: ``report.census_rows`` as the frozen
+    reference yields its rows, raising at the same node with the same error."""
+    ids_by_gav = kb.ids_by_gav
+    root_group = root.gav.group_id
+    direct = None  # the verdict of the latest depth-1 node
+    walk = reference_walk(root)
+    next(walk)  # the root has no row
+    for step in walk:
+        node, depth, deployed, _, above = step
+        gav = node.gav
+        vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
+        verdict = verdicts[gav.ga]
+        if verdict is not None:
+            lib_status, inst_status = verdict.status, verdict.instance_status(gav)
+        elif lenient:
+            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
+        else:
+            raise MissingHistory(gav.ga)
+        if depth == 1:
+            direct = verdict
+        if vulnerable_only and not vuln_ids:
+            continue
+        yield CensusRow(
+            gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
+            lib_status, inst_status,
+            deployed and depth > 1 and direct is not None and direct.status is LibraryStatus.HALTED,
+            verdict is None,
+        ), step
 
 
 # --- replay of a simulated project's tree ---------------------------------------------

@@ -9,6 +9,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
+from depscope import report
 from depscope.errors import DuplicateGa, DuplicateVersion, MalformedCoordinate
 from depscope.ingest import parse_tree_text
 from depscope.model import (
@@ -22,13 +23,11 @@ from depscope.model import (
     Scope,
     VulnerabilityRecord,
     build_tree,
-    chain_of,
     parse_gav,
     same_project,
-    walk,
 )
 
-from conftest import deep_chain_tree, grouped_trees, trees
+from conftest import census_with_chains, deep_chain_tree, grouped_trees, trees
 
 
 def test_parse_gav_three_segments():
@@ -258,9 +257,9 @@ def test_tree_rejects_non_compile_root():
 
 
 def test_ancestor_chains(sample_tree):
-    steps = list(walk(sample_tree.root))
-    assert [step[0] for step in steps] == [node for node, _ in sample_tree.nodes()]
-    chains = {step[0].gav: chain_of(step) for step in steps}
+    rows = list(census_with_chains(sample_tree.root))
+    assert [row.gav for row, _ in rows] == [node.gav for node, _ in sample_tree.nodes()][1:]
+    chains = {row.gav: chain for row, chain in rows}
     compress = Gav("org.ziplib", "compress", "1.4")
     assert chains[compress] == (
         compress,
@@ -268,9 +267,8 @@ def test_ancestor_chains(sample_tree):
         Gav("org.dataflow", "stream-core", "5.1"),
         Gav("com.acme", "app-core", "1.0"),
     )
-    root = sample_tree.root.gav
-    assert chains[root] == (root,)
-    assert all(step[2] for step in steps)
+    assert {chain[-1] for chain in chains.values()} == {sample_tree.root.gav}
+    assert all(row.deployed for row, _ in rows)
 
 
 def test_chains_deployed_needs_every_edge_to_ship():
@@ -280,8 +278,8 @@ def test_chains_deployed_needs_every_edge_to_ship():
     tree = DependencyTree(
         DependencyNode(Gav("g", "root", "1"), Scope.COMPILE, (tested, runtime))
     )
-    deployed = {node.gav.artifact_id: flag for node, _, flag, _, _ in walk(tree.root)}
-    assert deployed == {"root": True, "tested": False, "leaf": False, "runtime": True}
+    deployed = {row.gav.artifact_id: row.deployed for row, _ in census_with_chains(tree.root)}
+    assert deployed == {"tested": False, "leaf": False, "runtime": True}
 
 
 def _node(artifact: str, *children: DependencyNode, version: str = "1") -> DependencyNode:
@@ -291,15 +289,14 @@ def _node(artifact: str, *children: DependencyNode, version: str = "1") -> Depen
 def test_chains_skips_a_repeated_library_with_its_subtree():
     # b's second occurrence (another version) brings c, which must not be walked
     root = _node("root", _node("a", _node("b")), _node("b", _node("c"), version="2"), _node("d"))
-    order = [(step[0].gav.artifact_id, step[0].gav.version) for step in walk(root)]
-    assert order == [("root", "1"), ("a", "1"), ("b", "1"), ("d", "1")]
+    order = [(row.gav.artifact_id, row.gav.version) for row, _ in census_with_chains(root)]
+    assert order == [("a", "1"), ("b", "1"), ("d", "1")]
 
 
 def test_chains_never_skips_the_root():
     # the root's library recurs below it; the root is walked, the repeat is not
     root = _node("root", _node("a", _node("root", _node("x"), version="2")))
-    assert [(step[0].gav.artifact_id, chain_of(step)) for step in walk(root)] == [
-        ("root", (root.gav,)),
+    assert [(row.gav.artifact_id, chain) for row, chain in census_with_chains(root)] == [
         ("a", (Gav("g", "a", "1"), root.gav)),
     ]
 
@@ -307,39 +304,50 @@ def test_chains_never_skips_the_root():
 def test_chains_is_preorder_with_children_in_order():
     root = _node("r", _node("a", _node("a1"), _node("a2", _node("a21"))), _node("b"),
                  _node("c", _node("c1")))
-    order = [step[0].gav.artifact_id for step in walk(root)]
-    assert order == ["r", "a", "a1", "a2", "a21", "b", "c", "c1"]
+    order = [row.gav.artifact_id for row, _ in census_with_chains(root)]
+    assert order == ["a", "a1", "a2", "a21", "b", "c", "c1"]
 
 
 @given(trees())
 def test_chains_of_a_tree_yields_every_node(tree):
-    steps = list(walk(tree.root))
-    assert [step[0] for step in steps] == [node for node, _ in tree.nodes()]
-    assert [len(chain_of(step)) - 1 for step in steps] == [depth for _, depth in tree.nodes()]
+    rows = list(census_with_chains(tree.root))
+    below = list(tree.nodes())[1:]
+    assert [row.gav for row, _ in rows] == [node.gav for node, _ in below]
+    assert [len(chain) - 1 for _, chain in rows] == [row.depth for row, _ in rows] == [
+        depth for _, depth in below]
 
 
 @given(grouped_trees())
 def test_walk_carries_each_distinct_group_above_a_node_at_its_nearest(case):
+    # each row is classified from the distinct group ids above it, at their nearest
     tree, _ = case
-    for step in walk(tree.root):
-        _, depth, _, _, above = step
-        chain = chain_of(step)
+    carried = []
+    classify = report.classify_group_ids
+
+    def recording(group, above, root_group):
+        carried.append(above)
+        return classify(group, above, root_group)
+
+    with mock.patch.object(report, "classify_group_ids", recording):
+        rows = list(census_with_chains(tree.root))
+    assert len(carried) == len(rows)
+    for (row, chain), above in zip(rows, carried):
         groups = []
         while above:
             group, above = above
             groups.append(group)
         assert groups == list(dict.fromkeys(gav.group_id for gav in chain[1:]))
-        assert depth == len(chain) - 1
+        assert row.depth == len(chain) - 1
 
 
 def test_build_tree_inverts_the_preorder_walk(sample_tree):
-    positions = {}
-    preorder = []
-    for step in walk(sample_tree.root):
-        node, chain = step[0], chain_of(step)
-        positions[node.gav] = len(preorder)
-        parent = positions[chain[1]] if len(chain) > 1 else -1
-        preorder.append((node.gav, node.scope, parent))
+    root = sample_tree.root
+    positions = {root.gav: 0}
+    preorder = [(root.gav, root.scope, -1)]
+    nodes = {node.gav: node for node, _ in sample_tree.nodes()}
+    for row, chain in census_with_chains(root):
+        positions[row.gav] = len(preorder)
+        preorder.append((row.gav, nodes[row.gav].scope, positions[chain[1]]))
     assert build_tree(preorder) == sample_tree.root
     deep = deep_chain_tree(1500)
     rebuilt = build_tree([(n.gav, n.scope, i - 1) for i, (n, _) in enumerate(deep.nodes())])

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from depscope.analysis import (
-    classify_group_ids,
     classify_responsibility,
     extract_vulnerable_paths,
     filter_non_deployed,
@@ -18,6 +17,7 @@ from depscope.analysis import (
 )
 from depscope.errors import DepscopeError, MissingHistory, SchemaViolation
 from depscope.ingest import csv_text, json_text, load_vuln_kb, parse_tree_text
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -25,14 +25,14 @@ from depscope.model import (
     Gav,
     InstanceStatus,
     LibraryStatus,
+    Release,
+    ReleaseHistory,
     Responsibility,
     Scope,
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    chain_of,
     same_project,
-    walk,
 )
 from depscope.report import (
     CELL_KEYS,
@@ -40,6 +40,7 @@ from depscope.report import (
     CensusRow,
     ScanResult,
     aggregate,
+    census_rows,
     parse_aggregate_json,
     parse_scan_results_json,
     render,
@@ -51,17 +52,23 @@ from depscope.report import _CENSUS_CSV_HEADER, _result_text
 
 from conftest import (
     ANALYSIS_TIME,
+    GROUP_POOL,
+    NON_TRANSITIVE,
     SAMPLE_GAVS,
     SAMPLE_KB_JSON,
     SAMPLE_TREE_TEXT,
     SCAN_RESULTS,
+    VULN_ID_POOL,
     alive_history,
+    census_with_chains,
     deep_chain_tree,
     every_single_change,
     grouped_trees,
     mutate_json,
     random_tree_case,
     reference_aggregate,
+    reference_census_rows,
+    reference_chain_of,
     reference_parse_scan_results_json,
     result_to_dict,
     stalled_history,
@@ -251,8 +258,9 @@ def _group_chains(draw) -> list[str]:
 @given(groups=_group_chains(), root_group=st.sampled_from(["com.app", "com.foo", "org", "net"]),
        data=st.data())
 def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, root_group, data):
-    # the distinct ids a walk carries classify a node as grouping its whole
-    # chain does; parents near the node, so chains run deep and branch
+    # the distinct ids the census walk carries, which classify_group_ids
+    # reads, classify a row as grouping its whole chain does; parents near
+    # the node, so chains run deep and branch
     groups = [root_group, *groups]
     parents = [data.draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, len(groups))]
     children: list[list[DependencyNode]] = [[] for _ in groups]
@@ -260,9 +268,9 @@ def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, ro
         node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), Scope.COMPILE, children[i][::-1])
         if i:
             children[parents[i - 1]].append(node)
-    for step in walk(node):
-        expected = classify_responsibility(group_path(chain_of(step)), node.gav)
-        assert classify_group_ids(step[0].gav.group_id, step[4], root_group) is expected
+    for row, chain in census_with_chains(node):
+        expected = classify_responsibility(group_path(chain), node.gav)
+        assert row.responsibility is expected
 
 
 @pytest.fixture
@@ -300,19 +308,18 @@ def test_same_project_calls_grow_linearly_in_depth_on_one_project(same_project_b
 
 
 def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(monkeypatch, same_project_budget):
-    # only a vulnerable node's chain is built, here the leaf's; a walk that
-    # copies each node's whole chain builds about depth**2 / 2 elements, and
-    # grouping that compares each member with every project kept so far makes
-    # about depth**2 / 2 same_project calls
+    # only a vulnerable node's chain is built and grouped, here the leaf's; a
+    # scan that built each node's whole chain would build about depth**2 / 2
+    # elements, and grouping that compares each member with every project
+    # kept so far makes about depth**2 / 2 same_project calls
     elements = [0]
 
-    def counted(step):
-        chain = chain_of(step)
+    def counted(chain):
         elements[0] += len(chain)
         assert elements[0] <= depth + 1, f"over {depth + 1} chain elements"
-        return chain
+        return group_path(chain)
 
-    monkeypatch.setattr("depscope.report.chain_of", counted)
+    monkeypatch.setattr("depscope.report.group_path", counted)
     for depth in (5_000, 10_000):
         tree = deep_chain_tree(depth)
         leaf = Gav(f"org.deep{depth}", f"lib{depth}", "1.0")
@@ -381,7 +388,8 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
     monkeypatch.setattr(DependencyTree, "__post_init__", forbidden)
     monkeypatch.setattr(DependencyTree, "nodes", forbidden)
     walks = []
-    monkeypatch.setattr("depscope.report.walk", lambda root: walks.append(root) or walk(root))
+    monkeypatch.setattr("depscope.report.census_rows", lambda root, *args, **kwargs:
+                        walks.append(root) or census_rows(root, *args, **kwargs))
 
     got = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
            for t, kb, h in cases for include in (False, True)]
@@ -391,28 +399,105 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
 
 def test_scan_builds_and_groups_each_vulnerable_chain_once(monkeypatch, sample_tree, sample_kb,
                                                            sample_histories):
-    chains, groupings = [], [0]
-
-    def counted_chain_of(step):
-        chains.append(chain_of(step))
-        return chains[-1]
+    # each chain scan builds goes to grouping once, as it is
+    chains = []
 
     def counted_group_path(raw_path):
-        groupings[0] += 1
+        chains.append(raw_path)
         return group_path(raw_path)
 
-    monkeypatch.setattr("depscope.report.chain_of", counted_chain_of)
     monkeypatch.setattr("depscope.report.group_path", counted_group_path)
     cases = [(sample_tree, sample_kb, sample_histories)] + [_random_case(s) for s in range(40)]
     for tree, kb, histories in cases:
         for include in (False, True):
             del chains[:]
-            groupings[0] = 0
             result = scan(tree, kb, histories, time=ANALYSIS_TIME, include_non_deployed=include)
             vulnerable = [row.gav for row in result.census if row.vuln_ids]
             assert [chain[0] for chain in chains] == vulnerable
-            assert groupings[0] == len(vulnerable)
             assert {path.raw_path for path in result.paths if len(path.raw_path) > 1} == set(chains)
+            assert all(type(chain) is tuple for chain in chains)
+
+
+# release dates that make a library alive or halted at ANALYSIS_TIME; the
+# alive one ends past it, so a version released then is not yet seen
+_CADENCES = {
+    "alive": [date(2018, 3, 1), date(2018, 4, 1), date(2018, 5, 1), date(2018, 7, 1)],
+    "halted": [date(2005, 1, 1), date(2006, 1, 1), date(2007, 1, 1), date(2007, 6, 1)],
+}
+
+
+@st.composite
+def _census_cases(draw):
+    """A root node over nodes drawn from a few libraries, so a library
+    recurs (the root's too) in another version or the same; random scopes,
+    so edges that do not ship occur; histories that are missing, alive or
+    halted and that may lack a version the tree holds; and a KB marking
+    some of the nodes."""
+    n = draw(st.integers(1, 30))
+    libraries = draw(st.integers(1, n))
+    groups = draw(st.lists(st.sampled_from(GROUP_POOL + NON_TRANSITIVE), min_size=libraries,
+                           max_size=libraries))
+    picks = [0] + draw(st.lists(st.integers(0, libraries - 1), min_size=n - 1, max_size=n - 1))
+    versions = draw(st.lists(st.sampled_from("123"), min_size=n, max_size=n))
+    gavs = [Gav(groups[k], f"lib{k}", version) for k, version in zip(picks, versions)]
+    scopes = [Scope.COMPILE] + draw(st.lists(st.sampled_from(list(Scope)), min_size=n - 1,
+                                             max_size=n - 1))
+    parents = [draw(st.integers(max(0, i - 3), i - 1)) for i in range(1, n)]
+    children: list[list[DependencyNode]] = [[] for _ in range(n)]
+    for i in reversed(range(n)):
+        node = DependencyNode(gavs[i], scopes[i], children[i][::-1])
+        if i:
+            children[parents[i - 1]].append(node)
+    # at most one library without history and one version missing from one,
+    # so most cases reach deep rows before any error
+    no_history = draw(st.none() | st.integers(0, libraries - 1))
+    unreleased = draw(st.none() | st.tuples(st.integers(0, libraries - 1), st.sampled_from("123")))
+    histories = {}
+    for k in range(libraries):
+        released = [v for v in draw(st.permutations("1234")) if (k, v) != unreleased]
+        ga = Ga(groups[k], f"lib{k}")
+        if k != no_history:
+            histories[ga] = ReleaseHistory(ga, tuple(
+                Release(v, d) for v, d in zip(released, _CADENCES[draw(st.sampled_from(list(_CADENCES)))])))
+    marked = draw(st.lists(st.sampled_from(gavs), unique=True))
+    kb = VulnerabilityKb(
+        VulnerabilityRecord(draw(st.sampled_from(VULN_ID_POOL)), frozenset({gav})) for gav in marked)
+    return node, kb, histories
+
+
+def _census_outcome(rows, chain_of):
+    """The ``(row, chain)`` pairs ``rows`` yields, each chain taken as the
+    row arrives, then the type and args of the error that stops it, if any."""
+    got = []
+    try:
+        for row, link in rows:
+            got.append((tuple(row), chain_of(row, link)))
+    except DepscopeError as exc:
+        return got, (type(exc), exc.args)
+    return got, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_census_cases())
+def test_census_rows_yields_the_frozen_reference_rows_and_chains(case):
+    # the one census loop against the stepwise walk it replaced: the same
+    # rows in the same order, the same ancestor chains, and the same error
+    # at the same node, in every mode
+    root, kb, histories = case
+    for lenient in (False, True):
+        for include in (False, True):
+            for vulnerable_only in (False, True):
+                modes = dict(lenient=lenient, include_non_deployed=include,
+                             vulnerable_only=vulnerable_only)
+                got = _census_outcome(
+                    census_rows(root, kb, verdict_table(histories, ANALYSIS_TIME, SmoothingConfig()),
+                                **modes),
+                    lambda row, path: (row.gav, *path[row.depth - 1::-1]))
+                expected = _census_outcome(
+                    reference_census_rows(root, kb, verdict_table(histories, ANALYSIS_TIME,
+                                                                  SmoothingConfig()), **modes),
+                    lambda row, step: reference_chain_of(step))
+                assert got == expected
 
 
 @pytest.mark.parametrize("include", [False, True])

@@ -143,12 +143,13 @@ def test_determinism_byte_identical():
 
 
 def test_simulate_builds_and_groups_no_chain(monkeypatch):
-    # a project only counts its rows, so no vulnerable row's path is built
+    # a project only counts its rows, so no vulnerable row's path is built:
+    # no chain is grouped and no path made from one
     def forbidden(*args, **kwargs):
         raise AssertionError("simulate must not call this")
 
-    monkeypatch.setattr("depscope.report.chain_of", forbidden)
     monkeypatch.setattr("depscope.report.group_path", forbidden)
+    monkeypatch.setattr("depscope.report.VulnerablePath", forbidden)
     cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
     outcomes = simulate(build_synthetic_pool(), cfg)
     assert sum(outcome.all_vulnerable for outcome in outcomes) > 0
