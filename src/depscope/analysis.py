@@ -104,11 +104,19 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
     covered: set[str] = set()  # every dot-prefix of every kept group id, the id included
     for gav in raw_path:
         group = gav.group_id
-        if group not in covered:  # no kept id equals it or has it as a dot-prefix
-            prefixes = [group[:i] for i, char in enumerate(group) if char == "."]
-            if kept.keys().isdisjoint(prefixes):
-                kept[group] = gav
-                covered.update(prefixes, (group,))
+        if group in covered:  # a kept id equals it or has it as a dot-prefix
+            continue
+        prefixes = [group]
+        dot = group.find(".")
+        while dot >= 0:
+            prefix = group[:dot]
+            if prefix in kept:  # it is under a kept id
+                break
+            prefixes.append(prefix)
+            dot = group.find(".", dot + 1)
+        else:
+            kept[group] = gav
+            covered.update(prefixes)
     return list(kept.values())
 
 

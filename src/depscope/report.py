@@ -183,8 +183,7 @@ def scan(
              for vuln_id in kb.ids_by_gav.get(root, ())]
     rows = []
     for row, path in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
-                                 lenient=lenient, include_non_deployed=include_non_deployed,
-                                 vulnerable_only=False):
+                                 lenient=lenient, include_non_deployed=include_non_deployed):
         rows.append(row)
         if row.vuln_ids:
             chain = (row.gav, *path[row.depth - 1::-1])
@@ -208,13 +207,10 @@ def census_rows(
     *,
     lenient: bool,
     include_non_deployed: bool,
-    vulnerable_only: bool,
 ) -> Iterator[tuple[CensusRow, list[Gav]]]:
     """``(row, path)`` for each dependency below ``root``, in one
     depth-first preorder walk, children in order; raises as :func:`scan`
-    does, at the first offending node. With ``vulnerable_only``, a node
-    without vuln ids gets no row, yet still raises at a missing history or
-    an unknown version.
+    does, at the first offending node.
 
     A library met before in preorder is skipped with its subtree, as a build
     tool mediates duplicates, so the walk of a :class:`DependencyTree`'s
@@ -258,18 +254,17 @@ def census_rows(
         if depth == 1:
             direct = verdict
         vuln_ids = ids_by_gav.get(gav, ()) if deployed or include_non_deployed else ()
-        if vuln_ids or not vulnerable_only:
-            if verdict is None:
-                lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
-            else:
-                lib_status, inst_status = verdict.status, verdict.statuses[gav[2]]
-            # the tuple's own constructor: NamedTuple's __new__ is a Python call
-            yield tuple.__new__(CensusRow, (
-                gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
-                lib_status, inst_status,
-                deployed and depth > 1 and direct is not None and direct.status is _HALTED,
-                verdict is None,
-            )), path
+        if verdict is None:
+            lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
+        else:
+            lib_status, inst_status = verdict.status, verdict.statuses[gav[2]]
+        # the tuple's own constructor: NamedTuple's __new__ is a Python call
+        yield tuple.__new__(CensusRow, (
+            gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
+            lib_status, inst_status,
+            deployed and depth > 1 and direct is not None and direct.status is _HALTED,
+            verdict is None,
+        )), path
         children = node.children
         if not children:
             continue

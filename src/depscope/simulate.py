@@ -3,7 +3,7 @@ dependency-study methodology.
 
 Each simulated project draws a fixed number of distinct libraries from the
 pool (one uniformly-chosen version each), attaches their resolved subtrees
-under a fresh synthetic root, and runs both pipelines:
+under a fresh synthetic root, and counts what both pipelines would find:
 
 * standard: no deployment filter, no grouping, direct means depth-1;
 * proposed: deployment filter, project grouping, release-cadence model.
@@ -18,14 +18,17 @@ from __future__ import annotations
 
 import hashlib
 import random
+from array import array
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from depscope.errors import EmptyPool, InsufficientLibraries, ReservedGroup
+from depscope.analysis import classify_responsibility, group_path
+from depscope.errors import EmptyPool, InsufficientLibraries, MissingHistory, ReservedGroup, UnknownVersion
 from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
+    NON_DEPLOYED_SCOPES,
     DependencyNode,
     DependencyTree,
     Ga,
@@ -33,15 +36,68 @@ from depscope.model import (
     LibraryStatus,
     ReleaseHistory,
     Responsibility,
-    Scope,
     VulnerabilityKb,
     same_project,
 )
-from depscope.report import census_rows
 
 #: group id reserved for synthetic roots so they never share a project with
 #: pool libraries
 SYNTHETIC_GROUP = "sim.depscope"
+
+# a plan node's flag bits: the KB hits it; and, for such a node only, every
+# edge from it up to the pool root ships, and its grouped class is own or direct
+_VULNERABLE, _DEPLOYED, _CONTROLLED = 1, 2, 4
+_HALTED, _TRANSITIVE = LibraryStatus.HALTED, Responsibility.TRANSITIVE
+# a tuple tests a scope by identity first, without the Python-level Enum hash
+_NOT_SHIPPED = tuple(NON_DEPLOYED_SCOPES)
+# any project's root: a class reads only the root's group
+_SYNTHETIC_ROOT = Gav(SYNTHETIC_GROUP, "project", "1.0")
+
+
+class Plan(NamedTuple):
+    """A pool tree compiled for the projects that draw it: its nodes in
+    depth-first preorder, children in order, as three columns."""
+
+    gavs: tuple[Gav, ...]
+    depths: array  # each node's depth below the pool root, which is 0
+    flags: bytes  # each node's flag bits; 0 for a node the KB misses
+
+
+def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
+          library_of_group: dict[str, Gav]) -> Plan:
+    """``root``'s plan, in one walk that also notes each group's first
+    library in ``library_of_group``.
+
+    A node's class is that of its chain up to the pool root, then up to a
+    synthetic root: :data:`SYNTHETIC_GROUP` shares a project with no pool
+    library (:class:`ReservedGroup`), so that root is a project of its own
+    whichever project draws the tree, and the class holds for all of them.
+    Only a deployed vulnerable node is classified, as only its class is
+    counted."""
+    gavs, depths, flags = [], [], bytearray()
+    path = []  # the coordinates of the nodes the walk is below, by depth, the pool root first
+    stack = [(root, 0, True)]
+    while stack:
+        node, depth, deployed = stack.pop()
+        gav = node.gav
+        library_of_group.setdefault(gav[0], gav)
+        gavs.append(gav)
+        depths.append(depth)
+        if gav not in ids_by_gav:
+            flags.append(0)
+        elif not deployed:
+            flags.append(_VULNERABLE)
+        else:
+            grouped = group_path((gav, *reversed(path[:depth]), _SYNTHETIC_ROOT))
+            controlled = classify_responsibility(grouped, _SYNTHETIC_ROOT) is not _TRANSITIVE
+            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * controlled)
+        children = node.children
+        if children:
+            path[depth:] = (gav,)
+            depth += 1
+            for child in reversed(children):
+                stack.append((child, depth, deployed and child.scope not in _NOT_SHIPPED))
+    return Plan(tuple(gavs), array("Q", depths), bytes(flags))
 
 
 @dataclass(frozen=True)
@@ -52,9 +108,11 @@ class SimulationPool:
     for all projects, and ``histories`` as given: only loaded ones keep verdict
     tables between calls. ``libraries`` is derived once as well: for each pool
     library in sorted order, its pool tree roots by version string (``1.10``
-    before ``1.9``). A pool library in the project of :data:`SYNTHETIC_GROUP`
-    raises :class:`ReservedGroup`: grouping would absorb the synthetic root
-    into it and count its third-party findings as ``own``.
+    before ``1.9``). ``plans`` holds each of those trees' :class:`Plan`, in
+    the same places, made in the walk that checks the pool's groups: a pool
+    library in the project of :data:`SYNTHETIC_GROUP` raises
+    :class:`ReservedGroup`, as grouping would absorb the synthetic root into
+    it and count its third-party findings as ``own``.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -63,29 +121,27 @@ class SimulationPool:
     libraries: tuple[tuple[DependencyNode, ...], ...] = field(
         init=False, repr=False, compare=False
     )
+    plans: tuple[tuple[Plan, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "trees", tuple(self.trees))
         if not isinstance(self.kb, VulnerabilityKb):
             object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
-        by_library: dict[Ga, dict[str, DependencyNode]] = {}
+        ids_by_gav = self.kb.ids_by_gav
+        by_library: dict[Ga, dict[str, tuple[DependencyNode, Plan]]] = {}
         library_of_group: dict[str, Gav] = {}  # each distinct pool group, checked once
         for tree in self.trees:
-            for node, _ in tree.nodes():
-                library_of_group.setdefault(node.gav.group_id, node.gav)
             root = tree.root.gav
             versions = by_library.setdefault(root.ga, {})
             if root.version in versions:
                 raise ValueError(f"duplicate pool tree for {root}")
-            versions[root.version] = tree.root
+            versions[root.version] = tree.root, _plan(tree.root, ids_by_gav, library_of_group)
         for group, gav in library_of_group.items():
             if same_project(group, SYNTHETIC_GROUP):
                 raise ReservedGroup(gav.ga, SYNTHETIC_GROUP)
-        libraries = tuple(
-            tuple(versions[v] for v in sorted(versions))
-            for _, versions in sorted(by_library.items())
-        )
-        object.__setattr__(self, "libraries", libraries)
+        ordered = [[versions[v] for v in sorted(versions)] for _, versions in sorted(by_library.items())]
+        object.__setattr__(self, "libraries", tuple(tuple(root for root, _ in row) for row in ordered))
+        object.__setattr__(self, "plans", tuple(tuple(plan for _, plan in row) for row in ordered))
 
 
 @dataclass(frozen=True)
@@ -122,44 +178,68 @@ def _sub_rng(seed: int, index: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _project_root(pool: SimulationPool, cfg: SimulationConfig, index: int) -> DependencyNode:
-    """Project ``index``'s synthetic root over its draws, in draw order."""
-    if not pool.libraries:
-        raise EmptyPool()
-    if cfg.deps_per_project > len(pool.libraries):
-        raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
-    rng = _sub_rng(cfg.seed, index)
-    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
-    picks = [rng.choice(versions) for versions in drawn]
-    return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
-
-
 def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome]:
     """Run the synthetic-project experiment; deterministic given (pool, cfg).
 
-    Each project counts the census of its drawn subtrees under a synthetic
-    root, scanned with non-deployed instances matched: the standard counts
-    ignore deployment and grouping, the proposed ones honor both. The census
-    rows come from the walk of that root, which drops what mediation drops,
-    so no project tree is built, and it raises where a scan of the tree would. Only the vulnerable instances it counts get a row; a safe
-    node still raises at a missing history or an unknown version.
+    Each project counts the vulnerable instances of its drawn subtrees under
+    a synthetic root, scanned with non-deployed instances matched: the
+    standard counts ignore deployment and grouping, the proposed ones honor
+    both. It walks the plans of its picks in draw order, each in preorder,
+    and skips a library met before together with its subtree, as a build
+    tool mediates duplicates; so no project tree is built, and a kept node's
+    class is its plan's. Every kept node, safe or not, has its history and
+    its version looked up, so a project raises where a scan of its tree
+    would: at a missing history in strict mode, or at an unknown version.
     """
+    if not pool.plans:
+        raise EmptyPool()
+    if cfg.deps_per_project > len(pool.plans):
+        raise InsufficientLibraries(cfg.deps_per_project, len(pool.plans))
     time = cfg.time or date.today()
     verdicts = verdict_table(pool.histories, time, cfg.smoothing)
+    lenient = cfg.lenient
     outcomes = []
     for index in range(cfg.projects):
-        root = _project_root(pool, cfg, index)
-        vulnerable = [row for row, _ in census_rows(root, pool.kb, verdicts, lenient=cfg.lenient,
-                                                    include_non_deployed=True, vulnerable_only=True)]
-        deployed = [row for row in vulnerable if row.deployed]
+        rng = _sub_rng(cfg.seed, index)
+        drawn = rng.sample(pool.plans, cfg.deps_per_project)
+        picks = [rng.choice(versions) for versions in drawn]
+        seen = set()  # group and artifact as plain tuples: cheaper than building Ga
+        vulnerable = deployed = standard = proposed = halted = 0
+        for gavs, depths, flags in picks:
+            # the depth of the library being skipped, whose subtree is the run of
+            # deeper nodes after it; while none is, a depth no node has
+            cut = no_cut = len(gavs)
+            for gav, depth, flag in zip(gavs, depths, flags):
+                if depth > cut:
+                    continue
+                ga = gav[:2]
+                if ga in seen:
+                    cut = depth
+                    continue
+                cut = no_cut
+                seen.add(ga)
+                verdict = verdicts[ga]
+                if verdict is None:
+                    if not lenient:
+                        raise MissingHistory(gav.ga)
+                elif gav[2] not in verdict.statuses:
+                    raise UnknownVersion(gav)
+                if flag:
+                    vulnerable += 1
+                    standard += depth == 0  # the pool root, a direct dependency
+                    if flag & _DEPLOYED:
+                        deployed += 1
+                        if flag & _CONTROLLED:
+                            proposed += 1
+                        halted += verdict is not None and verdict.status is _HALTED
         outcomes.append(ProjectOutcome(
             index=index,
-            root=root.gav,
-            all_vulnerable=len(vulnerable),
-            deployed_vulnerable=len(deployed),
-            controlled_standard=sum(row.depth == 1 for row in vulnerable),
-            controlled_proposed=sum(row.responsibility is not Responsibility.TRANSITIVE for row in deployed),
-            halted_vulnerable=sum(row.library_status is LibraryStatus.HALTED for row in deployed),
+            root=Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"),
+            all_vulnerable=vulnerable,
+            deployed_vulnerable=deployed,
+            controlled_standard=standard,
+            controlled_proposed=proposed,
+            halted_vulnerable=halted,
         ))
     return outcomes
 

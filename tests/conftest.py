@@ -25,6 +25,8 @@ from depscope.errors import (
     DuplicateVersion,
     EmptyAffectedSet,
     EmptyInput,
+    EmptyPool,
+    InsufficientLibraries,
     MalformedRow,
     MalformedTreeLine,
     MissingHistory,
@@ -51,7 +53,7 @@ from depscope.model import (
     same_project,
 )
 from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult, census_rows
-from depscope.simulate import SimulationPool, _project_root
+from depscope.simulate import SYNTHETIC_GROUP, SimulationPool, _sub_rng
 
 ANALYSIS_TIME = date(2018, 6, 1)
 
@@ -864,7 +866,7 @@ def census_with_chains(root: DependencyNode):
     sliced from the walk's path as ``scan`` slices it."""
     verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
     for row, path in census_rows(root, VulnerabilityKb(), verdicts, lenient=True,
-                                 include_non_deployed=True, vulnerable_only=False):
+                                 include_non_deployed=True):
         yield row, (row.gav, *path[row.depth - 1::-1])
 
 
@@ -964,13 +966,27 @@ def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *
 # --- replay of a simulated project's tree ---------------------------------------------
 
 
+def project_root(pool: SimulationPool, cfg, index: int) -> DependencyNode:
+    """Project ``index``'s synthetic root over its picks, in draw order:
+    ``simulate`` draws the same pool trees, as plans, with the same calls to
+    the project's generator, and raises the same errors before it draws."""
+    if not pool.libraries:
+        raise EmptyPool()
+    if cfg.deps_per_project > len(pool.libraries):
+        raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
+    rng = _sub_rng(cfg.seed, index)
+    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
+    picks = [rng.choice(versions) for versions in drawn]
+    return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
+
+
 def project_tree(pool: SimulationPool, cfg, index: int) -> DependencyTree:
     """The synthetic tree that project ``index`` of a simulation analyzes:
     its drawn subtrees under its synthetic root, as a build tool mediates
     them. When two drawn subtrees share a library, the first-drawn
     occurrence wins and the later node is dropped with its subtree. A scan
     of it replays the project's census."""
-    root = _project_root(pool, cfg, index)
+    root = project_root(pool, cfg, index)
     seen = {root.gav.ga}
 
     def first_of_library(node: DependencyNode) -> bool:

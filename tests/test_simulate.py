@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import importlib
 import math
 from collections import Counter
 from dataclasses import replace
@@ -31,7 +32,8 @@ from depscope.model import (
     VulnerabilityRecord,
     build_tree,
 )
-from depscope import report
+from depscope import analysis, report
+from depscope.analysis import extract_vulnerable_paths, filter_non_deployed, match_vulnerabilities
 from depscope.report import aggregate, scan
 from depscope.simulate import (
     SYNTHETIC_GROUP,
@@ -42,7 +44,9 @@ from depscope.simulate import (
     simulate,
 )
 
-from conftest import ANALYSIS_TIME, build_synthetic_pool, deep_chain_tree, project_tree
+from conftest import ANALYSIS_TIME, alive_history, build_synthetic_pool, deep_chain_tree, project_tree
+
+simulate_module = importlib.import_module("depscope.simulate")  # the package's ``simulate`` is the function
 
 
 def _tiny_pool(n: int) -> SimulationPool:
@@ -108,6 +112,45 @@ def test_simulate_pool_chain_deeper_than_recursion_limit():
     assert (outcome.controlled_standard, outcome.controlled_proposed) == (0, 0)
 
 
+def _deep_pool() -> SimulationPool:
+    """Pool trees ``org.early:e:1.0 -> org.deep1000:lib1000:1.0`` and
+    ``com.app:app:1.0`` over a chain ``org.deep1 -> ... -> org.deep1500``
+    (library ``i`` at depth ``i``) followed by a sibling
+    ``com.app.after:after:1.0``. The KB hits ``org.deep300``, the leaf and
+    the sibling, and ``org.deep1200`` has no history."""
+    chain = [Gav(f"org.deep{i}", f"lib{i}", "1.0") for i in range(1, 1501)]
+    app, after = Gav("com.app", "app", "1.0"), Gav("com.app.after", "after", "1.0")
+    deep = build_tree([(app, Scope.COMPILE, -1)]
+                      + [(gav, Scope.COMPILE, i) for i, gav in enumerate(chain)]
+                      + [(after, Scope.COMPILE, 0)])
+    early = DependencyNode(Gav("org.early", "e", "1.0"), Scope.COMPILE,
+                           (DependencyNode(chain[999], Scope.COMPILE),))
+    histories = {gav.ga: alive_history(gav) for gav in (app, after, early.gav, *chain)
+                 if gav != chain[1199]}
+    kb = [VulnerabilityRecord("V1", frozenset({chain[299], chain[1499], after}))]
+    return SimulationPool(trees=(DependencyTree(early), DependencyTree(deep)), histories=histories, kb=kb)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_simulate_skips_a_deep_subtree_that_an_earlier_pick_holds(lenient):
+    # the walk skips org.deep1000's subtree, 500 levels past the recursion
+    # limit and below depth 255, then keeps the sibling after it; drawn the
+    # other way round, the whole chain is kept, and strict mode refuses the
+    # library without history
+    pool = _deep_pool()
+    for picks in (("e", "app"), ("app", "e")):
+        cfg = _seed_drawing(pool, picks, lenient)
+        expected = _outcomes_or_error(_scanned_outcomes, pool, cfg)
+        assert _outcomes_or_error(simulate, pool, cfg) == expected
+        if picks == ("e", "app"):  # org.deep300 and the sibling, which shares com.app's project
+            assert [(o.all_vulnerable, o.deployed_vulnerable, o.controlled_standard,
+                     o.controlled_proposed) for o in expected] == [(2, 2, 0, 1)]
+        elif lenient:  # the leaf too
+            assert [o.all_vulnerable for o in expected] == [3]
+        else:
+            assert expected == (MissingHistory, MissingHistory(Ga("org.deep1200", "lib1200")).args)
+
+
 def test_insufficient_libraries_raises():
     pool = _tiny_pool(3)
     with pytest.raises(InsufficientLibraries):
@@ -142,43 +185,47 @@ def test_determinism_byte_identical():
     assert json_first == json_second
 
 
-def test_simulate_builds_and_groups_no_chain(monkeypatch):
-    # a project only counts its rows, so no vulnerable row's path is built:
-    # no chain is grouped and no path made from one
+def test_pool_classifies_each_deployed_vulnerable_node_once(monkeypatch):
+    # the pool groups and classifies the chain of each deployed node the KB
+    # hits, up to its pool root and then a synthetic root, once, in the order
+    # of the pool's trees and of each tree's preorder; no other node is classified
+    plain = build_synthetic_pool()
+    grouped, classified = [], []
+    group, classify = simulate_module.group_path, simulate_module.classify_responsibility
+    monkeypatch.setattr(simulate_module, "group_path",
+                        lambda chain: grouped.append(chain) or group(chain))
+    monkeypatch.setattr(simulate_module, "classify_responsibility",
+                        lambda path, root: classified.append((path, root)) or classify(path, root))
+    pool = SimulationPool(plain.trees, plain.histories, plain.kb)
+    expected = []  # one chain per node, however many vulnerabilities it has
+    for tree in pool.trees:
+        paths = extract_vulnerable_paths(match_vulnerabilities(filter_non_deployed(tree), pool.kb))
+        expected += dict.fromkeys(path.raw_path for path in paths)
+    assert 0 < len(expected) < sum(1 for tree in pool.trees for _ in tree.nodes())
+    assert [chain[:-1] for chain in grouped] == expected
+    assert {chain[-1].group_id for chain in grouped} == {SYNTHETIC_GROUP}
+    assert classified == [(group(chain), chain[-1]) for chain in grouped]
+
+
+def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
+    # a project walks the plans its pool compiled: no plan is compiled, no
+    # chain is grouped or classified, no census row is made and no node is
+    # built for it
+    pool = build_synthetic_pool()
+
     def forbidden(*args, **kwargs):
         raise AssertionError("simulate must not call this")
 
-    monkeypatch.setattr("depscope.report.group_path", forbidden)
-    monkeypatch.setattr("depscope.report.VulnerablePath", forbidden)
+    for module in (simulate_module, analysis, report):
+        for name in ("_plan", "group_path", "classify_responsibility", "classify_group_ids", "census_rows"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(DependencyNode, "__init__", forbidden)
     cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
-    outcomes = simulate(build_synthetic_pool(), cfg)
-    assert sum(outcome.all_vulnerable for outcome in outcomes) > 0
-
-
-def _dependencies(node: DependencyNode) -> int:
-    return sum(1 + _dependencies(child) for child in node.children)
-
-
-def test_simulate_classifies_only_the_rows_it_counts(monkeypatch):
-    # every count reads vulnerable rows only, so no other row is classified;
-    # a scan of the same project tree still classifies each dependency
-    classified = []
-    classify = report.classify_group_ids
-
-    def counting(*args):
-        classified.append(args)
-        return classify(*args)
-
-    monkeypatch.setattr("depscope.report.classify_group_ids", counting)
-    pool = build_synthetic_pool()
-    cfg = SimulationConfig(projects=20, deps_per_project=8, seed=42, time=ANALYSIS_TIME)
-    vulnerable = sum(outcome.all_vulnerable for outcome in simulate(pool, cfg))
-    assert 0 < len(classified) == vulnerable
-    classified.clear()
-    trees = [project_tree(pool, cfg, index) for index in range(cfg.projects)]
-    for tree in trees:
-        scan(tree, pool.kb, pool.histories, time=cfg.time, include_non_deployed=True)
-    assert len(classified) == sum(_dependencies(tree.root) for tree in trees) > vulnerable
+    outcomes = simulate(pool, cfg)
+    assert sum(outcome.controlled_proposed for outcome in outcomes) > 0
+    monkeypatch.undo()
+    assert outcomes == simulate(pool, cfg)
 
 
 def test_different_seeds_differ():
