@@ -123,7 +123,7 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
 def classify_group_ids(group: str, above: tuple, root_group: str) -> Responsibility:
     """:func:`classify_responsibility` of the grouped chain of a node in
     ``group`` below the distinct group ids ``above`` (links, nearest first,
-    as :func:`depscope.report.census_rows` carries them). A group met again
+    as :func:`depscope.report.scan`'s walk carries them). A group met again
     farther up a chain is absorbed, by its nearer occurrence or by whatever
     absorbed that, so grouping the distinct ids keeps as many members as
     grouping the chain; only up to three matter."""

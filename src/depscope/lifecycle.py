@@ -86,7 +86,6 @@ class LibraryVerdict(NamedTuple):
     interval: float  # the smoothed interval, in days
     expected: date  # the expected next release
     statuses: Mapping[str, InstanceStatus]  # version -> the status of its instance
-    last_visible: date  # of the last release on or before the time; date.min when none
 
     def instance_status(self, gav: Gav) -> InstanceStatus:
         """``gav``'s status, read from ``statuses``; raises
@@ -116,7 +115,6 @@ def library_verdict(history: ReleaseHistory, time: date, cfg: SmoothingConfig) -
         expected=expected,
         statuses={release.version: InstanceStatus.OUTDATED if release.released < last_visible
                   else InstanceStatus.UP_TO_DATE for release in history.releases},
-        last_visible=last_visible,
     )
 
 

@@ -31,9 +31,8 @@ from depscope.ingest import (
     parse_json,
     schema_parts,
 )
-from depscope.lifecycle import SmoothingConfig, VerdictTable, verdict_table
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
-    DependencyNode,
     DependencyTree,
     Ga,
     Gav,
@@ -172,80 +171,37 @@ def scan(
     ``time`` defaults to the tree's own analysis date when present, else
     today. Lifecycle verdicts come from the verdict table of ``histories``
     at ``(time, cfg)`` (:func:`depscope.lifecycle.verdict_table`).
-    """
-    cfg = cfg or SmoothingConfig()
-    time = time or tree.analysis_time or date.today()
-    root = tree.root.gav
-    if not isinstance(kb, VulnerabilityKb):
-        kb = VulnerabilityKb(kb)
-    # the root ships, so it is matched in both modes; its paths are own
-    paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
-             for vuln_id in kb.ids_by_gav.get(root, ())]
-    rows = []
-    for row, path in census_rows(tree.root, kb, verdict_table(histories, time, cfg),
-                                 lenient=lenient, include_non_deployed=include_non_deployed):
-        rows.append(row)
-        if row.vuln_ids:
-            chain = (row.gav, *path[row.depth - 1::-1])
-            grouped = tuple(group_path(chain))
-            for vuln_id in row.vuln_ids:
-                paths.append(VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted))
 
-    return ScanResult(
-        root=root,
-        analysis_time=time,
-        include_non_deployed=include_non_deployed,
-        paths=tuple(paths),
-        census=tuple(rows),
-    )
-
-
-def census_rows(
-    root: DependencyNode,
-    kb: VulnerabilityKb,
-    verdicts: VerdictTable,
-    *,
-    lenient: bool,
-    include_non_deployed: bool,
-) -> Iterator[tuple[CensusRow, list[Gav]]]:
-    """``(row, path)`` for each dependency below ``root``, in one
-    depth-first preorder walk, children in order; raises as :func:`scan`
-    does, at the first offending node.
-
-    A library met before in preorder is skipped with its subtree, as a build
-    tool mediates duplicates, so the walk of a :class:`DependencyTree`'s
-    root, whose libraries are distinct, skips nothing. The root is never
-    skipped and has no row. A row is ``deployed`` when every edge from its
-    node up to the root ships.
-
-    No chain is built here. ``path`` lists the coordinates of the walk's
-    current path by depth, the root first: until the next row is asked for,
-    its first ``row.depth`` entries are the row's ancestors, so a caller
-    that prints a row's chain slices it from there.
-
-    Every row's class comes from the distinct group ids of its ancestors
+    A row's class comes from the distinct group ids of its ancestors
     (:func:`depscope.analysis.classify_group_ids`), each at its nearest
     occurrence, nearest first, as links ``(group, rest)`` ending in ``()``.
     A node costs O(1) at any depth, except when a node's group already
     occurs higher up but not at the front of those links: then the groups
-    met since its previous occurrence are relinked."""
+    met since its previous occurrence are relinked. Only a vulnerable
+    node's chain is built, from the walk's current path, and grouped.
+    """
+    cfg = cfg or SmoothingConfig()
+    time = time or tree.analysis_time or date.today()
+    verdicts = verdict_table(histories, time, cfg)
+    if not isinstance(kb, VulnerabilityKb):
+        kb = VulnerabilityKb(kb)
     ids_by_gav = kb.ids_by_gav
-    root_group = root.gav[0]
-    seen = {root.gav[:2]}  # group and artifact as plain tuples: cheaper than building Ga
-    path = [root.gav]
+    root = tree.root.gav
+    root_group = root[0]
+    # the root ships, so it is matched in both modes; its paths are own
+    paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
+             for vuln_id in ids_by_gav.get(root, ())]
+    rows = []
+    path = [root]  # the coordinates of the walk's current path by depth, the root first
     present = {root_group}  # the groups in ``above`` of the node being expanded
     firsts = [(0, root_group)]  # (depth, group) where each of those first occurs, root first
     above = (root_group, ())
-    stack = [(child, 1, child.scope.deployed, above) for child in reversed(root.children)]
+    stack = [(child, 1, child.scope.deployed, above) for child in reversed(tree.root.children)]
     direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
     while stack:
         node, depth, deployed, above = stack.pop()
         gav = node.gav
-        ga = gav[:2]
-        if ga in seen:
-            continue
-        seen.add(ga)
-        verdict = verdicts[ga]
+        verdict = verdicts[gav[:2]]
         if verdict is None:
             if not lenient:
                 raise MissingHistory(gav.ga)
@@ -258,13 +214,16 @@ def census_rows(
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
             lib_status, inst_status = verdict.status, verdict.statuses[gav[2]]
+        responsibility = classify_group_ids(gav[0], above, root_group)
+        via_halted = deployed and depth > 1 and direct is not None and direct.status is _HALTED
         # the tuple's own constructor: NamedTuple's __new__ is a Python call
-        yield tuple.__new__(CensusRow, (
-            gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
-            lib_status, inst_status,
-            deployed and depth > 1 and direct is not None and direct.status is _HALTED,
-            verdict is None,
-        )), path
+        rows.append(tuple.__new__(CensusRow, (gav, depth, deployed, vuln_ids, responsibility,
+                                              lib_status, inst_status, via_halted, verdict is None)))
+        if vuln_ids:
+            chain = (gav, *path[depth - 1::-1])
+            grouped = tuple(group_path(chain))
+            for vuln_id in vuln_ids:
+                paths.append(VulnerablePath(chain, grouped, vuln_id, responsibility, via_halted))
         children = node.children
         if not children:
             continue
@@ -289,6 +248,14 @@ def census_rows(
         depth += 1
         for child in reversed(children):
             stack.append((child, depth, deployed and child.scope.deployed, above))
+
+    return ScanResult(
+        root=root,
+        analysis_time=time,
+        include_non_deployed=include_non_deployed,
+        paths=tuple(paths),
+        census=tuple(rows),
+    )
 
 
 def aggregate(results: Iterable[ScanResult]) -> AggregateReport:

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, NamedTuple, Sequence
 
-from depscope.analysis import classify_responsibility, group_path
 from depscope.errors import EmptyPool, InsufficientLibraries, MissingHistory, ReservedGroup, UnknownVersion
 from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig, verdict_table
@@ -35,7 +34,6 @@ from depscope.model import (
     Gav,
     LibraryStatus,
     ReleaseHistory,
-    Responsibility,
     VulnerabilityKb,
     same_project,
 )
@@ -47,11 +45,9 @@ SYNTHETIC_GROUP = "sim.depscope"
 # a plan node's flag bits: the KB hits it; and, for such a node only, every
 # edge from it up to the pool root ships, and its grouped class is own or direct
 _VULNERABLE, _DEPLOYED, _CONTROLLED = 1, 2, 4
-_HALTED, _TRANSITIVE = LibraryStatus.HALTED, Responsibility.TRANSITIVE
+_HALTED = LibraryStatus.HALTED
 # a tuple tests a scope by identity first, without the Python-level Enum hash
 _NOT_SHIPPED = tuple(NON_DEPLOYED_SCOPES)
-# any project's root: a class reads only the root's group
-_SYNTHETIC_ROOT = Gav(SYNTHETIC_GROUP, "project", "1.0")
 
 
 class Plan(NamedTuple):
@@ -70,10 +66,12 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
 
     A node's class is that of its chain up to the pool root, then up to a
     synthetic root: :data:`SYNTHETIC_GROUP` shares a project with no pool
-    library (:class:`ReservedGroup`), so that root is a project of its own
-    whichever project draws the tree, and the class holds for all of them.
-    Only a deployed vulnerable node is classified, as only its class is
-    counted."""
+    library (:class:`ReservedGroup`), so grouping keeps that root, never
+    finds the node own, and leaves two members, hence direct, exactly when
+    every pool ancestor shares the node's project. That holds whichever
+    project draws the tree, and is checked up the walk's path, nearest
+    first, until an ancestor fails it. Only a deployed vulnerable node is
+    classified, as only its class is counted."""
     gavs, depths, flags = [], [], bytearray()
     path = []  # the coordinates of the nodes the walk is below, by depth, the pool root first
     stack = [(root, 0, True)]
@@ -88,9 +86,10 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
         elif not deployed:
             flags.append(_VULNERABLE)
         else:
-            grouped = group_path((gav, *reversed(path[:depth]), _SYNTHETIC_ROOT))
-            controlled = classify_responsibility(grouped, _SYNTHETIC_ROOT) is not _TRANSITIVE
-            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * controlled)
+            up = depth  # path[up:depth] holds the ancestors found in the node's project
+            while up and same_project(path[up - 1][0], gav[0]):
+                up -= 1
+            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * (not up))
         children = node.children
         if children:
             path[depth:] = (gav,)
@@ -106,11 +105,10 @@ class SimulationPool:
 
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
     for all projects, and ``histories`` as given: only loaded ones keep verdict
-    tables between calls. ``libraries`` is derived once as well: for each pool
-    library in sorted order, its pool tree roots by version string (``1.10``
-    before ``1.9``). ``plans`` holds each of those trees' :class:`Plan`, in
-    the same places, made in the walk that checks the pool's groups: a pool
-    library in the project of :data:`SYNTHETIC_GROUP` raises
+    tables between calls. ``plans`` holds, for each pool library in sorted
+    order, the :class:`Plan` of each of its pool trees by version string
+    (``1.10`` before ``1.9``), made in the walk that checks the pool's
+    groups: a pool library in the project of :data:`SYNTHETIC_GROUP` raises
     :class:`ReservedGroup`, as grouping would absorb the synthetic root into
     it and count its third-party findings as ``own``.
     """
@@ -118,9 +116,6 @@ class SimulationPool:
     trees: tuple[DependencyTree, ...]
     histories: Mapping[Ga, ReleaseHistory]
     kb: VulnerabilityKb
-    libraries: tuple[tuple[DependencyNode, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
     plans: tuple[tuple[Plan, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -128,20 +123,19 @@ class SimulationPool:
         if not isinstance(self.kb, VulnerabilityKb):
             object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
         ids_by_gav = self.kb.ids_by_gav
-        by_library: dict[Ga, dict[str, tuple[DependencyNode, Plan]]] = {}
+        by_library: dict[Ga, dict[str, Plan]] = {}
         library_of_group: dict[str, Gav] = {}  # each distinct pool group, checked once
         for tree in self.trees:
             root = tree.root.gav
             versions = by_library.setdefault(root.ga, {})
             if root.version in versions:
                 raise ValueError(f"duplicate pool tree for {root}")
-            versions[root.version] = tree.root, _plan(tree.root, ids_by_gav, library_of_group)
+            versions[root.version] = _plan(tree.root, ids_by_gav, library_of_group)
         for group, gav in library_of_group.items():
             if same_project(group, SYNTHETIC_GROUP):
                 raise ReservedGroup(gav.ga, SYNTHETIC_GROUP)
-        ordered = [[versions[v] for v in sorted(versions)] for _, versions in sorted(by_library.items())]
-        object.__setattr__(self, "libraries", tuple(tuple(root for root, _ in row) for row in ordered))
-        object.__setattr__(self, "plans", tuple(tuple(plan for _, plan in row) for row in ordered))
+        object.__setattr__(self, "plans", tuple(tuple(versions[v] for v in sorted(versions))
+                                                for _, versions in sorted(by_library.items())))
 
 
 @dataclass(frozen=True)

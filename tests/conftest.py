@@ -5,7 +5,7 @@ and scan results, the reference JSON object of a scan result, frozen
 field-by-field reference decoders of saved results and of the KB, the
 frozen row-by-row history loader, the frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
 aggregate fold, census rows with their chains, the frozen stepwise census walk and the replay of
-a simulated project's tree."""
+a simulated project's tree over the pool's own version index."""
 
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from depscope.errors import (
     SchemaViolation,
 )
 from depscope.ingest import json_object, json_typed, parse_date_at, parse_gav_at, parse_json
-from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     DependencyNode,
     DependencyTree,
@@ -52,7 +51,7 @@ from depscope.model import (
     prune,
     same_project,
 )
-from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult, census_rows
+from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult, scan
 from depscope.simulate import SYNTHETIC_GROUP, SimulationPool, _sub_rng
 
 ANALYSIS_TIME = date(2018, 6, 1)
@@ -859,16 +858,23 @@ def reference_aggregate(results) -> AggregateReport:
 # --- the census walk and its frozen stepwise reference --------------------------------
 
 
-def census_with_chains(root: DependencyNode):
-    """``(row, chain)`` for each dependency the census walk keeps below
-    ``root``, in its order: lenient, over no histories and an empty KB, so
-    every kept node has a row; ``chain`` runs from the row up to the root,
-    sliced from the walk's path as ``scan`` slices it."""
-    verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
-    for row, path in census_rows(root, VulnerabilityKb(), verdicts, lenient=True,
-                                 include_non_deployed=True):
-        yield row, (row.gav, *path[row.depth - 1::-1])
+def row_chains(root: Gav, rows):
+    """Each census row's chain, from the row up to ``root`` inclusive,
+    rebuilt from the rows' depths: in preorder, a row's ancestors are the
+    latest rows met at each smaller depth."""
+    path = [root]
+    for row in rows:
+        path[row.depth:] = (row.gav,)
+        yield tuple(reversed(path))
 
+
+def census_with_chains(root: DependencyNode):
+    """``(row, chain)`` for each dependency below ``root``, in ``scan``'s
+    order: lenient, over no histories and an empty KB, so every node has a
+    row; ``chain`` runs from the row up to the root (:func:`row_chains`)."""
+    result = scan(DependencyTree(root), VulnerabilityKb(), {}, time=ANALYSIS_TIME, lenient=True,
+                  include_non_deployed=True)
+    return zip(result.census, row_chains(root.gav, result.census))
 
 
 def reference_walk(root: DependencyNode):
@@ -931,9 +937,9 @@ def reference_chain_of(step) -> tuple[Gav, ...]:
 
 
 def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *, lenient: bool,
-                          include_non_deployed: bool, vulnerable_only: bool):
+                          include_non_deployed: bool):
     """``(row, step)`` for each dependency below ``root``, ``step`` being its
-    :func:`reference_walk` step: ``report.census_rows`` as the frozen
+    :func:`reference_walk` step: the census of ``report.scan`` as the frozen
     reference yields its rows, raising at the same node with the same error."""
     ids_by_gav = kb.ids_by_gav
     root_group = root.gav.group_id
@@ -953,8 +959,6 @@ def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *
             raise MissingHistory(gav.ga)
         if depth == 1:
             direct = verdict
-        if vulnerable_only and not vuln_ids:
-            continue
         yield CensusRow(
             gav, depth, deployed, vuln_ids, classify_group_ids(gav[0], above, root_group),
             lib_status, inst_status,
@@ -966,16 +970,26 @@ def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *
 # --- replay of a simulated project's tree ---------------------------------------------
 
 
+def pool_libraries(pool: SimulationPool) -> list[list[DependencyNode]]:
+    """For each pool library in sorted order, its pool tree roots by version
+    string (``1.10`` before ``1.9``): the order ``simulate`` draws from."""
+    by_library: dict[Ga, dict[str, DependencyNode]] = {}
+    for tree in pool.trees:
+        by_library.setdefault(tree.root.gav.ga, {})[tree.root.gav.version] = tree.root
+    return [[versions[v] for v in sorted(versions)] for _, versions in sorted(by_library.items())]
+
+
 def project_root(pool: SimulationPool, cfg, index: int) -> DependencyNode:
     """Project ``index``'s synthetic root over its picks, in draw order:
     ``simulate`` draws the same pool trees, as plans, with the same calls to
     the project's generator, and raises the same errors before it draws."""
-    if not pool.libraries:
+    libraries = pool_libraries(pool)
+    if not libraries:
         raise EmptyPool()
-    if cfg.deps_per_project > len(pool.libraries):
-        raise InsufficientLibraries(cfg.deps_per_project, len(pool.libraries))
+    if cfg.deps_per_project > len(libraries):
+        raise InsufficientLibraries(cfg.deps_per_project, len(libraries))
     rng = _sub_rng(cfg.seed, index)
-    drawn = rng.sample(pool.libraries, cfg.deps_per_project)
+    drawn = rng.sample(libraries, cfg.deps_per_project)
     picks = [rng.choice(versions) for versions in drawn]
     return DependencyNode(Gav(SYNTHETIC_GROUP, f"project-{index}", "1.0"), Scope.COMPILE, picks)
 

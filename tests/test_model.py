@@ -282,23 +282,8 @@ def test_chains_deployed_needs_every_edge_to_ship():
     assert deployed == {"tested": False, "leaf": False, "runtime": True}
 
 
-def _node(artifact: str, *children: DependencyNode, version: str = "1") -> DependencyNode:
-    return DependencyNode(Gav("g", artifact, version), Scope.COMPILE, children)
-
-
-def test_chains_skips_a_repeated_library_with_its_subtree():
-    # b's second occurrence (another version) brings c, which must not be walked
-    root = _node("root", _node("a", _node("b")), _node("b", _node("c"), version="2"), _node("d"))
-    order = [(row.gav.artifact_id, row.gav.version) for row, _ in census_with_chains(root)]
-    assert order == [("a", "1"), ("b", "1"), ("d", "1")]
-
-
-def test_chains_never_skips_the_root():
-    # the root's library recurs below it; the root is walked, the repeat is not
-    root = _node("root", _node("a", _node("root", _node("x"), version="2")))
-    assert [(row.gav.artifact_id, chain) for row, chain in census_with_chains(root)] == [
-        ("a", (Gav("g", "a", "1"), root.gav)),
-    ]
+def _node(artifact: str, *children: DependencyNode) -> DependencyNode:
+    return DependencyNode(Gav("g", artifact, "1"), Scope.COMPILE, children)
 
 
 def test_chains_is_preorder_with_children_in_order():

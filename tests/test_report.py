@@ -40,7 +40,6 @@ from depscope.report import (
     CensusRow,
     ScanResult,
     aggregate,
-    census_rows,
     parse_aggregate_json,
     parse_scan_results_json,
     render,
@@ -69,8 +68,10 @@ from conftest import (
     reference_aggregate,
     reference_census_rows,
     reference_chain_of,
+    reference_group_path,
     reference_parse_scan_results_json,
     result_to_dict,
+    row_chains,
     stalled_history,
 )
 
@@ -387,14 +388,10 @@ def test_scan_walks_each_tree_once_and_builds_no_tree(monkeypatch, sample_tree, 
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(DependencyTree, "__post_init__", forbidden)
     monkeypatch.setattr(DependencyTree, "nodes", forbidden)
-    walks = []
-    monkeypatch.setattr("depscope.report.census_rows", lambda root, *args, **kwargs:
-                        walks.append(root) or census_rows(root, *args, **kwargs))
 
     got = [scan(t, kb, h, time=ANALYSIS_TIME, include_non_deployed=include)
            for t, kb, h in cases for include in (False, True)]
     assert got == expected
-    assert walks == [t.root for t, _, _ in cases for _ in (False, True)]
 
 
 def test_scan_builds_and_groups_each_vulnerable_chain_once(monkeypatch, sample_tree, sample_kb,
@@ -428,18 +425,14 @@ _CADENCES = {
 
 @st.composite
 def _census_cases(draw):
-    """A root node over nodes drawn from a few libraries, so a library
-    recurs (the root's too) in another version or the same; random scopes,
-    so edges that do not ship occur; histories that are missing, alive or
-    halted and that may lack a version the tree holds; and a KB marking
-    some of the nodes."""
+    """A tree of one library per node, whose groups recur (the root's
+    too); random scopes, so edges that do not ship occur; histories that
+    are missing, alive or halted and that may lack the version the tree
+    holds; and a KB marking some of the nodes."""
     n = draw(st.integers(1, 30))
-    libraries = draw(st.integers(1, n))
-    groups = draw(st.lists(st.sampled_from(GROUP_POOL + NON_TRANSITIVE), min_size=libraries,
-                           max_size=libraries))
-    picks = [0] + draw(st.lists(st.integers(0, libraries - 1), min_size=n - 1, max_size=n - 1))
+    groups = draw(st.lists(st.sampled_from(GROUP_POOL + NON_TRANSITIVE), min_size=n, max_size=n))
     versions = draw(st.lists(st.sampled_from("123"), min_size=n, max_size=n))
-    gavs = [Gav(groups[k], f"lib{k}", version) for k, version in zip(picks, versions)]
+    gavs = [Gav(group, f"lib{k}", version) for k, (group, version) in enumerate(zip(groups, versions))]
     scopes = [Scope.COMPILE] + draw(st.lists(st.sampled_from(list(Scope)), min_size=n - 1,
                                              max_size=n - 1))
     parents = [draw(st.integers(max(0, i - 3), i - 1)) for i in range(1, n)]
@@ -450,51 +443,60 @@ def _census_cases(draw):
             children[parents[i - 1]].append(node)
     # at most one library without history and one version missing from one,
     # so most cases reach deep rows before any error
-    no_history = draw(st.none() | st.integers(0, libraries - 1))
-    unreleased = draw(st.none() | st.tuples(st.integers(0, libraries - 1), st.sampled_from("123")))
+    no_history = draw(st.none() | st.integers(0, n - 1))
+    unreleased = draw(st.none() | st.tuples(st.integers(0, n - 1), st.sampled_from("123")))
     histories = {}
-    for k in range(libraries):
+    for k, gav in enumerate(gavs):
         released = [v for v in draw(st.permutations("1234")) if (k, v) != unreleased]
-        ga = Ga(groups[k], f"lib{k}")
         if k != no_history:
-            histories[ga] = ReleaseHistory(ga, tuple(
+            histories[gav.ga] = ReleaseHistory(gav.ga, tuple(
                 Release(v, d) for v, d in zip(released, _CADENCES[draw(st.sampled_from(list(_CADENCES)))])))
     marked = draw(st.lists(st.sampled_from(gavs), unique=True))
     kb = VulnerabilityKb(
         VulnerabilityRecord(draw(st.sampled_from(VULN_ID_POOL)), frozenset({gav})) for gav in marked)
-    return node, kb, histories
+    return DependencyTree(node), kb, histories
 
 
-def _census_outcome(rows, chain_of):
-    """The ``(row, chain)`` pairs ``rows`` yields, each chain taken as the
-    row arrives, then the type and args of the error that stops it, if any."""
-    got = []
+def _reference_scan(tree, kb, histories, **modes):
+    """The rows, their chains and the paths the frozen stepwise census gives
+    ``scan`` of ``tree``, each path grouped by the frozen pairwise loop;
+    else the type and args of the error that stops it."""
+    root = tree.root.gav
+    rows, chains = [], []
+    paths = [VulnerablePath((root,), (root,), vuln_id, Responsibility.OWN, False)
+             for vuln_id in kb.ids_by_gav.get(root, ())]
     try:
-        for row, link in rows:
-            got.append((tuple(row), chain_of(row, link)))
+        for row, step in reference_census_rows(
+                tree.root, kb, verdict_table(histories, ANALYSIS_TIME, SmoothingConfig()), **modes):
+            chain = reference_chain_of(step)
+            grouped = tuple(reference_group_path(chain))
+            rows.append(row)
+            chains.append(chain)
+            paths += [VulnerablePath(chain, grouped, vuln_id, row.responsibility, row.via_halted)
+                      for vuln_id in row.vuln_ids]
     except DepscopeError as exc:
-        return got, (type(exc), exc.args)
-    return got, None
+        return type(exc), exc.args
+    return rows, chains, paths
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_census_cases())
-def test_census_rows_yields_the_frozen_reference_rows_and_chains(case):
-    # the one census loop against the stepwise walk it replaced: the same
-    # rows in the same order, the same ancestor chains, and the same error
-    # at the same node, in every mode
-    root, kb, histories = case
+def test_scan_yields_the_frozen_reference_rows_and_paths(case):
+    # scan's one census loop against the stepwise walk it replaced: the same
+    # rows in the same order, the same ancestor chains, the same paths, and
+    # the same error at the same node, in every mode
+    tree, kb, histories = case
     for lenient in (False, True):
         for include in (False, True):
             modes = dict(lenient=lenient, include_non_deployed=include)
-            got = _census_outcome(
-                census_rows(root, kb, verdict_table(histories, ANALYSIS_TIME, SmoothingConfig()), **modes),
-                lambda row, path: (row.gav, *path[row.depth - 1::-1]))
-            expected = _census_outcome(
-                reference_census_rows(root, kb, verdict_table(histories, ANALYSIS_TIME, SmoothingConfig()),
-                                      vulnerable_only=False, **modes),
-                lambda row, step: reference_chain_of(step))
-            assert got == expected
+            try:
+                result = scan(tree, kb, histories, time=ANALYSIS_TIME, **modes)
+            except DepscopeError as exc:
+                got = type(exc), exc.args
+            else:
+                got = (list(result.census), list(row_chains(tree.root.gav, result.census)),
+                       list(result.paths))
+            assert got == _reference_scan(tree, kb, histories, **modes)
 
 
 @pytest.mark.parametrize("include", [False, True])

@@ -5,9 +5,10 @@ import math
 from collections import Counter
 from dataclasses import replace
 from datetime import date, timedelta
+from time import perf_counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depscope.errors import (
     DepscopeError,
@@ -33,9 +34,12 @@ from depscope.model import (
     build_tree,
 )
 from depscope import analysis, report
-from depscope.analysis import extract_vulnerable_paths, filter_non_deployed, match_vulnerabilities
+from depscope.analysis import classify_responsibility
 from depscope.report import aggregate, scan
 from depscope.simulate import (
+    _CONTROLLED,
+    _DEPLOYED,
+    _VULNERABLE,
     SYNTHETIC_GROUP,
     ProjectOutcome,
     SimulationConfig,
@@ -44,7 +48,17 @@ from depscope.simulate import (
     simulate,
 )
 
-from conftest import ANALYSIS_TIME, alive_history, build_synthetic_pool, deep_chain_tree, project_tree
+from conftest import (
+    ANALYSIS_TIME,
+    GROUP_POOL,
+    NON_TRANSITIVE,
+    alive_history,
+    build_synthetic_pool,
+    deep_chain_tree,
+    pool_libraries,
+    project_tree,
+    reference_group_path,
+)
 
 simulate_module = importlib.import_module("depscope.simulate")  # the package's ``simulate`` is the function
 
@@ -185,26 +199,80 @@ def test_determinism_byte_identical():
     assert json_first == json_second
 
 
-def test_pool_classifies_each_deployed_vulnerable_node_once(monkeypatch):
-    # the pool groups and classifies the chain of each deployed node the KB
-    # hits, up to its pool root and then a synthetic root, once, in the order
-    # of the pool's trees and of each tree's preorder; no other node is classified
-    plain = build_synthetic_pool()
-    grouped, classified = [], []
-    group, classify = simulate_module.group_path, simulate_module.classify_responsibility
-    monkeypatch.setattr(simulate_module, "group_path",
-                        lambda chain: grouped.append(chain) or group(chain))
-    monkeypatch.setattr(simulate_module, "classify_responsibility",
-                        lambda path, root: classified.append((path, root)) or classify(path, root))
-    pool = SimulationPool(plain.trees, plain.histories, plain.kb)
-    expected = []  # one chain per node, however many vulnerabilities it has
-    for tree in pool.trees:
-        paths = extract_vulnerable_paths(match_vulnerabilities(filter_non_deployed(tree), pool.kb))
-        expected += dict.fromkeys(path.raw_path for path in paths)
-    assert 0 < len(expected) < sum(1 for tree in pool.trees for _ in tree.nodes())
-    assert [chain[:-1] for chain in grouped] == expected
-    assert {chain[-1].group_id for chain in grouped} == {SYNTHETIC_GROUP}
-    assert classified == [(group(chain), chain[-1]) for chain in grouped]
+# the groups of the grouping tests, with a string-prefix decoy of com.alpha
+_PLAN_GROUPS = GROUP_POOL + NON_TRANSITIVE + ["com.alphabet"]
+
+
+@st.composite
+def _grouped_pools(draw) -> SimulationPool:
+    """Pool trees of one library per node, whose groups come from a few of
+    :data:`_PLAN_GROUPS`, so they recur along deep chains and non-transitive
+    relatives meet; with random scopes and a KB that hits some of the nodes."""
+    few = st.sampled_from(draw(st.lists(st.sampled_from(_PLAN_GROUPS), min_size=1, max_size=4, unique=True)))
+    trees, gavs = [], []
+    for t in range(draw(st.integers(1, 4))):
+        groups = draw(st.lists(few, min_size=1, max_size=12))
+        # parents near the node, so chains run deep
+        preorder = [(Gav(groups[0], f"t{t}lib0", "1"), Scope.COMPILE, -1)] + [
+            (Gav(group, f"t{t}lib{i}", "1"), draw(st.sampled_from(list(Scope))),
+             draw(st.integers(max(0, i - 2), i - 1)))
+            for i, group in enumerate(groups) if i]
+        trees.append(DependencyTree(build_tree(preorder)))
+        gavs += [gav for gav, _, _ in preorder]
+    hit = draw(st.sets(st.sampled_from(gavs)))
+    kb = [VulnerabilityRecord("V1", frozenset(hit))] if hit else []
+    return SimulationPool(trees=trees, histories={}, kb=kb)
+
+
+def _chain_pool(*groups: str) -> SimulationPool:
+    """One pool tree: a chain of ``groups`` from the pool root down, every node vulnerable."""
+    gavs = [Gav(group, f"lib{i}", "1") for i, group in enumerate(groups)]
+    tree = DependencyTree(build_tree([(gav, Scope.COMPILE, i - 1) for i, gav in enumerate(gavs)]))
+    return SimulationPool(trees=(tree,), histories={}, kb=[VulnerabilityRecord("V1", frozenset(gavs))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=_grouped_pools())
+# each leaf shares a project with both ancestors, which share none with each
+# other, or the other way round; and a string-prefix decoy between relatives
+@example(pool=_chain_pool("org.a.c", "org.a", "org.a.b"))
+@example(pool=_chain_pool("org.a.b", "org.a.c", "org.a"))
+@example(pool=_chain_pool("com.alpha", "com.alphabet", "com.alpha.io"))
+def test_pool_plan_flags_are_the_grouped_class_of_each_chain(pool):
+    # a deployed vulnerable node is controlled exactly when grouping its
+    # chain, up to its pool root and then a synthetic root, leaves it own or
+    # direct; no other node is classified
+    synthetic_root = Gav(SYNTHETIC_GROUP, "project", "1.0")
+    # each pool library has one version, and the pool orders libraries by coordinates
+    plans = [plan for (plan,) in pool.plans]
+    for tree, (gavs, depths, flags) in zip(sorted(pool.trees, key=lambda tree: tree.root.gav), plans):
+        expected, path = [], []
+        for node, depth in tree.nodes():
+            path[depth:] = (node,)
+            if node.gav not in pool.kb.ids_by_gav:
+                expected.append(0)
+            elif not all(n.scope.deployed for n in path):
+                expected.append(_VULNERABLE)
+            else:
+                grouped = reference_group_path((*(n.gav for n in reversed(path)), synthetic_root))
+                controlled = classify_responsibility(grouped, synthetic_root) is not Responsibility.TRANSITIVE
+                expected.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * controlled)
+        assert list(gavs) == [node.gav for node, _ in tree.nodes()]
+        assert list(depths) == [depth for _, depth in tree.nodes()]
+        assert list(flags) == expected
+
+
+def test_pool_build_is_linear_on_a_deep_chain_of_vulnerable_projects():
+    # a chain of distinct projects, every node in the KB: each node's class
+    # is settled by its parent alone, so the build is linear in the depth
+    tree = deep_chain_tree(4000)
+    kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset(tree.gavs()))])
+    start = perf_counter()
+    pool = SimulationPool(trees=(tree,), histories={}, kb=kb)
+    assert perf_counter() - start < 1.0
+    ((plan,),) = pool.plans
+    # only the pool root, which a project draws as a direct dependency, is controlled
+    assert list(plan.flags) == [_VULNERABLE | _DEPLOYED | _CONTROLLED] + [_VULNERABLE | _DEPLOYED] * 4000
 
 
 def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
@@ -217,7 +285,7 @@ def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
         raise AssertionError("simulate must not call this")
 
     for module in (simulate_module, analysis, report):
-        for name in ("_plan", "group_path", "classify_responsibility", "classify_group_ids", "census_rows"):
+        for name in ("_plan", "same_project", "group_path", "classify_responsibility", "classify_group_ids"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(DependencyNode, "__init__", forbidden)
@@ -386,7 +454,7 @@ def _outcomes_or_error(run, pool, cfg):
 @settings(max_examples=150, deadline=None)
 @given(pool=_pools(), data=st.data())
 def test_simulate_equals_a_scan_of_each_project_tree(pool, data):
-    deps = data.draw(st.integers(1, len(pool.libraries)))
+    deps = data.draw(st.integers(1, len(pool_libraries(pool))))
     for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
         # the pool's histories are a plain dict, so every run and reference
         # scan fills a fresh verdict table; the loaded-histories variant
@@ -406,7 +474,7 @@ def test_simulate_on_loaded_histories_equals_a_scan_of_each_project_tree(pool, d
     # in both modes and at two dates, and the reference scans, share the
     # verdict tables it keeps, including the None kept for a missing history
     loaded = SimulationPool(pool.trees, ReleaseHistories(pool.histories), pool.kb)
-    deps = data.draw(st.integers(1, len(pool.libraries)))
+    deps = data.draw(st.integers(1, len(pool_libraries(pool))))
     times = set()
     for seed in data.draw(st.lists(st.integers(0, 2**16), min_size=1, max_size=3)):
         for lenient in data.draw(st.permutations([True, False])):
@@ -451,7 +519,7 @@ def test_simulate_succeeds_when_mediation_drops_the_unknown_version(lenient):
     pool, _, _ = _pool_with_an_unknown_version()
     cfg = _seed_drawing(pool, ("first", "second"), lenient)
     with pytest.raises(UnknownVersion):  # the second pick on its own
-        scan(DependencyTree(pool.libraries[1][0]), pool.kb, pool.histories, time=ANALYSIS_TIME)
+        scan(DependencyTree(pool_libraries(pool)[1][0]), pool.kb, pool.histories, time=ANALYSIS_TIME)
     (outcome,) = simulate(pool, cfg)
     assert [outcome] == _scanned_outcomes(pool, cfg)
     assert (outcome.all_vulnerable, outcome.controlled_standard, outcome.controlled_proposed) == (1, 0, 0)
