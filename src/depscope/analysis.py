@@ -120,28 +120,6 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
     return list(kept.values())
 
 
-def classify_group_ids(group: str, above: tuple, root_group: str) -> Responsibility:
-    """:func:`classify_responsibility` of the grouped chain of a node in
-    ``group`` below the distinct group ids ``above`` (links, nearest first,
-    as :func:`depscope.report.scan`'s walk carries them). A group met again
-    farther up a chain is absorbed, by its nearer occurrence or by whatever
-    absorbed that, so grouping the distinct ids keeps as many members as
-    grouping the chain; only up to three matter."""
-    if same_project(group, root_group):
-        return Responsibility.OWN
-    kept = [group]
-    while above:
-        other, above = above
-        for anchor in kept:
-            if same_project(anchor, other):
-                break
-        else:
-            kept.append(other)
-            if len(kept) == 3:
-                return Responsibility.TRANSITIVE
-    return Responsibility.DIRECT if len(kept) == 2 else Responsibility.TRANSITIVE
-
-
 def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsibility:
     """Attribute a path: own code, a direct dependency, or transitive.
 

@@ -69,30 +69,45 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
     library (:class:`ReservedGroup`), so grouping keeps that root, never
     finds the node own, and leaves two members, hence direct, exactly when
     every pool ancestor shares the node's project. That holds whichever
-    project draws the tree, and is checked up the walk's path, nearest
-    first, until an ancestor fails it. Only a deployed vulnerable node is
-    classified, as only its class is counted."""
+    project draws the tree. Each expanded node keeps that answer, its
+    ``solo``, so a node walks up its ancestors only while they share its
+    project and takes the ``solo`` of the first in its own group. Only a
+    deployed vulnerable node is classified, as only its class is counted."""
     gavs, depths, flags = [], [], bytearray()
-    path = []  # the coordinates of the nodes the walk is below, by depth, the pool root first
+    # by depth, the group and solo of each node the walk is below, the pool root first
+    groups, solos = [], []
     stack = [(root, 0, True)]
     while stack:
         node, depth, deployed = stack.pop()
         gav = node.gav
-        library_of_group.setdefault(gav[0], gav)
+        group = gav[0]
+        library_of_group.setdefault(group, gav)
         gavs.append(gav)
         depths.append(depth)
-        if gav not in ids_by_gav:
+        vulnerable = gav in ids_by_gav
+        children = node.children
+        if children or vulnerable and deployed:
+            up = depth
+            while up:
+                above = groups[up - 1]
+                if above == group:
+                    solo = solos[up - 1]
+                    break
+                if not same_project(above, group):
+                    solo = False
+                    break
+                up -= 1
+            else:
+                solo = True
+        if not vulnerable:
             flags.append(0)
         elif not deployed:
             flags.append(_VULNERABLE)
         else:
-            up = depth  # path[up:depth] holds the ancestors found in the node's project
-            while up and same_project(path[up - 1][0], gav[0]):
-                up -= 1
-            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * (not up))
-        children = node.children
+            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * solo)
         if children:
-            path[depth:] = (gav,)
+            groups[depth:] = (group,)
+            solos[depth:] = (solo,)
             depth += 1
             for child in reversed(children):
                 stack.append((child, depth, deployed and child.scope not in _NOT_SHIPPED))

@@ -4,8 +4,10 @@ pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
 and scan results, the reference JSON object of a scan result, frozen
 field-by-field reference decoders of saved results and of the KB, the
 frozen row-by-row history loader, the frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
-aggregate fold, census rows with their chains, the frozen stepwise census walk and the replay of
-a simulated project's tree over the pool's own version index."""
+aggregate fold, census rows with their chains, the frozen stepwise census walk with its
+classification of a row from the distinct group ids above it, chains of given group ids, a
+``same_project`` call budget and the replay of a simulated project's tree over the pool's own
+version index."""
 
 from __future__ import annotations
 
@@ -13,13 +15,14 @@ import csv
 import io
 import json
 import random
+import sys
 from dataclasses import fields
 from datetime import date, timedelta
 
 import pytest
 from hypothesis import strategies as st
 
-from depscope.analysis import classify_group_ids, classify_responsibility
+from depscope.analysis import classify_responsibility
 from depscope.errors import (
     DuplicateGa,
     DuplicateVersion,
@@ -260,6 +263,36 @@ def deep_chain_tree(depth: int, leaf_scope: Scope = Scope.COMPILE) -> Dependency
     for i in range(depth - 1, 0, -1):
         node = DependencyNode(Gav(f"org.deep{i}", f"lib{i}", "1.0"), Scope.COMPILE, (node,))
     return DependencyTree(DependencyNode(Gav("com.app", "app", "1.0"), Scope.COMPILE, (node,)))
+
+
+def chain_tree(groups) -> DependencyTree:
+    """A chain with one node per group id, root first, built without recursion."""
+    node = None
+    for i in reversed(range(len(groups))):
+        node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), Scope.COMPILE, (node,) if node else ())
+    return DependencyTree(node)
+
+
+@pytest.fixture
+def same_project_budget(monkeypatch):
+    """Counts ``same_project`` calls from every depscope module; a call past
+    ``budget[0]`` fails at once, so a quadratic walk fails fast."""
+    budget, calls = [0], [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        if calls[0] > budget[0]:
+            raise AssertionError(f"more than {budget[0]} same_project calls")
+        return same_project(a, b)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "depscope"]:
+        if hasattr(module, "same_project"):
+            monkeypatch.setattr(module, "same_project", counted)
+
+    def set_budget(limit):
+        budget[0], calls[0] = limit, 0
+
+    return set_budget
 
 
 # --- synthetic simulation pool -------------------------------------------------
@@ -934,6 +967,28 @@ def reference_chain_of(step) -> tuple[Gav, ...]:
         gavs.append(step[0].gav)
         step = step[3]
     return tuple(gavs)
+
+
+def classify_group_ids(group: str, above: tuple, root_group: str) -> Responsibility:
+    """:func:`depscope.analysis.classify_responsibility` of the grouped chain
+    of a node in ``group`` below the distinct group ids ``above`` (links,
+    nearest first, as :func:`reference_walk` carries them). A group met
+    again farther up a chain is absorbed, by its nearer occurrence or by
+    whatever absorbed that, so grouping the distinct ids keeps as many
+    members as grouping the chain; only up to three matter."""
+    if same_project(group, root_group):
+        return Responsibility.OWN
+    kept = [group]
+    while above:
+        other, above = above
+        for anchor in kept:
+            if same_project(anchor, other):
+                break
+        else:
+            kept.append(other)
+            if len(kept) == 3:
+                return Responsibility.TRANSITIVE
+    return Responsibility.DIRECT if len(kept) == 2 else Responsibility.TRANSITIVE
 
 
 def reference_census_rows(root: DependencyNode, kb: VulnerabilityKb, verdicts, *, lenient: bool,

@@ -7,11 +7,11 @@ from datetime import date
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from depscope import report
 from depscope.errors import DuplicateGa, DuplicateVersion, MalformedCoordinate
 from depscope.ingest import parse_tree_text
+from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
     NON_DEPLOYED_SCOPES,
     DependencyNode,
@@ -21,13 +21,23 @@ from depscope.model import (
     Release,
     ReleaseHistory,
     Scope,
+    VulnerabilityKb,
     VulnerabilityRecord,
     build_tree,
     parse_gav,
     same_project,
 )
+from depscope.report import scan
 
-from conftest import census_with_chains, deep_chain_tree, grouped_trees, trees
+from conftest import (
+    ANALYSIS_TIME,
+    census_with_chains,
+    chain_tree,
+    deep_chain_tree,
+    grouped_trees,
+    reference_census_rows,
+    trees,
+)
 
 
 def test_parse_gav_three_segments():
@@ -303,26 +313,18 @@ def test_chains_of_a_tree_yields_every_node(tree):
 
 
 @given(grouped_trees())
-def test_walk_carries_each_distinct_group_above_a_node_at_its_nearest(case):
-    # each row is classified from the distinct group ids above it, at their nearest
-    tree, _ = case
-    carried = []
-    classify = report.classify_group_ids
-
-    def recording(group, above, root_group):
-        carried.append(above)
-        return classify(group, above, root_group)
-
-    with mock.patch.object(report, "classify_group_ids", recording):
-        rows = list(census_with_chains(tree.root))
-    assert len(carried) == len(rows)
-    for (row, chain), above in zip(rows, carried):
-        groups = []
-        while above:
-            group, above = above
-            groups.append(group)
-        assert groups == list(dict.fromkeys(gav.group_id for gav in chain[1:]))
-        assert row.depth == len(chain) - 1
+@example((chain_tree(["com", "org.q", "com.a", "org"]), []))
+def test_scan_classifies_each_row_from_its_parent_as_the_frozen_reference(case):
+    # each row is classified from the context its parent pushed, not from the
+    # distinct group ids above it: the rows are exactly those of the frozen
+    # stepwise census, which classifies from those ids, in both modes
+    tree, kb = case
+    kb = VulnerabilityKb(kb)
+    verdicts = verdict_table({}, ANALYSIS_TIME, SmoothingConfig())
+    for include in (False, True):
+        result = scan(tree, kb, {}, time=ANALYSIS_TIME, lenient=True, include_non_deployed=include)
+        expected = reference_census_rows(tree.root, kb, verdicts, lenient=True, include_non_deployed=include)
+        assert list(result.census) == [row for row, _ in expected]
 
 
 def test_build_tree_inverts_the_preorder_walk(sample_tree):

@@ -4,6 +4,7 @@ import json
 import random
 import sys
 from datetime import date
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -32,7 +33,6 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    same_project,
 )
 from depscope.report import (
     CELL_KEYS,
@@ -60,6 +60,7 @@ from conftest import (
     VULN_ID_POOL,
     alive_history,
     census_with_chains,
+    chain_tree,
     deep_chain_tree,
     every_single_change,
     grouped_trees,
@@ -199,24 +200,20 @@ def test_census_consistency_on_random_corpus():
         assert vulnerable_deployed <= deployed_rows
 
 
-def _chain_tree(groups) -> DependencyTree:
-    """A chain with one node per group id, root first, built without recursion."""
-    node = None
-    for i in reversed(range(len(groups))):
-        node = DependencyNode(Gav(groups[i], f"lib{i}", "1.0"), Scope.COMPILE, (node,) if node else ())
-    return DependencyTree(node)
-
-
 @settings(max_examples=400, deadline=None)
 @given(case=grouped_trees())
 # the leaf's class needs the third grouped member: org.a.c survives grouping
-@example(case=(_chain_tree(["com.app", "org.a.c", "org.a", "org.a.b"]), []))
+@example(case=(chain_tree(["com.app", "org.a.c", "org.a", "org.a.b"]), []))
 # the leaf's class needs each repeated group at its nearest occurrence: org.a
 # absorbs org.a.c and org.a.b only when it is met before them (direct);
 # taken where each group first occurs from the root, org.a.b and org.a.c
 # both survive (transitive)
-@example(case=(_chain_tree(["org.a.c", "org.gamma", "org.a", "org.a.b", "org.a.c", "org.a",
-                            "org.gamma"]), []))
+@example(case=(chain_tree(["org.a.c", "org.gamma", "org.a", "org.a.b", "org.a.c", "org.a",
+                           "org.gamma"]), []))
+# the leaf's nearest ancestor outside its project, com.a, shares the root's
+# project and has org.q above it outside its own; org.q is in the leaf's
+# project, so the leaf is still direct
+@example(case=(chain_tree(["com", "org.q", "com.a", "org"]), []))
 def test_every_census_row_is_classified_as_its_grouped_chain(case):
     # safe rows are classified without building their chain; the stepwise
     # definition groups the whole chain and classifies the result
@@ -259,9 +256,10 @@ def _group_chains(draw) -> list[str]:
 @given(groups=_group_chains(), root_group=st.sampled_from(["com.app", "com.foo", "org", "net"]),
        data=st.data())
 def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, root_group, data):
-    # the distinct ids the census walk carries, which classify_group_ids
-    # reads, classify a row as grouping its whole chain does; parents near
-    # the node, so chains run deep and branch
+    # on chains of dot-prefix relatives, string-prefix decoys and both
+    # quadratic shapes of the distinct-id walk, scan classifies each row, from
+    # its parent's context, as grouping its whole chain does; parents near the
+    # node, so chains run deep and branch
     groups = [root_group, *groups]
     parents = [data.draw(st.integers(max(0, i - 2), i - 1)) for i in range(1, len(groups))]
     children: list[list[DependencyNode]] = [[] for _ in groups]
@@ -274,38 +272,47 @@ def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, ro
         assert row.responsibility is expected
 
 
-@pytest.fixture
-def same_project_budget(monkeypatch):
-    """Counts ``same_project`` calls from every depscope module; a call past
-    ``budget[0]`` fails at once, so a quadratic walk fails fast."""
-    budget, calls = [0], [0]
-
-    def counted(a, b):
-        calls[0] += 1
-        if calls[0] > budget[0]:
-            raise AssertionError(f"more than {budget[0]} same_project calls")
-        return same_project(a, b)
-
-    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "depscope"]:
-        if hasattr(module, "same_project"):
-            monkeypatch.setattr(module, "same_project", counted)
-
-    def set_budget(limit):
-        budget[0], calls[0] = limit, 0
-
-    return set_budget
-
-
 def test_same_project_calls_grow_linearly_in_depth_on_one_project(same_project_budget):
     # a chain of one project (two alternating groups) under a root of
     # another: each node's class needs the root, so grouping that rescans
     # the chain per node makes about depth**2 / 2 calls
     for depth in (5_000, 10_000):
-        tree = _chain_tree(["com.app"] + ["org.one" if i % 2 else "org.one.sub" for i in range(depth)])
+        tree = chain_tree(["com.app"] + ["org.one" if i % 2 else "org.one.sub" for i in range(depth)])
         same_project_budget(5 * depth)
         result = scan(tree, [], {}, time=ANALYSIS_TIME, lenient=True)
         assert len(result.census) == depth
         assert {row.responsibility for row in result.census} == {Responsibility.DIRECT}
+
+
+def test_same_project_calls_grow_linearly_in_depth_on_alternating_relatives(same_project_budget):
+    # distinct org.p<i> alternating with org below a com.app root: each org
+    # row takes the class of the org two levels up, each org.p<i> row stops at
+    # the org.p<i> two levels up, which is outside its project and the root's.
+    # Passing every org.p<i> above an org row, as grouping the distinct group
+    # ids above it does, makes about depth**2 / 4 calls
+    for depth in (5_000, 10_000):
+        tree = chain_tree(["com.app"] + [f"org.p{i}" if i % 2 == 0 else "org" for i in range(depth)])
+        same_project_budget(5 * depth)
+        result = scan(tree, [], {}, time=ANALYSIS_TIME, lenient=True)
+        assert [row.responsibility for row in result.census] == [Responsibility.DIRECT] * 2 + [
+            Responsibility.TRANSITIVE if i % 2 == 0 else Responsibility.DIRECT for i in range(2, depth)]
+
+
+def test_same_project_calls_grow_linearly_in_depth_on_a_repeated_run(same_project_budget):
+    # k distinct, unrelated groups, then the same k again: a row of the second
+    # run stops at its parent, outside its project and the root's. Relinking
+    # the distinct group ids above each node, which takes no same_project
+    # call, costs about k steps per node of the second run, over a second
+    # at depth 10,000
+    for depth in (5_000, 10_000):
+        k = depth // 2
+        tree = chain_tree(["com.app"] + [f"org.g{i % k}" for i in range(depth)])
+        same_project_budget(5 * depth)
+        start = perf_counter()
+        result = scan(tree, [], {}, time=ANALYSIS_TIME, lenient=True)
+        assert perf_counter() - start < 1.0
+        assert [row.responsibility for row in result.census] == [Responsibility.DIRECT] + [
+            Responsibility.TRANSITIVE] * (depth - 1)
 
 
 def test_tuple_elements_grow_linearly_in_depth_on_distinct_projects(monkeypatch, same_project_budget):

@@ -54,6 +54,7 @@ from conftest import (
     NON_TRANSITIVE,
     alive_history,
     build_synthetic_pool,
+    chain_tree,
     deep_chain_tree,
     pool_libraries,
     project_tree,
@@ -275,6 +276,19 @@ def test_pool_build_is_linear_on_a_deep_chain_of_vulnerable_projects():
     assert list(plan.flags) == [_VULNERABLE | _DEPLOYED | _CONTROLLED] + [_VULNERABLE | _DEPLOYED] * 4000
 
 
+def test_pool_build_makes_same_project_calls_linear_in_depth_on_one_project(same_project_budget):
+    # a chain of one project, org.one alternating with org.one.sub, every
+    # node in the KB: each node takes the solo of the node two levels up, in
+    # its own group. Checking every pool ancestor for the node's project
+    # makes about depth**2 / 2 calls
+    for depth in (5_000, 10_000):
+        tree = chain_tree(["org.one" if i % 2 else "org.one.sub" for i in range(depth + 1)])
+        kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset(tree.gavs()))])
+        same_project_budget(5 * depth)
+        ((plan,),) = SimulationPool(trees=(tree,), histories={}, kb=kb).plans
+        assert list(plan.flags) == [_VULNERABLE | _DEPLOYED | _CONTROLLED] * (depth + 1)
+
+
 def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
     # a project walks the plans its pool compiled: no plan is compiled, no
     # chain is grouped or classified, no census row is made and no node is
@@ -285,7 +299,7 @@ def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
         raise AssertionError("simulate must not call this")
 
     for module in (simulate_module, analysis, report):
-        for name in ("_plan", "same_project", "group_path", "classify_responsibility", "classify_group_ids"):
+        for name in ("_plan", "same_project", "group_path", "classify_responsibility"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(DependencyNode, "__init__", forbidden)
