@@ -344,10 +344,19 @@ class VulnerabilityKb(tuple):
 
     @cached_property
     def ids_by_gav(self) -> dict[Gav, tuple[str, ...]]:
-        index: dict[Gav, tuple[str, ...]] = {}
+        # an instance's first id as a tuple, its later ones appended to a list,
+        # so an instance that many records share costs linear time, not quadratic
+        index: dict[Gav, tuple[str, ...] | list[str]] = {}
         for record in self:
+            vuln_id = record.vuln_id
             for gav in record.affected:
-                index[gav] = index.get(gav, ()) + (record.vuln_id,)
+                ids = index.get(gav)
+                if ids is None:
+                    index[gav] = (vuln_id,)
+                elif type(ids) is tuple:
+                    index[gav] = [ids[0], vuln_id]
+                else:
+                    ids.append(vuln_id)
         for gav, ids in index.items():  # in place, so no second index is held
             if len(ids) > 1:  # a single id is sorted and distinct already
                 index[gav] = tuple(sorted(set(ids)))

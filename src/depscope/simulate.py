@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from array import array
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 from depscope.errors import EmptyPool, InsufficientLibraries, MissingHistory, ReservedGroup, UnknownVersion
 from depscope.ingest import csv_text, json_text
@@ -50,19 +49,20 @@ _HALTED = LibraryStatus.HALTED
 _NOT_SHIPPED = tuple(NON_DEPLOYED_SCOPES)
 
 
-class Plan(NamedTuple):
-    """A pool tree compiled for the projects that draw it: its nodes in
-    depth-first preorder, children in order, as three columns."""
-
-    gavs: tuple[Gav, ...]
-    depths: array  # each node's depth below the pool root, which is 0
-    flags: bytes  # each node's flag bits; 0 for a node the KB misses
+#: A pool tree compiled for the projects that draw it: a row per node, in
+#: depth-first preorder, children in order. A row is a plain tuple
+#: ``(gav, library, depth, flags)``: the node's coordinates; the pool's one
+#: :class:`Ga` for its library, shared by every row of that library in every
+#: plan of the pool; its depth below the pool root, which is 0; and its flag
+#: bits, 0 for a node the KB misses. A plain tuple, not a named one, as only
+#: an exact tuple takes the interpreter's fast path when a loop unpacks it.
+Plan = tuple[tuple[Gav, Ga, int, int], ...]
 
 
 def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
-          library_of_group: dict[str, Gav]) -> Plan:
-    """``root``'s plan, in one walk that also notes each group's first
-    library in ``library_of_group``.
+          libraries: dict[tuple[str, str], Ga]) -> Plan:
+    """``root``'s plan, in one walk that keys each library met for the first
+    time in ``libraries``.
 
     A node's class is that of its chain up to the pool root, then up to a
     synthetic root: :data:`SYNTHETIC_GROUP` shares a project with no pool
@@ -73,7 +73,7 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
     ``solo``, so a node walks up its ancestors only while they share its
     project and takes the ``solo`` of the first in its own group. Only a
     deployed vulnerable node is classified, as only its class is counted."""
-    gavs, depths, flags = [], [], bytearray()
+    rows = []
     # by depth, the group and solo of each node the walk is below, the pool root first
     groups, solos = [], []
     stack = [(root, 0, True)]
@@ -81,9 +81,10 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
         node, depth, deployed = stack.pop()
         gav = node.gav
         group = gav[0]
-        library_of_group.setdefault(group, gav)
-        gavs.append(gav)
-        depths.append(depth)
+        key = gav[:2]
+        library = libraries.get(key)
+        if library is None:
+            library = libraries[key] = gav.ga
         vulnerable = gav in ids_by_gav
         children = node.children
         if children or vulnerable and deployed:
@@ -100,18 +101,19 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
             else:
                 solo = True
         if not vulnerable:
-            flags.append(0)
+            flags = 0
         elif not deployed:
-            flags.append(_VULNERABLE)
+            flags = _VULNERABLE
         else:
-            flags.append(_VULNERABLE | _DEPLOYED | _CONTROLLED * solo)
+            flags = _VULNERABLE | _DEPLOYED | _CONTROLLED * solo
+        rows.append((gav, library, depth, flags))
         if children:
             groups[depth:] = (group,)
             solos[depth:] = (solo,)
             depth += 1
             for child in reversed(children):
                 stack.append((child, depth, deployed and child.scope not in _NOT_SHIPPED))
-    return Plan(tuple(gavs), array("Q", depths), bytes(flags))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -121,11 +123,14 @@ class SimulationPool:
     ``kb`` is kept as a :class:`VulnerabilityKb`, so its index is built once
     for all projects, and ``histories`` as given: only loaded ones keep verdict
     tables between calls. ``plans`` holds, for each pool library in sorted
-    order, the :class:`Plan` of each of its pool trees by version string
-    (``1.10`` before ``1.9``), made in the walk that checks the pool's
-    groups: a pool library in the project of :data:`SYNTHETIC_GROUP` raises
-    :class:`ReservedGroup`, as grouping would absorb the synthetic root into
-    it and count its third-party findings as ``own``.
+    order, the :data:`Plan` of each of its pool trees by version string
+    (``1.10`` before ``1.9``). The plans share one :class:`Ga` per distinct
+    pool library, made on its first sight, so a project's set of the
+    libraries it met and the verdict table match a row's key by identity.
+    Each of those libraries then has its group checked: the first in the
+    project of :data:`SYNTHETIC_GROUP` raises :class:`ReservedGroup`, as
+    grouping would absorb the synthetic root into it and count its
+    third-party findings as ``own``.
     """
 
     trees: tuple[DependencyTree, ...]
@@ -139,16 +144,16 @@ class SimulationPool:
             object.__setattr__(self, "kb", VulnerabilityKb(self.kb))
         ids_by_gav = self.kb.ids_by_gav
         by_library: dict[Ga, dict[str, Plan]] = {}
-        library_of_group: dict[str, Gav] = {}  # each distinct pool group, checked once
+        libraries: dict[tuple[str, str], Ga] = {}  # each distinct pool library's one key
         for tree in self.trees:
             root = tree.root.gav
             versions = by_library.setdefault(root.ga, {})
             if root.version in versions:
                 raise ValueError(f"duplicate pool tree for {root}")
-            versions[root.version] = _plan(tree.root, ids_by_gav, library_of_group)
-        for group, gav in library_of_group.items():
-            if same_project(group, SYNTHETIC_GROUP):
-                raise ReservedGroup(gav.ga, SYNTHETIC_GROUP)
+            versions[root.version] = _plan(tree.root, ids_by_gav, libraries)
+        for library in libraries.values():  # in the order the walk first met them
+            if same_project(library.group_id, SYNTHETIC_GROUP):
+                raise ReservedGroup(library, SYNTHETIC_GROUP)
         object.__setattr__(self, "plans", tuple(tuple(versions[v] for v in sorted(versions))
                                                 for _, versions in sorted(by_library.items())))
 
@@ -212,25 +217,24 @@ def simulate(pool: SimulationPool, cfg: SimulationConfig) -> list[ProjectOutcome
         rng = _sub_rng(cfg.seed, index)
         drawn = rng.sample(pool.plans, cfg.deps_per_project)
         picks = [rng.choice(versions) for versions in drawn]
-        seen = set()  # group and artifact as plain tuples: cheaper than building Ga
+        seen = set()  # the pool's library keys, so a lookup matches by identity
         vulnerable = deployed = standard = proposed = halted = 0
-        for gavs, depths, flags in picks:
+        for plan in picks:
             # the depth of the library being skipped, whose subtree is the run of
             # deeper nodes after it; while none is, a depth no node has
-            cut = no_cut = len(gavs)
-            for gav, depth, flag in zip(gavs, depths, flags):
+            cut = no_cut = len(plan)
+            for gav, library, depth, flag in plan:
                 if depth > cut:
                     continue
-                ga = gav[:2]
-                if ga in seen:
+                if library in seen:
                     cut = depth
                     continue
                 cut = no_cut
-                seen.add(ga)
-                verdict = verdicts[ga]
+                seen.add(library)
+                verdict = verdicts[library]
                 if verdict is None:
                     if not lenient:
-                        raise MissingHistory(gav.ga)
+                        raise MissingHistory(library)
                 elif gav[2] not in verdict.statuses:
                     raise UnknownVersion(gav)
                 if flag:

@@ -7,7 +7,7 @@ frozen row-by-row history loader, the frozen checked tree parsers, the frozen pa
 aggregate fold, census rows with their chains, the frozen stepwise census walk with its
 classification of a row from the distinct group ids above it, chains of given group ids, a
 ``same_project`` call budget and the replay of a simulated project's tree over the pool's own
-version index."""
+version index, and a warm-up of Hypothesis's character tables at session start."""
 
 from __future__ import annotations
 
@@ -58,6 +58,15 @@ from depscope.report import CELL_KEYS, AggregateReport, CensusRow, ScanResult, s
 from depscope.simulate import SYNTHETIC_GROUP, SimulationPool, _sub_rng
 
 ANALYSIS_TIME = date(2018, 6, 1)
+
+
+def pytest_sessionstart(session):
+    # Hypothesis builds its character tables when it first validates a text
+    # strategy, which takes over a second without a .hypothesis/ cache; paid
+    # inside a test's first draw, that counts as input generation and can
+    # fail the too_slow health check of whichever test draws text first
+    st.text().validate()
+
 
 # Seven-node tree: the root and an own library share a project, one direct
 # dependency brings a transitive one, another direct dependency brings two

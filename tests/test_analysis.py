@@ -342,3 +342,17 @@ def test_kb_index_holds_sorted_distinct_ids():
         VulnerabilityRecord("V2", frozenset({COMPRESS})),  # the loader accepts a repeated id
     ])
     assert kb.ids_by_gav == {COMPRESS: ("V1", "V2"), other: ("V1",)}
+
+
+_SHARED_GAVS = [COMPRESS, STREAM_CORE, STREAM_CODEC]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(VulnerabilityRecord, st.sampled_from([f"V{i}" for i in range(6)]),
+                          st.frozensets(st.sampled_from(_SHARED_GAVS), min_size=1)), max_size=60))
+def test_kb_index_equals_brute_force_under_heavy_sharing(records):
+    # many records over three instances, so most instances gather many ids,
+    # some repeated; keys come in the order of their first record
+    expected = {gav: tuple(sorted({r.vuln_id for r in records if gav in r.affected}))
+                for r in records for gav in r.affected}
+    assert list(VulnerabilityKb(records).ids_by_gav.items()) == list(expected.items())

@@ -8,6 +8,7 @@ import random
 import sys
 from datetime import date
 from itertools import combinations, groupby
+from time import perf_counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -846,6 +847,17 @@ def test_loaded_kb_carries_the_index_of_its_records(records):
     assert loaded.ids_by_gav == VulnerabilityKb(tuple(records)).ids_by_gav == expected
     pool = SimulationPool(trees=(), histories={}, kb=tuple(loaded))  # as the benchmark passes it
     assert pool.kb == loaded and pool.kb.ids_by_gav == loaded.ids_by_gav
+
+
+def test_kb_of_many_records_on_one_instance_loads_in_linear_time():
+    # 40,000 records all affecting one instance: growing its id tuple by one
+    # per record copies it each time, which is quadratic in the records
+    doc = json.dumps([{"id": f"V{i:05}", "affected": [
+        {"group": "org.log4j", "artifact": "log4j", "versions": ["1.2.17"]}]} for i in range(40_000)])
+    start = perf_counter()
+    kb = load_vuln_kb(doc)
+    assert perf_counter() - start < 1.0
+    assert kb.ids_by_gav == {Gav("org.log4j", "log4j", "1.2.17"): tuple(f"V{i:05}" for i in range(40_000))}
 
 
 # --- the cyclic collector during loads -------------------------------------------------

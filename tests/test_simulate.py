@@ -246,7 +246,8 @@ def test_pool_plan_flags_are_the_grouped_class_of_each_chain(pool):
     synthetic_root = Gav(SYNTHETIC_GROUP, "project", "1.0")
     # each pool library has one version, and the pool orders libraries by coordinates
     plans = [plan for (plan,) in pool.plans]
-    for tree, (gavs, depths, flags) in zip(sorted(pool.trees, key=lambda tree: tree.root.gav), plans):
+    for tree, plan in zip(sorted(pool.trees, key=lambda tree: tree.root.gav), plans):
+        gavs, _, depths, flags = zip(*plan)
         expected, path = [], []
         for node, depth in tree.nodes():
             path[depth:] = (node,)
@@ -273,7 +274,8 @@ def test_pool_build_is_linear_on_a_deep_chain_of_vulnerable_projects():
     assert perf_counter() - start < 1.0
     ((plan,),) = pool.plans
     # only the pool root, which a project draws as a direct dependency, is controlled
-    assert list(plan.flags) == [_VULNERABLE | _DEPLOYED | _CONTROLLED] + [_VULNERABLE | _DEPLOYED] * 4000
+    assert [flags for _, _, _, flags in plan] == \
+        [_VULNERABLE | _DEPLOYED | _CONTROLLED] + [_VULNERABLE | _DEPLOYED] * 4000
 
 
 def test_pool_build_makes_same_project_calls_linear_in_depth_on_one_project(same_project_budget):
@@ -286,7 +288,23 @@ def test_pool_build_makes_same_project_calls_linear_in_depth_on_one_project(same
         kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset(tree.gavs()))])
         same_project_budget(5 * depth)
         ((plan,),) = SimulationPool(trees=(tree,), histories={}, kb=kb).plans
-        assert list(plan.flags) == [_VULNERABLE | _DEPLOYED | _CONTROLLED] * (depth + 1)
+        assert [flags for _, _, _, flags in plan] == [_VULNERABLE | _DEPLOYED | _CONTROLLED] * (depth + 1)
+
+
+def test_pool_plans_share_one_library_key_per_library():
+    # every row of one library, in every plan of the pool, carries the same
+    # Ga object, equal to the row's gav.ga: a project's seen set and the
+    # verdict table then match the pool's own keys by identity
+    pool = build_synthetic_pool()
+    keys: dict[Ga, Ga] = {}
+    rows = 0
+    for versions in pool.plans:
+        for plan in versions:
+            for gav, library, _, _ in plan:
+                assert type(library) is Ga and library == gav.ga
+                assert keys.setdefault(library, library) is library
+                rows += 1
+    assert rows > len(keys) == len({gav.ga for tree in pool.trees for gav in tree.gavs()})
 
 
 def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
@@ -626,6 +644,19 @@ def test_pool_rejects_libraries_in_the_synthetic_project(group):
     message = rf"pool library {group}:x shares a project with the synthetic roots' group sim\.depscope"
     with pytest.raises(ReservedGroup, match=message):
         _pool_with_library_in(group)
+
+
+def test_pool_names_the_first_reserved_library_its_build_meets():
+    # trees in the order given, each in preorder: sim.depscope:z comes before
+    # sim:y and sim:x, though the pool's libraries sort the other way
+    trees = (
+        DependencyTree(DependencyNode(Gav("org.a", "b", "1.0"), Scope.COMPILE, (
+            DependencyNode(Gav("sim.depscope", "z", "1.0"), Scope.TEST),
+            DependencyNode(Gav("sim", "y", "1.0"), Scope.COMPILE)))),
+        DependencyTree(DependencyNode(Gav("sim", "x", "1.0"), Scope.COMPILE)),
+    )
+    with pytest.raises(ReservedGroup, match=r"pool library sim\.depscope:z shares a project"):
+        SimulationPool(trees=trees, histories={}, kb=())
 
 
 @pytest.mark.parametrize("group", ["simx", "sim.depscopex", "org.sim.depscope"])
