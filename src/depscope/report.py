@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from datetime import date
 from fnmatch import fnmatchcase
+from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from depscope.analysis import classify_responsibility, group_path
-from depscope.errors import MalformedCoordinate, MissingHistory, SchemaViolation, UnknownVersion
+from depscope.errors import MissingHistory, SchemaViolation, UnknownVersion
 from depscope.ingest import (
     check_fields,
     csv_rows,
@@ -43,7 +44,6 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    parse_gav,
     same_project,
 )
 
@@ -605,18 +605,19 @@ _ROW_JSON, _PATH_JSON = ("{\n" + ",\n".join(
 
 
 class _Gavs(dict):
-    """A document's coordinates by their text, each parsed on its first
-    lookup, which takes a ``str`` only; None for one that is malformed."""
+    """A document's coordinates by their text, one :class:`Gav` per text:
+    split on its first lookup, which takes a ``str`` only (None when it is
+    malformed), or added by a census's column pass through ``setdefault``."""
 
     def __missing__(self, text: str) -> Gav | None:
-        try:
-            return self.setdefault(text, parse_gav(text))
-        except MalformedCoordinate:
-            return None
+        segments = text.split(":")
+        if len(segments) == 3 and "" not in segments:
+            return self.setdefault(text, tuple.__new__(Gav, segments))
+        return None
 
 
 def _path(entry, gavs: _Gavs, p: str, i: int) -> VulnerablePath:
-    """Path ``i`` of the saved result at ``p``, read as :func:`_row` reads a row."""
+    """Path ``i`` of the saved result at ``p``, in one straight pass; only a rejected entry is walked."""
     if type(entry) is dict and entry.keys() == _PATH_KEYS:
         values = raw_path, grouped_path, vuln_id, responsibility, via_halted = _path_values(entry)
         if (tuple(map(type, values)) == _PATH_TYPES and responsibility in _RESPONSIBILITIES
@@ -632,30 +633,44 @@ def _path(entry, gavs: _Gavs, p: str, i: int) -> VulnerablePath:
     check_fields(entry, f"{p}/paths/{i}", _PATH_FIELDS, _PATH_KEYS)
 
 
-def _row(entry, gavs: _Gavs, p: str, i: int) -> CensusRow:
-    """Census row ``i`` of the saved result at ``p``, read in one straight
-    pass. Only a rejected entry has its pointer built: the walk of its
-    fields, which tests all the pass does but the rules, names its fault."""
-    if type(entry) is dict and entry.keys() == _ROW_KEYS:
-        values = vuln_ids, own, direct, gav, depth, deployed, responsibility, library_status, \
-            instance_status, via_halted, unknown_history = _row_values(entry)
-        if (tuple(map(type, values)) == _ROW_TYPES and {*map(type, vuln_ids)} <= {str}
-                and responsibility in _RESPONSIBILITIES and library_status in _LIBRARY_STATUSES
-                and instance_status in _INSTANCE_STATUSES and gavs[gav]):
-            # the fields hold; a row is a dependency, so below the root, and own and direct are derived
-            if depth < 1:
-                raise SchemaViolation(f"{p}/census/{i}/depth", f"{depth} is not a dependency's depth")
-            if direct is not (depth == 1):
-                raise SchemaViolation(f"{p}/census/{i}/direct", f"{direct} disagrees with depth {depth}")
-            if own is not (responsibility == _OWN):
-                raise SchemaViolation(f"{p}/census/{i}/own",
-                                      f"{own} disagrees with responsibility {responsibility!r}")
-            # the tuple's own constructor: NamedTuple's __new__ is a Python call
-            return tuple.__new__(CensusRow, (
-                gavs[gav], depth, deployed, tuple(vuln_ids), _RESPONSIBILITIES[responsibility],
-                _LIBRARY_STATUSES[library_status], _INSTANCE_STATUSES[instance_status], via_halted,
-                unknown_history))
-    check_fields(entry, f"{p}/census/{i}", _ROW_FIELDS, _ROW_KEYS)
+def _census(entries: list, gavs: _Gavs, p: str) -> tuple[CensusRow, ...]:
+    """The census of the saved result at ``p``: a pass per column, and a walk on doubt."""
+    if not entries:
+        return ()
+    try:
+        columns = ({*map(type, entries)} == {dict} and {*map(len, entries)} == {len(_ROW_KEYS)}
+                   and [*zip(*map(_row_values, entries))])
+    except KeyError:  # a key renamed
+        columns = None
+    if columns and [{*map(type, column)} for column in columns] == [{kind} for kind in _ROW_TYPES]:
+        vuln_ids, own, direct, gav, depth, deployed, responsibility, library_status, \
+            instance_status, via_halted, unknown_history = columns
+        segments = [*map(str.split, gav, repeat(":"))]
+        # a row is a dependency, so below the root, and own and direct are derived
+        if ({*map(type, chain.from_iterable(vuln_ids))} <= {str}
+                and {*responsibility}.issubset(_RESPONSIBILITIES)
+                and {*library_status}.issubset(_LIBRARY_STATUSES)
+                and {*instance_status}.issubset(_INSTANCE_STATUSES)
+                and {*map(len, segments)} == {3} and "" not in chain.from_iterable(segments)
+                and min(depth) >= 1 and direct == tuple(map((1).__eq__, depth))
+                and own == tuple(map("own".__eq__, responsibility))):
+            # tuples' own constructor: NamedTuple's __new__ is a Python call
+            return tuple(map(tuple.__new__, repeat(CensusRow), zip(
+                map(gavs.setdefault, gav, map(tuple.__new__, repeat(Gav), segments)), depth,
+                deployed, map(tuple, vuln_ids), map(_RESPONSIBILITIES.__getitem__, responsibility),
+                map(_LIBRARY_STATUSES.__getitem__, library_status),
+                map(_INSTANCE_STATUSES.__getitem__, instance_status), via_halted, unknown_history)))
+    for i, entry in enumerate(entries):
+        pointer = f"{p}/census/{i}"
+        check_fields(entry, pointer, _ROW_FIELDS, _ROW_KEYS)
+        depth, direct, own, responsibility = map(entry.get, ("depth", "direct", "own", "responsibility"))
+        if depth < 1:
+            raise SchemaViolation(f"{pointer}/depth", f"{depth} is not a dependency's depth")
+        if direct is not (depth == 1):
+            raise SchemaViolation(f"{pointer}/direct", f"{direct} disagrees with depth {depth}")
+        if own is not (responsibility == "own"):
+            raise SchemaViolation(f"{pointer}/own", f"{own} disagrees with responsibility {responsibility!r}")
+    raise AssertionError(f"{p}/census: a column broke a rule that no row breaks")
 
 
 def _result_from_dict(data, pointer: str, gavs: _Gavs) -> ScanResult:
@@ -670,12 +685,16 @@ def _result_from_dict(data, pointer: str, gavs: _Gavs) -> ScanResult:
         analysis_time=parse_date_at(data["analysis_time"], f"{pointer}/analysis_time"),
         include_non_deployed=json_typed(data, "include_non_deployed", bool, pointer),
         paths=tuple(_path(e, gavs, pointer, i) for i, e in enumerate(paths)),
-        census=tuple(_row(e, gavs, pointer, i) for i, e in enumerate(census)),
+        census=_census(census, gavs, pointer),
     )
 
 
 def parse_scan_results_json(doc: str) -> list[ScanResult]:
     """Parse a scan result object or array as rendered by :func:`render`.
+    A census is read column by column, each rule tested once per column in
+    set and ``map`` passes. Only a census where a rule fails is walked, row
+    by row in document order, each row's fields and then its derived rules,
+    so the fault named is the first, as a walk of every entry would name it.
     One :class:`Gav` is built per distinct coordinate of the document."""
     data, gavs = parse_json(doc), _Gavs()
     if isinstance(data, list):

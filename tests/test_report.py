@@ -1008,9 +1008,60 @@ def test_straight_decoders_change_no_outcome_of_any_single_change():
         assert _outcome(text) == _checked_outcome(text), text
 
 
+def _edited(*edits) -> str:
+    """The worked example's two saved results with each ``(result, row, key,
+    value)`` edit made; a value of None renames the key, keeping 11."""
+    doc = json.loads(_RENDERED)
+    for result, row, key, value in edits:
+        entry = doc[result]["census"][row]
+        if value is None:
+            entry[key + "_renamed"] = entry.pop(key)
+        else:
+            entry[key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("edits, pointer", [
+    # two faults: the first in document order is named, whichever rule a
+    # column pass would meet first
+    (((1, 3, "depth", 0), (0, 4, "own", True)), "/0/census/4/own"),
+    (((0, 5, "gav", "g:a"), (0, 1, "direct", False)), "/0/census/1/direct"),
+    (((0, 2, "depth", True), (0, 2, "own", True)), "/0/census/2/depth"),
+    (((1, 4, "library_status", "dead"), (1, 4, "vuln_ids", [1])), "/1/census/4/vuln_ids"),
+    # three segments, one of them empty
+    (((0, 3, "gav", "org.ziplib::1.4"), (1, 0, "gav", ":a:1")), "/0/census/3/gav"),
+    # a key renamed, so the row still holds 11 keys
+    (((1, 2, "instance_status", None),), "/1/census/2"),
+    (((0, 0, "depth", None), (0, 3, "direct", "no")), "/0/census/0"),
+])
+def test_straight_decoders_change_no_outcome_of_census_faults(edits, pointer):
+    """A census with several faults, an empty coordinate segment or a renamed
+    key fails as the frozen reference decodes it."""
+    text = _edited(*edits)
+    assert _outcome(text) == _checked_outcome(text)
+    assert _outcome(text)[1] == pointer
+
+
+def test_straight_decoders_change_no_outcome_of_an_empty_census():
+    """An empty census next to a non-empty one parses, or fails, as the
+    frozen reference decodes it."""
+    for emptied in (0, 1):
+        doc = json.loads(_RENDERED)
+        doc[emptied]["census"] = []
+        text = json.dumps(doc)
+        assert _outcome(text) == _checked_outcome(text)
+        assert [len(result.census) for result in parse_scan_results_json(text)] == [
+            0 if i == emptied else 6 for i in (0, 1)]
+        doc[1 - emptied]["census"][5]["depth"] = 1
+        text = json.dumps(doc)
+        assert _outcome(text) == _checked_outcome(text)
+        assert _outcome(text)[1] == f"/{1 - emptied}/census/5/direct"
+
+
 def test_well_formed_results_are_never_walked(monkeypatch):
-    """Only a rejected entry is walked, so a well-formed one builds no
-    pointer; a rule that two valid fields break is named all the same."""
+    """Only a census that a column rule rejects is walked, so a well-formed
+    one builds no pointer; a rule that two valid fields break is named all
+    the same, and the walk stops there."""
     walked = []
     monkeypatch.setattr(report_module, "check_fields", lambda entry, pointer, *_: walked.append(pointer))
     assert render(parse_scan_results_json(_RENDERED), "json") == _RENDERED
@@ -1019,10 +1070,12 @@ def test_well_formed_results_are_never_walked(monkeypatch):
     doc[1]["census"][2]["direct"] = not doc[1]["census"][2]["direct"]
     with pytest.raises(SchemaViolation) as exc:
         parse_scan_results_json(json.dumps(doc))
-    assert exc.value.pointer == "/1/census/2/direct" and walked == []
+    assert exc.value.pointer == "/1/census/2/direct"
+    # result 0's census is not walked, and result 1's only up to the fault
+    assert walked == ["/1/census/0", "/1/census/1", "/1/census/2"]
 
 
-def test_parse_builds_one_gav_per_distinct_coordinate(monkeypatch):
+def test_parse_builds_one_gav_per_distinct_coordinate():
     # two results of one tree: each coordinate is the root, a row or a path
     # member, and occurs several times
     doc = json.loads(_RENDERED)
@@ -1031,15 +1084,13 @@ def test_parse_builds_one_gav_per_distinct_coordinate(monkeypatch):
     texts += [gav for result in doc for path in result["paths"]
               for gav in path["raw_path"] + path["grouped_path"]]
     assert len(texts) > len(set(texts))
-    built = []
-    gav_new = Gav.__new__
-
-    def counted(cls, *segments):
-        built.append(":".join(segments))
-        return gav_new(cls, *segments)
-
-    monkeypatch.setattr(Gav, "__new__", counted)
     results = parse_scan_results_json(_RENDERED)
-    monkeypatch.undo()
-    assert sorted(built) == sorted(set(texts))
+    gavs = [result.root for result in results]
+    gavs += [row.gav for result in results for row in result.census]
+    gavs += [gav for result in results for path in result.paths
+             for gav in path.raw_path + path.grouped_path]
+    assert [":".join(gav) for gav in gavs] == texts and {type(gav) for gav in gavs} == {Gav}
+    # as many objects as distinct texts, so one per text; the parsed values
+    # hold them all, so no id is reused
+    assert len({*map(id, gavs)}) == len(set(texts))
     assert render(results, "json") == _RENDERED
