@@ -4,9 +4,11 @@ extraction, project grouping and responsibility attribution."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from depscope.model import (
+    NON_DEPLOYED_SCOPES,
+    DependencyNode,
     DependencyTree,
     Gav,
     Responsibility,
@@ -16,6 +18,11 @@ from depscope.model import (
     prune,
     same_project,
 )
+
+# a tuple tests a scope by identity first, without the Python-level Enum hash
+_NOT_SHIPPED = tuple(NON_DEPLOYED_SCOPES)
+# a global costs a tenth of an Enum attribute
+_OWN, _DIRECT, _TRANSITIVE = Responsibility.OWN, Responsibility.DIRECT, Responsibility.TRANSITIVE
 
 
 @dataclass(frozen=True)
@@ -118,6 +125,98 @@ def group_path(raw_path: Sequence[Gav]) -> list[Gav]:
             kept[group] = gav
             covered.update(prefixes)
     return list(kept.values())
+
+
+def census_walk(top_group: str, nodes: Sequence[DependencyNode]
+                ) -> Iterator[tuple[DependencyNode, int, bool, Responsibility]]:
+    """``(node, depth, deployed, responsibility)`` for every node of the
+    subtrees ``nodes``, in one depth-first preorder walk over an explicit
+    stack, as children of a top node in group ``top_group`` at depth 0.
+
+    ``deployed`` says every edge from the node up to ``nodes`` ships, and
+    ``responsibility`` is the class of grouping the node's chain up to the
+    top (:func:`group_path`, :func:`classify_responsibility`). A node's class
+    takes its group ``g``, its nearest ancestor outside ``g``'s project
+    (``x1``) and whether an ancestor lies outside both projects. A node is
+    ``own`` when ``g`` shares the top's project, tested by a set lookup and
+    one ``startswith``. Each expanded node pushes one context its children
+    share: its group, its class, the group of its own ``x1`` (None when
+    every ancestor shares its project) and its parent's context. A node walks
+    up the contexts while they share its project: the first in its own
+    group lends its class; else, at ``x1``, the node is transitive when
+    ``x1`` is not own, and otherwise direct unless :func:`_outside_both`
+    finds an ancestor in neither project. So a node costs O(1) unless
+    distinct relatives of its group lie above it, as ``org`` below a spine
+    of distinct ``org.p<i>``, which it passes one by one.
+    """
+    # a group shares the top's project when it is the top's group or a
+    # dot-prefix of it, or when it lies under it
+    top_prefixes = {top_group[:i] for i, c in enumerate(top_group) if c == "."} | {top_group}
+    below_top = top_group + "."
+    top = (top_group, _OWN, None, None)  # the top's context: (group, class, x1's group, parent's)
+    stack = [(node, 1, node.scope not in _NOT_SHIPPED, top) for node in reversed(nodes)]
+    while stack:
+        node, depth, deployed, parent = stack.pop()
+        group = node.gav[0]
+        if group in top_prefixes or group.startswith(below_top):
+            responsibility = _OWN
+        else:
+            # up while the contexts share the node's project; the top does not
+            context = parent
+            while (x1 := context[0]) != group:
+                if not same_project(x1, group):
+                    # a non-own x1 leaves the top in neither project
+                    responsibility = (_DIRECT if context[1] is _OWN and not _outside_both(group, context)
+                                      else _TRANSITIVE)
+                    break
+                context = context[3]
+            else:  # a context in the node's group, with nothing outside its project in between
+                _, responsibility, x1, _ = context
+        yield node, depth, deployed, responsibility
+        children = node.children
+        if not children:
+            continue
+        if responsibility is _OWN:
+            x1 = _outside(group, parent)
+        parent = (group, responsibility, x1, parent)
+        depth += 1
+        for child in reversed(children):
+            stack.append((child, depth, deployed and child.scope not in _NOT_SHIPPED, parent))
+
+
+def _outside(group: str, context) -> str | None:
+    """The group of the nearest context from ``context`` up outside
+    ``group``'s project, None when every one shares it. A context with the
+    group itself answers for all above it."""
+    while context is not None:
+        other = context[0]
+        if other == group:
+            return context[2]
+        if not same_project(other, group):
+            return other
+        context = context[3]
+    return None
+
+
+def _outside_both(group: str, context) -> bool:
+    """Whether a context from ``context`` up lies outside both ``group``'s
+    project and the project of ``context``'s own group, ``x1``, the nearest
+    outside ``group``'s. A context in ``x1`` with nothing outside its
+    project above it, or one in ``group`` whose own ``x1`` is ``x1``,
+    answers for all above it."""
+    x1 = context[0]
+    while context is not None:
+        other = context[0]
+        if other == x1:
+            if context[2] is None:
+                return False
+        elif other == group:
+            if context[2] == x1:
+                return context[1] is _TRANSITIVE
+        elif not (same_project(other, group) or same_project(other, x1)):
+            return True
+        context = context[3]
+    return False
 
 
 def classify_responsibility(grouped_path: Sequence[Gav], root: Gav) -> Responsibility:

@@ -16,7 +16,7 @@ from fnmatch import fnmatchcase
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from depscope.analysis import classify_responsibility, group_path
+from depscope.analysis import census_walk, classify_responsibility, group_path
 from depscope.errors import MissingHistory, SchemaViolation, UnknownVersion
 from depscope.ingest import (
     check_fields,
@@ -44,7 +44,6 @@ from depscope.model import (
     VulnerabilityKb,
     VulnerabilityRecord,
     VulnerablePath,
-    same_project,
 )
 
 # the JSON text of each boolean and enum member a result holds, read without
@@ -52,7 +51,7 @@ from depscope.model import (
 _TEXT = {True: "true", False: "false",
          **{m: m.value for cls in (Responsibility, LibraryStatus, InstanceStatus) for m in cls}}
 # a global costs a tenth of an Enum attribute
-_OWN, _DIRECT, _TRANSITIVE = Responsibility.OWN, Responsibility.DIRECT, Responsibility.TRANSITIVE
+_OWN = Responsibility.OWN
 _HALTED = LibraryStatus.HALTED
 
 # each axis of the cell keys as (what a census row or path holds, its text):
@@ -175,20 +174,9 @@ def scan(
     today. Lifecycle verdicts come from the verdict table of ``histories``
     at ``(time, cfg)`` (:func:`depscope.lifecycle.verdict_table`).
 
-    A row's class takes its group ``g``, its nearest ancestor outside
-    ``g``'s project (``x1``) and whether an ancestor lies outside both
-    projects. A row is ``own`` when ``g`` shares the root's project, tested
-    by a set lookup and one ``startswith``. Each expanded node pushes one
-    context its children share: its group, its class, the group of its own
-    ``x1`` (None when every ancestor shares its project) and its parent's
-    context. A row walks up the contexts while they share its project: the
-    first in its own group lends its class; else, at ``x1``, the row is
-    transitive when ``x1`` is not own, and otherwise direct unless
-    :func:`_outside_both` finds an ancestor in neither project. So a row
-    costs O(1) unless distinct relatives of its group lie above it, as
-    ``org`` below a spine of distinct ``org.p<i>``, which it passes one by
-    one. Only a vulnerable node's chain is built, from the walk's current
-    path, and grouped.
+    A row's class comes from :func:`depscope.analysis.census_walk` under
+    the root's group, the walk this loop runs. Only a vulnerable node's
+    chain is built, from the walk's current path, and grouped.
     """
     cfg = cfg or SmoothingConfig()
     time = time or tree.analysis_time or date.today()
@@ -197,21 +185,13 @@ def scan(
         kb = VulnerabilityKb(kb)
     ids_by_gav = kb.ids_by_gav
     root = tree.root.gav
-    root_group = root[0]
-    # a group shares the root's project when it is the root's group or a
-    # dot-prefix of it, or when it lies under it
-    root_prefixes = {root_group[:i] for i, c in enumerate(root_group) if c == "."} | {root_group}
-    below_root = root_group + "."
     # the root ships, so it is matched in both modes; its paths are own
     paths = [VulnerablePath((root,), (root,), vuln_id, _OWN, False)
              for vuln_id in ids_by_gav.get(root, ())]
     rows = []
     path = [root]  # the coordinates of the walk's current path by depth, the root first
-    top = (root_group, _OWN, None, None)  # the root's context: (group, class, x1's group, parent's)
-    stack = [(child, 1, child.scope.deployed, top) for child in reversed(tree.root.children)]
     direct = None  # the verdict of the latest depth-1 node: in preorder, the current one's ancestor
-    while stack:
-        node, depth, deployed, parent = stack.pop()
+    for node, depth, deployed, responsibility in census_walk(root[0], tree.root.children):
         gav = node.gav
         verdict = verdicts[gav[:2]]
         if verdict is None:
@@ -226,21 +206,6 @@ def scan(
             lib_status, inst_status = LibraryStatus.ALIVE, InstanceStatus.UP_TO_DATE
         else:
             lib_status, inst_status = verdict.status, verdict.statuses[gav[2]]
-        group = gav[0]
-        if group in root_prefixes or group.startswith(below_root):
-            responsibility = _OWN
-        else:
-            # up while the contexts share the row's project; the root does not
-            context = parent
-            while (x1 := context[0]) != group:
-                if not same_project(x1, group):
-                    # a non-own x1 leaves the root in neither project
-                    responsibility = (_DIRECT if context[1] is _OWN and not _outside_both(group, context)
-                                      else _TRANSITIVE)
-                    break
-                context = context[3]
-            else:  # a context in the row's group, with nothing outside its project in between
-                _, responsibility, x1, _ = context
         via_halted = deployed and depth > 1 and direct is not None and direct.status is _HALTED
         # the tuple's own constructor: NamedTuple's __new__ is a Python call
         rows.append(tuple.__new__(CensusRow, (gav, depth, deployed, vuln_ids, responsibility,
@@ -250,16 +215,8 @@ def scan(
             grouped = tuple(group_path(chain))
             for vuln_id in vuln_ids:
                 paths.append(VulnerablePath(chain, grouped, vuln_id, responsibility, via_halted))
-        children = node.children
-        if not children:
-            continue
-        path[depth:] = (gav,)
-        if responsibility is _OWN:
-            x1 = _outside(group, parent)
-        parent = (group, responsibility, x1, parent)
-        depth += 1
-        for child in reversed(children):
-            stack.append((child, depth, deployed and child.scope.deployed, parent))
+        if node.children:
+            path[depth:] = (gav,)
 
     return ScanResult(
         root=root,
@@ -268,41 +225,6 @@ def scan(
         paths=tuple(paths),
         census=tuple(rows),
     )
-
-
-def _outside(group: str, context) -> str | None:
-    """The group of the nearest context from ``context`` up outside
-    ``group``'s project, None when every one shares it. A context with the
-    group itself answers for all above it."""
-    while context is not None:
-        other = context[0]
-        if other == group:
-            return context[2]
-        if not same_project(other, group):
-            return other
-        context = context[3]
-    return None
-
-
-def _outside_both(group: str, context) -> bool:
-    """Whether a context from ``context`` up lies outside both ``group``'s
-    project and the project of ``context``'s own group, ``x1``, the nearest
-    outside ``group``'s. A context in ``x1`` with nothing outside its
-    project above it, or one in ``group`` whose own ``x1`` is ``x1``,
-    answers for all above it."""
-    x1 = context[0]
-    while context is not None:
-        other = context[0]
-        if other == x1:
-            if context[2] is None:
-                return False
-        elif other == group:
-            if context[2] == x1:
-                return context[1] is _TRANSITIVE
-        elif not (same_project(other, group) or same_project(other, x1)):
-            return True
-        context = context[3]
-    return False
 
 
 def aggregate(results: Iterable[ScanResult]) -> AggregateReport:

@@ -22,17 +22,18 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Mapping, Sequence
 
+from depscope.analysis import census_walk
 from depscope.errors import EmptyPool, InsufficientLibraries, MissingHistory, ReservedGroup, UnknownVersion
 from depscope.ingest import csv_text, json_text
 from depscope.lifecycle import SmoothingConfig, verdict_table
 from depscope.model import (
-    NON_DEPLOYED_SCOPES,
     DependencyNode,
     DependencyTree,
     Ga,
     Gav,
     LibraryStatus,
     ReleaseHistory,
+    Responsibility,
     VulnerabilityKb,
     same_project,
 )
@@ -45,8 +46,7 @@ SYNTHETIC_GROUP = "sim.depscope"
 # edge from it up to the pool root ships, and its grouped class is own or direct
 _VULNERABLE, _DEPLOYED, _CONTROLLED = 1, 2, 4
 _HALTED = LibraryStatus.HALTED
-# a tuple tests a scope by identity first, without the Python-level Enum hash
-_NOT_SHIPPED = tuple(NON_DEPLOYED_SCOPES)
+_TRANSITIVE = Responsibility.TRANSITIVE
 
 
 #: A pool tree compiled for the projects that draw it: a row per node, in
@@ -65,54 +65,25 @@ def _plan(root: DependencyNode, ids_by_gav: Mapping[Gav, tuple[str, ...]],
     time in ``libraries``.
 
     A node's class is that of its chain up to the pool root, then up to a
-    synthetic root: :data:`SYNTHETIC_GROUP` shares a project with no pool
-    library (:class:`ReservedGroup`), so grouping keeps that root, never
-    finds the node own, and leaves two members, hence direct, exactly when
-    every pool ancestor shares the node's project. That holds whichever
-    project draws the tree. Each expanded node keeps that answer, its
-    ``solo``, so a node walks up its ancestors only while they share its
-    project and takes the ``solo`` of the first in its own group. Only a
-    deployed vulnerable node is classified, as only its class is counted."""
+    synthetic root: :func:`depscope.analysis.census_walk` under
+    :data:`SYNTHETIC_GROUP`. That group shares a project with no pool
+    library (:class:`ReservedGroup`), so the class is never own, and it
+    holds whichever project draws the tree. Only a deployed vulnerable
+    node's class is stored, as only it is counted."""
     rows = []
-    # by depth, the group and solo of each node the walk is below, the pool root first
-    groups, solos = [], []
-    stack = [(root, 0, True)]
-    while stack:
-        node, depth, deployed = stack.pop()
+    for node, depth, deployed, responsibility in census_walk(SYNTHETIC_GROUP, (root,)):
         gav = node.gav
-        group = gav[0]
         key = gav[:2]
         library = libraries.get(key)
         if library is None:
             library = libraries[key] = gav.ga
-        vulnerable = gav in ids_by_gav
-        children = node.children
-        if children or vulnerable and deployed:
-            up = depth
-            while up:
-                above = groups[up - 1]
-                if above == group:
-                    solo = solos[up - 1]
-                    break
-                if not same_project(above, group):
-                    solo = False
-                    break
-                up -= 1
-            else:
-                solo = True
-        if not vulnerable:
+        if gav not in ids_by_gav:
             flags = 0
         elif not deployed:
             flags = _VULNERABLE
         else:
-            flags = _VULNERABLE | _DEPLOYED | _CONTROLLED * solo
-        rows.append((gav, library, depth, flags))
-        if children:
-            groups[depth:] = (group,)
-            solos[depth:] = (solo,)
-            depth += 1
-            for child in reversed(children):
-                stack.append((child, depth, deployed and child.scope not in _NOT_SHIPPED))
+            flags = _VULNERABLE | _DEPLOYED | _CONTROLLED * (responsibility is not _TRANSITIVE)
+        rows.append((gav, library, depth - 1, flags))
     return tuple(rows)
 
 
@@ -124,8 +95,9 @@ class SimulationPool:
     for all projects, and ``histories`` as given: only loaded ones keep verdict
     tables between calls. ``plans`` holds, for each pool library in sorted
     order, the :data:`Plan` of each of its pool trees by version string
-    (``1.10`` before ``1.9``). The plans share one :class:`Ga` per distinct
-    pool library, made on its first sight, so a project's set of the
+    (``1.10`` before ``1.9``), every node classified once by scan's walk
+    under :data:`SYNTHETIC_GROUP`. The plans share one :class:`Ga` per
+    distinct pool library, made on its first sight, so a project's set of the
     libraries it met and the verdict table match a row's key by identity.
     Each of those libraries then has its group checked: the first in the
     project of :data:`SYNTHETIC_GROUP` raises :class:`ReservedGroup`, as

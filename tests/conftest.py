@@ -1,13 +1,14 @@
 """Shared fixtures: the worked-example tree, release histories, a halted-direct
 fixture, a random tree generator for oracle tests, a synthetic simulation
-pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees
-and scan results, the reference JSON object of a scan result, frozen
+pool, a JSON mutator for parser fuzzing, Hypothesis strategies for trees,
+for chains of group ids in the shapes that are hard to classify and for
+scan results, the reference JSON object of a scan result, frozen
 field-by-field reference decoders of saved results and of the KB, the
 frozen row-by-row history loader, the frozen checked tree parsers, the frozen pairwise grouping loop, the frozen
 aggregate fold, census rows with their chains, the frozen stepwise census walk with its
 classification of a row from the distinct group ids above it, chains of given group ids, a
 ``same_project`` call budget and the replay of a simulated project's tree over the pool's own
-version index, and a warm-up of Hypothesis's character tables at session start."""
+version index, and a warm-up of Hypothesis's character tables once per session."""
 
 from __future__ import annotations
 
@@ -60,11 +61,14 @@ from depscope.simulate import SYNTHETIC_GROUP, SimulationPool, _sub_rng
 ANALYSIS_TIME = date(2018, 6, 1)
 
 
-def pytest_sessionstart(session):
+@pytest.fixture(scope="session", autouse=True)
+def _hypothesis_character_tables():
     # Hypothesis builds its character tables when it first validates a text
     # strategy, which takes over a second without a .hypothesis/ cache; paid
     # inside a test's first draw, that counts as input generation and can
-    # fail the too_slow health check of whichever test draws text first
+    # fail the too_slow health check of whichever test draws text first.
+    # Built at session start instead, before any test module is collected,
+    # it would emit a HypothesisSideeffectWarning per strategy built then
     st.text().validate()
 
 
@@ -490,6 +494,27 @@ def grouped_trees(draw):
     kb = [VulnerabilityRecord("V1", frozenset(Gav(groups[i], f"lib{i}", "1.0") for i in vulnerable))
           ] if vulnerable else []
     return DependencyTree(node), kb
+
+
+# chains of four shapes: dot-prefix relatives, string-prefix decoys, distinct
+# org.p<i> alternating with org (each org row absorbs every org.p<i> above
+# it), and two unrelated namespaces alternating, with relatives in each
+_RELATIVES = ["org", "org.a", "org.a.b", "org.a.b.c", "org.a.c", "org.b", "com.app"]
+_DECOYS = ["com", "com.fo", "com.foo", "com.foob", "com.foobar", "com.foo.bar", "com.foobar.x"]
+
+
+@st.composite
+def group_chains(draw) -> list[str]:
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(["relatives", "decoys", "org.p<i> and org", "two namespaces"]))
+    if shape in ("relatives", "decoys"):
+        return draw(st.lists(st.sampled_from(_RELATIVES if shape == "relatives" else _DECOYS),
+                             min_size=n, max_size=n))
+    first = draw(st.integers(0, 1))
+    if shape == "org.p<i> and org":
+        return ["org" if (i + first) % 2 else f"org.p{i}" for i in range(n)]
+    subs = draw(st.lists(st.sampled_from(["", ".p1", ".p1.x", ".p2"]), min_size=n, max_size=n))
+    return [("org" if (i + first) % 2 else "net") + subs[i] for i in range(n)]
 
 
 _CENSUS_ROWS = st.builds(

@@ -63,6 +63,7 @@ from conftest import (
     chain_tree,
     deep_chain_tree,
     every_single_change,
+    group_chains,
     grouped_trees,
     mutate_json,
     random_tree_case,
@@ -231,29 +232,8 @@ def test_every_census_row_is_classified_as_its_grouped_chain(case):
             assert row.responsibility is expected
 
 
-# chains of four shapes: dot-prefix relatives, string-prefix decoys, distinct
-# org.p<i> alternating with org (each org row absorbs every org.p<i> above
-# it), and two unrelated namespaces alternating, with relatives in each
-_RELATIVES = ["org", "org.a", "org.a.b", "org.a.b.c", "org.a.c", "org.b", "com.app"]
-_DECOYS = ["com", "com.fo", "com.foo", "com.foob", "com.foobar", "com.foo.bar", "com.foobar.x"]
-
-
-@st.composite
-def _group_chains(draw) -> list[str]:
-    n = draw(st.integers(1, 30))
-    shape = draw(st.sampled_from(["relatives", "decoys", "org.p<i> and org", "two namespaces"]))
-    if shape in ("relatives", "decoys"):
-        return draw(st.lists(st.sampled_from(_RELATIVES if shape == "relatives" else _DECOYS),
-                             min_size=n, max_size=n))
-    first = draw(st.integers(0, 1))
-    if shape == "org.p<i> and org":
-        return ["org" if (i + first) % 2 else f"org.p{i}" for i in range(n)]
-    subs = draw(st.lists(st.sampled_from(["", ".p1", ".p1.x", ".p2"]), min_size=n, max_size=n))
-    return [("org" if (i + first) % 2 else "net") + subs[i] for i in range(n)]
-
-
 @settings(max_examples=300, deadline=None)
-@given(groups=_group_chains(), root_group=st.sampled_from(["com.app", "com.foo", "org", "net"]),
+@given(groups=group_chains(), root_group=st.sampled_from(["com.app", "com.foo", "org", "net"]),
        data=st.data())
 def test_classify_group_ids_classifies_each_step_as_its_grouped_chain(groups, root_group, data):
     # on chains of dot-prefix relatives, string-prefix decoys and both

@@ -56,6 +56,7 @@ from conftest import (
     build_synthetic_pool,
     chain_tree,
     deep_chain_tree,
+    group_chains,
     pool_libraries,
     project_tree,
     reference_group_path,
@@ -208,11 +209,13 @@ _PLAN_GROUPS = GROUP_POOL + NON_TRANSITIVE + ["com.alphabet"]
 def _grouped_pools(draw) -> SimulationPool:
     """Pool trees of one library per node, whose groups come from a few of
     :data:`_PLAN_GROUPS`, so they recur along deep chains and non-transitive
-    relatives meet; with random scopes and a KB that hits some of the nodes."""
+    relatives meet, or from the chains of :func:`group_chains` that scan's
+    classifier is tested on; with random scopes and a KB that hits some of
+    the nodes."""
     few = st.sampled_from(draw(st.lists(st.sampled_from(_PLAN_GROUPS), min_size=1, max_size=4, unique=True)))
     trees, gavs = [], []
     for t in range(draw(st.integers(1, 4))):
-        groups = draw(st.lists(few, min_size=1, max_size=12))
+        groups = draw(st.one_of(st.lists(few, min_size=1, max_size=12), group_chains()))
         # parents near the node, so chains run deep
         preorder = [(Gav(groups[0], f"t{t}lib0", "1"), Scope.COMPILE, -1)] + [
             (Gav(group, f"t{t}lib{i}", "1"), draw(st.sampled_from(list(Scope))),
@@ -291,6 +294,33 @@ def test_pool_build_makes_same_project_calls_linear_in_depth_on_one_project(same
         assert [flags for _, _, _, flags in plan] == [_VULNERABLE | _DEPLOYED | _CONTROLLED] * (depth + 1)
 
 
+# scan's other budget shapes as a pool tree of n nodes: its group ids, and
+# whether each node is controlled when drawn under a synthetic root
+_POOL_BUDGET_SHAPES = {
+    # distinct org.p<i> alternating with org: each org node absorbs every
+    # org.p<i> above it, and each org.p<i> node stops at the org.p<i> two
+    # levels up, outside its project and the synthetic root's
+    "alternating relatives": lambda n: ([f"org.p{i}" if i % 2 == 0 else "org" for i in range(n)],
+                                        [True, True] + [i % 2 == 1 for i in range(2, n)]),
+    # k distinct, unrelated groups, then the same k again: a node below the
+    # pool root stops at its parent, outside its project and the synthetic root's
+    "repeated run": lambda n: ([f"org.g{i % (n // 2)}" for i in range(n)], [True] + [False] * (n - 1)),
+}
+
+
+@pytest.mark.parametrize("shape", _POOL_BUDGET_SHAPES)
+def test_pool_build_makes_same_project_calls_linear_in_depth_on_scans_other_shapes(same_project_budget, shape):
+    # every node in the KB, so every node is classified, as scan classifies every row
+    for depth in (5_000, 10_000):
+        groups, controlled = _POOL_BUDGET_SHAPES[shape](depth + 1)
+        tree = chain_tree(groups)
+        kb = VulnerabilityKb([VulnerabilityRecord("V1", frozenset(tree.gavs()))])
+        same_project_budget(5 * depth)
+        ((plan,),) = SimulationPool(trees=(tree,), histories={}, kb=kb).plans
+        assert [flags for _, _, _, flags in plan] == [
+            _VULNERABLE | _DEPLOYED | _CONTROLLED * c for c in controlled]
+
+
 def test_pool_plans_share_one_library_key_per_library():
     # every row of one library, in every plan of the pool, carries the same
     # Ga object, equal to the row's gav.ga: a project's seen set and the
@@ -317,7 +347,7 @@ def test_simulate_classifies_groups_and_builds_nothing_per_project(monkeypatch):
         raise AssertionError("simulate must not call this")
 
     for module in (simulate_module, analysis, report):
-        for name in ("_plan", "same_project", "group_path", "classify_responsibility"):
+        for name in ("_plan", "census_walk", "same_project", "group_path", "classify_responsibility"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(DependencyNode, "__init__", forbidden)
